@@ -25,6 +25,7 @@ from .errors import (
 from .graphs import build, full_view, to_dot, to_edgelist
 from .lemmas import run_lemma_suite
 from .pairing import (
+    LowerBoundReport,
     formula_value,
     pair_structure,
     pairing_capacity,
@@ -189,10 +190,7 @@ def _pi3_worker_init(n: int, family_text: str) -> None:
 
 def _pi3_worker(payload):
     chunk, seed = payload
-    rep = pi3_lower(_WORKER_GRAPH, chunk, seed=seed)
-    return (rep.value if rep.evaluated and not rep.failures else None,
-            rep.evaluated, rep.case_counts, rep.fallback_count,
-            rep.failures, rep.worst_triple)
+    return pi3_lower(_WORKER_GRAPH, chunk, seed=seed)
 
 
 def _cmd_pi3(args, argv) -> int:
@@ -215,63 +213,50 @@ def _cmd_pi3(args, argv) -> int:
     expected = formula_value(g.n)
 
     if args.jobs > 1:
-        chunks = [triples[i::args.jobs] for i in range(args.jobs)]
-        chunks = [c for c in chunks if c]
-        value, evaluated, fallbacks = None, 0, 0
-        case_counts: dict[str, int] = {}
-        failures = []
-        worst = None
+        # contiguous chunks merged in order report what a serial run does
+        size = -(-len(triples) // args.jobs)
+        chunks = [triples[i:i + size] for i in range(0, len(triples), size)]
+        rep = LowerBoundReport(value=0, evaluated=0)
         with ProcessPoolExecutor(
                 max_workers=args.jobs, initializer=_pi3_worker_init,
                 initargs=(args.n, args.family)) as pool:
-            for v, ev, cc, fb, fl, wt in pool.map(
-                    _pi3_worker, [(c, args.seed) for c in chunks]):
-                evaluated += ev
-                fallbacks += fb
-                failures.extend(fl)
-                for k, cnt in cc.items():
-                    case_counts[k] = case_counts.get(k, 0) + cnt
-                if v is not None and (value is None or v < value):
-                    value, worst = v, wt
-        lower_value = value if value is not None else 0
+            for part in pool.map(_pi3_worker, [(c, args.seed) for c in chunks]):
+                rep.merge(part)
     else:
         rep = pi3_lower(g, triples, seed=args.seed)
-        lower_value = rep.value
-        evaluated, fallbacks = rep.evaluated, rep.fallback_count
-        case_counts, failures, worst = rep.case_counts, rep.failures, rep.worst_triple
 
-    match = (not failures and lower_value >= expected and upper.value == expected)
+    match = (not rep.failures and rep.value >= expected and upper.value == expected)
     verdict = "MATCH" if match else "MISMATCH"
     lines = _report_header(f"pi3  n={g.n}  family={g.family.value}", argv)
-    lines.append(f"triples    : {evaluated} "
+    lines.append(f"triples    : {rep.evaluated} "
                  f"({'exhaustive' if args.exhaustive else 'sampled, seed ' + str(args.seed)})")
-    lines.append(f"lower bound: {lower_value}   (worst triple {worst})")
+    lines.append(f"lower bound: {rep.value}   (worst triple {rep.worst_triple})")
     lines.append(f"upper bound: {upper.value}   "
                  f"(connectivity {upper.connectivity}, r={upper.r})")
     lines.append(f"formula    : {expected} = floor((6n-9)/4)")
-    lines.append(f"fallbacks  : {fallbacks}")
-    for case_id in sorted(case_counts):
-        lines.append(f"  {case_id:<20} {case_counts[case_id]}")
-    if failures:
-        lines.append(f"FAILURES   : {len(failures)} (first: {failures[0]})")
+    lines.append(f"fallbacks  : {rep.fallback_count}")
+    for case_id in sorted(rep.case_counts):
+        lines.append(f"  {case_id:<20} {rep.case_counts[case_id]}")
+    if rep.failures:
+        lines.append(f"FAILURES   : {len(rep.failures)} (first: {rep.failures[0]})")
     lines.append(f"verdict    : {verdict} "
-                 f"(lower {lower_value} / formula {expected} / upper {upper.value})")
+                 f"(lower {rep.value} / formula {expected} / upper {upper.value})")
     report_path = _out_path(f"pi3-n{g.n}.txt", args.report)
     sidecar = {
         "command": "pi3", "n": g.n, "family": g.family.value,
         "mode": "exhaustive" if args.exhaustive else "sampled",
-        "seed": args.seed, "triples": evaluated,
-        "lower": lower_value, "upper": upper.value, "formula": expected,
+        "seed": args.seed, "triples": rep.evaluated,
+        "lower": rep.value, "upper": upper.value, "formula": expected,
         "r": upper.r, "connectivity": upper.connectivity,
-        "worst_triple": list(worst) if worst else None,
-        "fallbacks": fallbacks, "case_counts": case_counts,
-        "failures": [list(map(str, f)) for f in failures],
+        "worst_triple": list(rep.worst_triple) if rep.worst_triple else None,
+        "fallbacks": rep.fallback_count, "case_counts": rep.case_counts,
+        "failures": [list(map(str, f)) for f in rep.failures],
         "verdict": verdict,
     }
     _write_report(lines, report_path)
     if report_path:
         _write_sidecar(sidecar, report_path)
-    if failures:
+    if rep.failures:
         return EXIT_CONSTRUCTION
     return EXIT_OK if match else EXIT_MISMATCH
 

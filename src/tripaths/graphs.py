@@ -49,11 +49,6 @@ class CayleyGraph:
         for v, c in enumerate(self.copy_id):
             members[c].append(v)
         self.copy_members = {c: tuple(vs) for c, vs in members.items()}
-        # generator indices whose transposition moves position n (cross edges)
-        self._cross_gens = frozenset(
-            gi for gi, t in enumerate(self.gens) if t.j == n
-        )
-        self._gen_index = {t: gi for gi, t in enumerate(self.gens)}
 
     def check_rank(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -65,13 +60,6 @@ class CayleyGraph:
 
     def vertex_text(self, v: int) -> str:
         return permutation_text(self.perm(v))
-
-    def generator_index(self, t: Transposition) -> int:
-        return self._gen_index[t]
-
-    def intra_gen_indices(self) -> frozenset[int]:
-        """Indices of generators that fix position n (stay inside a copy)."""
-        return frozenset(range(self.degree)) - self._cross_gens
 
 
 def build(n: int, family: Family) -> CayleyGraph:

@@ -90,6 +90,18 @@ class LowerBoundReport:
     failures: list = field(default_factory=list)
     worst_triple: tuple[int, int, int] | None = None
 
+    def merge(self, other: "LowerBoundReport") -> None:
+        """Fold in the report of the triples that follow this one's; the
+        result equals one report over both runs of triples."""
+        if other.worst_triple is not None and (
+                self.worst_triple is None or other.value < self.value):
+            self.value, self.worst_triple = other.value, other.worst_triple
+        self.evaluated += other.evaluated
+        for case_id, count in other.case_counts.items():
+            self.case_counts[case_id] = self.case_counts.get(case_id, 0) + count
+        self.fallback_count += other.fallback_count
+        self.failures.extend(other.failures)
+
 
 def formula_value(n: int) -> int:
     return (6 * n - 9) // 4

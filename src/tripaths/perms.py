@@ -162,9 +162,6 @@ class GeneratorSet:
     n: int
     members: tuple[Transposition, ...]
 
-    def index_of(self, t: Transposition) -> int:
-        return self.members.index(t)
-
 
 def generator_set(family: Family, n: int) -> GeneratorSet:
     """Star transpositions (1 j), adjacent swaps (j j+1), plus (2 n) for wheel.

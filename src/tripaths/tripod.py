@@ -1,32 +1,24 @@
 """Solve for tripod structures: three bundles of paths joining a vertex
 triple, every path internally disjoint from every other across bundles.
 
-The workhorse is a two-phase flow heuristic with exchange repair and
+The solver is a two-phase flow heuristic with exchange repair and
 seeded restarts.  A phase-A shortfall is an exact max-flow statement,
-so it certifies the target infeasible.  Small views (at most 40
-vertices) fall back to an integral multicommodity program, which is
-also the engine behind the exact packing oracle.
+so it certifies the target infeasible.  The exact packing oracle lives
+in ``tripaths.oracle``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-
 from ._util import mix_seed
-from .errors import OracleScaleExceeded
 from .flows import (
     Path,
     StepCounter,
     _SplitNet,
     max_internally_disjoint_paths,
 )
-from .verification import VerdictReport, check_tripod
-
-MILP_VERTEX_LIMIT = 40
+from .verification import check_tripod
 
 
 @dataclass(frozen=True)
@@ -79,11 +71,6 @@ class TripodFailure:
     steps_used: int
     restarts_used: int
     certified_infeasible: bool = False
-
-
-def verify_tripod(view, structure: TripodStructure, target: StructureTarget,
-                  exact: bool = True) -> VerdictReport:
-    return check_tripod(view, structure, target, exact=exact)
 
 
 _INFEASIBLE = "infeasible"
@@ -221,195 +208,5 @@ def solve_tripod(view, omega, target: StructureTarget, budget: Budget | None = N
                 return res
         if certified or counter.used >= budget.max_steps:
             break
-    if not certified and view.vertex_count <= MILP_VERTEX_LIMIT:
-        res = _milp_solve(view, omega, target)
-        if res == _INFEASIBLE:
-            certified = True
-        elif res is not None:
-            verdict = check_tripod(view, res, target, exact=True)
-            assert verdict.ok, verdict.violations
-            return res
     reason = "target certified infeasible" if certified else "search budget exhausted"
     return TripodFailure(reason, counter.used, restarts, certified)
-
-
-# ---------------------------------------------------------------- MILP core
-
-def _view_edges(view):
-    edges = []
-    for u in view.vertices():
-        for w, _ in view.neighbors(u):
-            if u < w:
-                edges.append((u, w))
-    return edges
-
-
-def _commodity_arcs(edges, s, t, r):
-    arcs = []
-    for (u, v) in edges:
-        if r in (u, v):
-            continue
-        if v != s and u != t:
-            arcs.append((u, v))
-        if u != s and v != t:
-            arcs.append((v, u))
-    return arcs
-
-
-class _MilpModel:
-    """Three-commodity integral flow on a view, one commodity per bundle."""
-
-    def __init__(self, view, omega):
-        a, b, c = omega
-        self.omega = omega
-        self.edges = _view_edges(view)
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.commodities = [("ab", a, b, c), ("ac", a, c, b), ("bc", b, c, a)]
-        self.arcs = []
-        self.offsets = []
-        off = 0
-        for _, s, t, r in self.commodities:
-            arcs = _commodity_arcs(self.edges, s, t, r)
-            self.offsets.append(off)
-            self.arcs.append(arcs)
-            off += len(arcs)
-        self.n_arc_vars = off
-        self.verts = view.vertices()
-        self.view = view
-
-    def conservation_rows(self, rows, demand_terms):
-        """rows: list of (coeffs dict var->coef, lb, ub).  demand_terms maps
-        commodity index -> list of (var, coef) added to its source row."""
-        for ci, (_, s, t, r) in enumerate(self.commodities):
-            off = self.offsets[ci]
-            arcs = self.arcs[ci]
-            in_at = {}
-            out_at = {}
-            for ai, (u, v) in enumerate(arcs):
-                out_at.setdefault(u, []).append(off + ai)
-                in_at.setdefault(v, []).append(off + ai)
-            for w in self.verts:
-                if w in (s, t, r):
-                    continue
-                coeffs = {var: 1 for var in in_at.get(w, [])}
-                for var in out_at.get(w, []):
-                    coeffs[var] = coeffs.get(var, 0) - 1
-                if coeffs:
-                    rows.append((coeffs, 0, 0))
-            coeffs = {var: 1 for var in out_at.get(s, [])}
-            lb = ub = 0
-            for var, coef in demand_terms[ci]:
-                if var is None:
-                    lb = ub = coef
-                else:
-                    coeffs[var] = coeffs.get(var, 0) + coef
-            rows.append((coeffs, lb, ub))
-
-    def capacity_rows(self, rows):
-        omega = set(self.omega)
-        in_rows: dict[int, dict[int, int]] = {}
-        edge_rows: dict[int, dict[int, int]] = {}
-        for ci in range(3):
-            off = self.offsets[ci]
-            for ai, (u, v) in enumerate(self.arcs[ci]):
-                if v not in omega:
-                    in_rows.setdefault(v, {})[off + ai] = 1
-                e = (u, v) if u < v else (v, u)
-                edge_rows.setdefault(self.edge_index[e], {})[off + ai] = 1
-        for w in sorted(in_rows):
-            rows.append((in_rows[w], 0, 1))
-        for ei in sorted(edge_rows):
-            rows.append((edge_rows[ei], 0, 1))
-
-    def solve(self, rows, n_vars, objective, integrality, lower, upper):
-        data, ri, ci_ = [], [], []
-        lbs, ubs = [], []
-        for rn, (coeffs, lb, ub) in enumerate(rows):
-            for var, coef in coeffs.items():
-                ri.append(rn)
-                ci_.append(var)
-                data.append(coef)
-            lbs.append(lb)
-            ubs.append(ub)
-        mat = sparse.csc_matrix((data, (ri, ci_)), shape=(len(rows), n_vars))
-        res = milp(c=np.asarray(objective, dtype=float),
-                   constraints=LinearConstraint(mat, np.asarray(lbs, dtype=float),
-                                                np.asarray(ubs, dtype=float)),
-                   integrality=np.asarray(integrality),
-                   bounds=Bounds(np.asarray(lower, dtype=float),
-                                 np.asarray(upper, dtype=float)))
-        return res
-
-    def extract_bundles(self, x):
-        """Walk each commodity's used arcs into paths, smallest successor first."""
-        named = []
-        for ci, (name, s, t, _) in enumerate(self.commodities):
-            off = self.offsets[ci]
-            outmap: dict[int, list[int]] = {}
-            for ai, (u, v) in enumerate(self.arcs[ci]):
-                if x[off + ai] > 0.5:
-                    outmap.setdefault(u, []).append(v)
-            for u in outmap:
-                outmap[u].sort()
-            while outmap.get(s):
-                cur = s
-                verts = [s]
-                while cur != t:
-                    nxt = outmap[cur].pop(0)
-                    if not outmap[cur]:
-                        del outmap[cur]
-                    verts.append(nxt)
-                    cur = nxt
-                named.append((name, Path(tuple(verts))))
-        return named
-
-
-def _milp_solve(view, omega, target: StructureTarget):
-    """Feasibility program with fixed bundle demands; exact yes/no."""
-    model = _MilpModel(view, omega)
-    rows: list = []
-    demands = {0: [(None, target.ab)], 1: [(None, target.ac)], 2: [(None, target.bc)]}
-    model.conservation_rows(rows, demands)
-    model.capacity_rows(rows)
-    n = model.n_arc_vars
-    res = model.solve(rows, n, [0.0] * n, [1] * n, [0] * n, [1] * n)
-    if res.status == 2:
-        return _INFEASIBLE
-    if res.status != 0:
-        return None
-    named = model.extract_bundles(res.x)
-    named.sort(key=lambda item: (item[0], item[1].vertices))
-    return _assemble(omega, named)
-
-
-def exact_pi(view, omega) -> int:
-    """Exact maximum number of internally disjoint paths through all of
-    omega, by integral multicommodity flow with pairing counters."""
-    if view.vertex_count > MILP_VERTEX_LIMIT:
-        raise OracleScaleExceeded(
-            f"exact oracle capped at {MILP_VERTEX_LIMIT} vertices, "
-            f"got {view.vertex_count}")
-    a, b, c = omega
-    assert len({a, b, c}) == 3, omega
-    for v in omega:
-        assert view.contains(v), v
-    model = _MilpModel(view, omega)
-    n_arcs = model.n_arc_vars
-    # variables: arcs, then m_ab m_ac m_bc, then mu_a mu_b mu_c
-    m0, mu0 = n_arcs, n_arcs + 3
-    n_vars = n_arcs + 6
-    rows: list = []
-    demands = {ci: [(m0 + ci, -1)] for ci in range(3)}
-    model.conservation_rows(rows, demands)
-    model.capacity_rows(rows)
-    # mu_a + mu_b <= m_ab and cyclic mates
-    rows.append(({mu0 + 0: 1, mu0 + 1: 1, m0 + 0: -1}, -np.inf, 0))
-    rows.append(({mu0 + 0: 1, mu0 + 2: 1, m0 + 1: -1}, -np.inf, 0))
-    rows.append(({mu0 + 1: 1, mu0 + 2: 1, m0 + 2: -1}, -np.inf, 0))
-    deg_cap = [min(view.degree(s), view.degree(t)) for _, s, t, _ in model.commodities]
-    lower = [0] * n_vars
-    upper = [1] * n_arcs + deg_cap + [max(deg_cap)] * 3
-    objective = [0.0] * n_arcs + [0.0] * 3 + [-1.0] * 3
-    res = model.solve(rows, n_vars, objective, [1] * n_vars, lower, upper)
-    assert res.status == 0, res.message
-    return int(round(-res.fun))

@@ -41,6 +41,18 @@ def path_violations(view, path: Path, label: str) -> list[str]:
     return out
 
 
+def _interior_conflicts(paths_with_labels) -> list[str]:
+    owner: dict[int, str] = {}
+    out = []
+    for label, path in paths_with_labels:
+        for w in path.interior():
+            if w in owner:
+                out.append(f"vertex {w} interior to both {owner[w]} and {label}")
+            else:
+                owner[w] = label
+    return out
+
+
 def _edge_conflicts(paths_with_labels) -> list[str]:
     seen: dict[tuple[int, int], str] = {}
     out = []
@@ -82,13 +94,7 @@ def check_tripod(view, structure, target, exact: bool = True) -> VerdictReport:
             for w in p.interior():
                 if w in omega:
                     out.append(f"{label}: terminal {w} appears internally")
-    owner: dict[int, str] = {}
-    for label, p in labeled:
-        for w in p.interior():
-            if w in owner:
-                out.append(f"vertex {w} interior to both {owner[w]} and {label}")
-            else:
-                owner[w] = label
+    out.extend(_interior_conflicts(labeled))
     out.extend(_edge_conflicts(labeled))
     return VerdictReport.from_list(out)
 
@@ -142,13 +148,7 @@ def check_fan(view, x: int, targets, family: PathFamily, k: int) -> VerdictRepor
                 out.append(f"{label}: {w} appears internally")
     if len(set(ends)) != len(ends):
         out.append("fan targets repeat")
-    owner: dict[int, str] = {}
-    for label, p in labeled:
-        for w in p.interior():
-            if w in owner:
-                out.append(f"vertex {w} interior to both {owner[w]} and {label}")
-            else:
-                owner[w] = label
+    out.extend(_interior_conflicts(labeled))
     out.extend(_edge_conflicts(labeled))
     return VerdictReport.from_list(out)
 
@@ -202,12 +202,6 @@ def check_internally_disjoint(view, u: int, v: int, family: PathFamily) -> Verdi
         for w in p.interior():
             if w in (u, v):
                 out.append(f"{label}: terminal {w} appears internally")
-    owner: dict[int, str] = {}
-    for label, p in labeled:
-        for w in p.interior():
-            if w in owner:
-                out.append(f"vertex {w} interior to both {owner[w]} and {label}")
-            else:
-                owner[w] = label
+    out.extend(_interior_conflicts(labeled))
     out.extend(_edge_conflicts(labeled))
     return VerdictReport.from_list(out)

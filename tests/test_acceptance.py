@@ -19,13 +19,13 @@ from tripaths import (
     build_structure,
     check_internally_disjoint,
     check_omega_path_set,
+    check_tripod,
     common_neighbors,
     copy_of,
     copy_union,
     cross_edges,
     delete_copies,
     emit,
-    exact_pi,
     formula_value,
     full_view,
     local_connectivity,
@@ -40,9 +40,9 @@ from tripaths import (
     sample_triples,
     shortest_path,
     standard_target,
-    verify_tripod,
     vertex_connectivity,
 )
+from tripaths.oracle import exact_pi
 
 G4 = build(4, Family.WHEEL)
 G5 = build(5, Family.WHEEL)
@@ -64,7 +64,7 @@ def _sweep(g, view, triples):
         out["counts"].add(structure.counts())
         out["strata"][len({copy_of(g, v) for v in tri})] += 1
         out["fallbacks"] += bool(trace.fallback)
-        out["tripod_fails"] += not verify_tripod(view, structure, target).ok
+        out["tripod_fails"] += not check_tripod(view, structure, target).ok
         out["omega_fails"] += not check_omega_path_set(
             view, structure.omega, omega_set.paths).ok
     out["elapsed"] = time.perf_counter() - t0

@@ -1,7 +1,12 @@
 """Command line behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import tripaths
 
 from tripaths.cli import (
     EXIT_CONSTRUCTION,
@@ -98,21 +103,16 @@ def test_pi3_sampled_match(tmp_path, capsys):
     assert sidecar["fallbacks"] == 0
 
 
-def test_pi3_jobs_agree_with_serial(capsys):
-    serial = main(["pi3", "--n", "5", "--samples", "60", "--seed", "4"])
-    out_serial = capsys.readouterr().out
-    parallel = main(["pi3", "--n", "5", "--samples", "60", "--seed", "4",
-                     "--jobs", "2"])
-    out_parallel = capsys.readouterr().out
+def test_pi3_jobs_agree_with_serial(tmp_path, capsys):
+    args = ["pi3", "--n", "5", "--samples", "60", "--seed", "4"]
+    serial = main(args + ["--report", str(tmp_path / "serial.txt")])
+    parallel = main(args + ["--jobs", "2", "--report", str(tmp_path / "jobs.txt")])
+    capsys.readouterr()
     assert serial == parallel == EXIT_OK
-
-    def pick(text, tag):
-        return [l for l in text.split("\n") if l.startswith(tag)]
-
-    # the worst-triple annotation may differ between chunkings; the
-    # verdict line carries all three numbers, so compare that instead
-    for tag in ("upper bound", "formula", "fallbacks", "verdict"):
-        assert pick(out_serial, tag) == pick(out_parallel, tag)
+    sidecar_serial = json.loads((tmp_path / "serial.txt.json").read_text())
+    sidecar_jobs = json.loads((tmp_path / "jobs.txt.json").read_text())
+    assert sidecar_jobs == sidecar_serial
+    assert sidecar_serial["worst_triple"] is not None
 
 
 def test_lemmas_pass(capsys):
@@ -202,3 +202,19 @@ def test_outdir_redirect(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert (tmp_path / "lemmas-n4.txt").exists()
     assert (tmp_path / "lemmas-n4.txt.json").exists()
+
+
+def test_verify_runs_without_scipy():
+    src = str(pathlib.Path(tripaths.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = (
+        "import sys, tripaths, tripaths.cli\n"
+        f"code = tripaths.cli.main(['verify', {str(GOLDEN / 'certificate-n5.json')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

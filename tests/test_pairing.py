@@ -10,6 +10,7 @@ from tripaths.errors import InvalidStructure
 from tripaths.flows import Path
 from tripaths.graphs import build, full_view
 from tripaths.pairing import (
+    LowerBoundReport,
     formula_value,
     max_triple_common_neighbors,
     optimal_split,
@@ -155,3 +156,25 @@ def test_pi3_lower_order_independent():
     backward = pi3_lower(g, list(reversed(triples)), seed=9)
     assert forward.value == backward.value
     assert forward.case_counts == backward.case_counts
+
+
+def test_lower_bound_merge_equals_one_run():
+    g = build(5, Family.WHEEL)
+    triples = sample_triples(g, 24, seed=3)
+    whole = pi3_lower(g, triples, seed=3)
+    merged = pi3_lower(g, triples[:10], seed=3)
+    merged.merge(pi3_lower(g, triples[10:], seed=3))
+    assert merged == whole
+
+
+def test_lower_bound_merge_keeps_successes_of_a_failing_run():
+    failing = LowerBoundReport(value=5, evaluated=3, case_counts={"Even": 2},
+                               failures=[((0, 1, 2), "boom")],
+                               worst_triple=(3, 4, 5))
+    total = LowerBoundReport(value=0, evaluated=0)
+    total.merge(failing)
+    total.merge(LowerBoundReport(value=6, evaluated=1, case_counts={"Even": 1},
+                                 worst_triple=(6, 7, 8)))
+    assert (total.value, total.worst_triple, total.evaluated) == (5, (3, 4, 5), 4)
+    assert total.case_counts == {"Even": 3}
+    assert total.failures == [((0, 1, 2), "boom")]

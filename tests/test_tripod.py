@@ -6,11 +6,11 @@ import pytest
 
 from tripaths.errors import OracleScaleExceeded
 from tripaths.graphs import AdjacencyView, build, full_view, spanning_intra_view
+from tripaths.oracle import exact_pi
 from tripaths.perms import Family
 from tripaths.tripod import (
     StructureTarget,
     TripodFailure,
-    exact_pi,
     solve_tripod,
     standard_target,
 )
