@@ -207,7 +207,10 @@ def _cmd_pi3(args, argv) -> int:
     else:
         if args.samples <= 0:
             return _fail_usage("--samples must be positive")
-        triples = sample_triples(g, args.samples, args.seed)
+        try:
+            triples = sample_triples(g, args.samples, args.seed)
+        except ValueError as exc:
+            return _fail_usage(str(exc))
 
     upper = pi3_upper(g)
     expected = formula_value(g.n)

@@ -1,23 +1,46 @@
-"""Disjoint-path machinery: unit-capacity flows on vertex-split networks.
+"""Disjoint-path machinery: unit-capacity flows on one shared
+vertex-split network per graph.
 
 Every request (internally disjoint paths, fans, set-to-set path
-systems, cuts, connectivity) reduces to max flow on a network where
-each interior vertex is split into an in/out pair joined by a
-capacity-1 arc.  Augmentation uses shortest paths (BFS) with arcs
-scanned in insertion order, so results are deterministic; an optional
-order seed reshuffles per-vertex neighbor order for randomized
-restarts.
+systems, cuts, connectivity) reduces to a max flow in which vertex v is
+split into ``vin(v) = 2v`` and ``vout(v) = 2v + 1``, joined by a
+capacity-1 split arc, and each edge vw becomes the arcs
+``vout(v) -> vin(w)`` and ``vout(w) -> vin(v)``.
+
+The static network is built on the first flow query of a graph and
+generator mask and kept on the graph (``CayleyGraph.split_networks``;
+an ``AdjacencyView`` keeps its own).  Arcs are paired ``e`` / ``e ^ 1``
+in flat ``array``s.  A query (``_FlowQuery``) costs only what it
+touches:
+
+* the view's vertex set becomes a mask in the BFS ``parent`` template,
+  so nodes outside the view are never entered;
+* blocked entries and exits, unsplit and uncapped vertices and a
+  dropped direct edge are capacity edits;
+* arcs to a super source or sink are appended for the query;
+* an undo log restores every capacity and row the query touched when
+  it ends, also when it raises.
+
+Augmentation is Edmonds-Karp: BFS shortest paths with every row scanned
+in a fixed order, so results are deterministic.  ``vin(v)`` scans its
+split arc, the reverse arcs from its neighbours in ascending rank, then
+its terminal arc; ``vout(v)`` scans its split reverse arc, then its
+forward arcs in adjacency order.  An order seed reshuffles the forward
+arcs of every vertex with one ``random.Random`` for randomized restarts.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from array import array
 from dataclasses import dataclass
 
-from .errors import InsufficientConnectivity
+from .errors import InsufficientConnectivity, RankOutOfRange
+from .graphs import AdjacencyView
 
 _INF = 1 << 30
+_OFF_VIEW = -3  # parent-template mark of a node the query may not enter
 
 
 @dataclass(frozen=True)
@@ -70,192 +93,338 @@ class CutResult:
     adjacent: bool
 
 
-class _Net:
-    """Residual network; arcs stored as paired forward/backward entries."""
+class _SplitNetwork:
+    """Static split network of one graph under one generator mask.
 
-    def __init__(self, nodes: int):
-        self.head: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.orig: list[int] = []
+    ``nbrs[i]`` lists the neighbours of vertex index i in ascending
+    order; ``labels`` names the vertices when they are not ranks.  Arc
+    2i is the split arc of vertex i, the edge arcs follow vertex by
+    vertex in adjacency order, and every arc starts at its unit
+    capacity (0 for the reverse arc of a pair).  The super source and
+    sink are the two nodes after the vertex nodes.
+    """
 
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.orig.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-        self.orig.append(0)
+    def __init__(self, nbrs, labels=None):
+        nv = len(nbrs)
+        self.vertex_count = nv
+        self.labels = labels
+        self.index = None if labels is None else {v: i for i, v in enumerate(labels)}
+        self.source, self.sink = 2 * nv, 2 * nv + 1
+        to = array("i", [0]) * (2 * nv)
+        for i in range(nv):
+            to[2 * i] = 2 * i + 1
+            to[2 * i + 1] = 2 * i
+        in_rows = [array("i", [2 * i]) for i in range(nv)]
+        out_rows = []
+        for i, ws in enumerate(nbrs):
+            first = len(to)
+            out_rows.append(array("i", [2 * i + 1])
+                            + array("i", range(first, first + 2 * len(ws), 2)))
+            for w in ws:
+                in_rows[w].append(len(to) + 1)
+                to.append(2 * w)
+                to.append(2 * i + 1)
+        self.to = to
+        self.cap = array("i", [1, 0]) * (len(to) // 2)
+        self.arc_count = len(to)
+        rows = []
+        for i in range(nv):
+            rows.append(in_rows[i])
+            rows.append(out_rows[i])
+        rows += [array("i"), array("i")]
+        self.rows = rows
+        self.open_template = [-1] * len(rows)
+        self.busy = False
+
+
+def _network(view) -> _SplitNetwork:
+    """The static network a view's queries run on, built on first use and
+    kept on the graph (an AdjacencyView is its own graph)."""
+    if isinstance(view, AdjacencyView):
+        cache, key = view.split_networks, None
+    else:
+        cache, key = view.graph.split_networks, view.allowed_gens
+    net = cache.get(key)
+    if net is None:
+        if isinstance(view, AdjacencyView):
+            labels = view.vertices()
+            index = {v: i for i, v in enumerate(labels)}
+            net = _SplitNetwork([[index[w] for w, _ in view.neighbors(v)] for v in labels],
+                                labels)
+        else:
+            gens = view.allowed_gens
+            net = _SplitNetwork([[w for w, gi in row if gens is None or gi in gens]
+                                 for row in view.graph.adj])
+        cache[key] = net
+    return net
+
+
+class _FlowQuery:
+    """One flow request on the shared network of a view.
+
+    Creating it applies the query's capacity edits and view mask; use it
+    as a context manager, whose exit undoes every edit, augmentation and
+    terminal arc.  ``removed`` vertices are masked out as if the view
+    lacked them.
+    """
+
+    def __init__(self, view, order_seed=None, entry_blocked=(), exit_blocked=(),
+                 no_split=(), uncapped=(), removed=()):
+        self.net = net = _network(view)
+        if net.busy:
+            raise RuntimeError("flow queries on one network cannot nest")
+        self._ix = (lambda v: v) if net.index is None else net.index.__getitem__
+        self.source, self.sink = net.source, net.sink
+        self.saved: dict[int, int] = {}  # arc -> capacity before the query
+        self.saved_rows: dict[int, array] = {}
+        self.init: dict[int, int] = {}  # augmented even arc -> capacity at query start
+        net.busy = True
+        try:
+            allowed = None if isinstance(view, AdjacencyView) else view.allowed
+            self.template = self._template(allowed, removed)
+            self._edit(entry_blocked, exit_blocked, no_split, uncapped, order_seed)
+        except BaseException:
+            self._restore()
+            raise
+
+    def __enter__(self) -> "_FlowQuery":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._restore()
+
+    def vin(self, v: int) -> int:
+        return 2 * self._ix(v)
+
+    def vout(self, v: int) -> int:
+        return 2 * self._ix(v) + 1
+
+    def _template(self, allowed, removed) -> list[int]:
+        """BFS ``parent`` start: -1 for nodes the query may enter."""
+        net = self.net
+        if allowed is None:
+            tpl = net.open_template[:]
+        else:
+            tpl = [_OFF_VIEW] * len(net.rows)
+            tpl[net.source] = tpl[net.sink] = -1
+            for v in allowed:
+                tpl[2 * v] = tpl[2 * v + 1] = -1
+        for v in removed:
+            i = self._ix(v)
+            tpl[2 * i] = tpl[2 * i + 1] = _OFF_VIEW
+        return tpl
+
+    def _edit(self, entry_blocked, exit_blocked, no_split, uncapped, order_seed) -> None:
+        rows, ix = self.net.rows, self._ix
+        for v in uncapped:
+            if v not in no_split:
+                self._set_cap(2 * ix(v), _INF)
+        for v in no_split:
+            self._set_cap(2 * ix(v), 0)
+        for v in entry_blocked:
+            for r in rows[2 * ix(v)][1:]:
+                self._set_cap(r ^ 1, 0)
+        stuck = {ix(v) for v in exit_blocked} | {ix(v) for v in no_split}
+        for i in stuck:
+            for e in rows[2 * i + 1][1:]:
+                self._set_cap(e, 0)
+        if order_seed is not None:
+            self._shuffle(random.Random(order_seed), stuck)
+
+    def _shuffle(self, rng, stuck) -> None:
+        """Reorder the forward arcs of every in-view vertex but the stuck
+        ones, in ascending order, as a shuffle of its in-view neighbours."""
+        rows, to, tpl = self.net.rows, self.net.to, self.template
+        for i in range(self.net.vertex_count):
+            if tpl[2 * i] != -1 or i in stuck:
+                continue
+            row = rows[2 * i + 1]
+            arcs = [e for e in row[1:] if tpl[to[e]] == -1]
+            rng.shuffle(arcs)
+            self._set_row(2 * i + 1, array("i", row[:1]) + array("i", arcs))
+
+    def _set_cap(self, e: int, c: int) -> None:
+        cap = self.net.cap
+        if e not in self.saved:
+            self.saved[e] = cap[e]
+        cap[e] = c
+
+    def _set_row(self, node: int, row: array) -> None:
+        rows = self.net.rows
+        if node not in self.saved_rows:
+            self.saved_rows[node] = rows[node]
+        rows[node] = row
+
+    def _restore(self) -> None:
+        net = self.net
+        cap = net.cap
+        for e, c in self.saved.items():
+            cap[e] = c
+        for node, row in self.saved_rows.items():
+            net.rows[node] = row
+        del net.to[net.arc_count:]
+        del net.cap[net.arc_count:]
+        self.saved.clear()
+        self.saved_rows.clear()
+        net.busy = False
+
+    def add_arc(self, tail: int, head: int, c: int) -> None:
+        """Terminal arc for this query only, scanned last from its tail."""
+        net = self.net
+        e = len(net.to)
+        net.to.append(head)
+        net.to.append(tail)
+        net.cap.append(c)
+        net.cap.append(0)
+        self._set_row(tail, net.rows[tail] + array("i", [e]))
+        self._set_row(head, net.rows[head] + array("i", [e + 1]))
+
+    def drop_edge(self, u: int, v: int) -> None:
+        """Remove the arc vout(u) -> vin(v) of an edge for this query."""
+        to, head = self.net.to, self.vin(v)
+        for e in self.net.rows[self.vout(u)][1:]:
+            if to[e] == head:
+                self._set_cap(e, 0)
 
     def max_flow(self, s: int, t: int, limit: int, counter: StepCounter | None = None) -> int:
+        rows, to, cap = self.net.rows, self.net.to, self.net.cap
+        template, saved, init = self.template, self.saved, self.init
         value = 0
-        nodes = len(self.head)
         while value < limit:
             if counter is not None:
                 counter.add()
-            parent = [-1] * nodes
+            parent = template[:]
             parent[s] = -2
             queue = [s]
-            qi = 0
-            while qi < len(queue) and parent[t] == -1:
-                u = queue[qi]
-                qi += 1
-                for e in self.head[u]:
-                    w = self.to[e]
-                    if self.cap[e] > 0 and parent[w] == -1:
-                        parent[w] = e
-                        if w == t:
-                            break
-                        queue.append(w)
-            if parent[t] == -1:
+            push = queue.append
+            for u in queue:
+                for e in rows[u]:
+                    if cap[e] > 0:
+                        w = to[e]
+                        if parent[w] == -1:
+                            parent[w] = e
+                            if w == t:
+                                break
+                            push(w)
+                else:
+                    continue
                 break
-            bottleneck = _INF
+            if parent[t] < 0:
+                break
+            bottleneck = limit - value
+            path = []
             node = t
             while node != s:
                 e = parent[node]
-                bottleneck = min(bottleneck, self.cap[e])
-                node = self.to[e ^ 1]
-            bottleneck = min(bottleneck, limit - value)
-            node = t
-            while node != s:
-                e = parent[node]
-                self.cap[e] -= bottleneck
-                self.cap[e ^ 1] += bottleneck
-                node = self.to[e ^ 1]
+                path.append(e)
+                if cap[e] < bottleneck:
+                    bottleneck = cap[e]
+                node = to[e ^ 1]
+            for e in path:
+                k = e & -2
+                if k not in init:
+                    init[k] = cap[k]
+                    saved.setdefault(k, cap[k])
+                    saved.setdefault(k + 1, cap[k + 1])
+                cap[e] -= bottleneck
+                cap[e ^ 1] += bottleneck
             value += bottleneck
         return value
 
-    def flow_on(self, e: int) -> int:
-        return self.orig[e] - self.cap[e]
+    def _vertex(self, node: int) -> int | None:
+        if node >= self.net.source:
+            return None
+        i = node >> 1
+        return i if self.net.labels is None else self.net.labels[i]
 
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for e in self.head[u]:
-                w = self.to[e]
-                if self.cap[e] > 0 and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
-
-
-class _SplitNet:
-    """Vertex-split wrapper keeping the graph/vertex bookkeeping together."""
-
-    def __init__(self, view, order_seed=None, entry_blocked=(), exit_blocked=(),
-                 no_split=(), uncapped=(), extra_nodes=0):
-        verts = view.vertices()
-        self.verts = verts
-        self.idx = {v: i for i, v in enumerate(verts)}
-        self.base = 2 * len(verts)
-        self.net = _Net(self.base + extra_nodes)
-        no_split = set(no_split)
-        uncapped = set(uncapped)
-        entry_blocked = set(entry_blocked)
-        exit_blocked = set(exit_blocked)
-        for v in verts:
-            if v in no_split:
-                continue
-            cap = _INF if v in uncapped else 1
-            self.net.add(self.vin(v), self.vout(v), cap)
-        rng = random.Random(order_seed) if order_seed is not None else None
-        for v in verts:
-            if v in exit_blocked or v in no_split:
-                continue
-            nbrs = [w for w, _ in view.neighbors(v)]
-            if rng is not None:
-                rng.shuffle(nbrs)
-            for w in nbrs:
-                if w in entry_blocked:
-                    continue
-                self.net.add(self.vout(v), self.vin(w), 1)
-
-    def vin(self, v: int) -> int:
-        return 2 * self.idx[v]
-
-    def vout(self, v: int) -> int:
-        return 2 * self.idx[v] + 1
-
-    def node_vertex(self, node: int) -> int | None:
-        if node < self.base:
-            return self.verts[node // 2]
-        return None
-
-    def extract_paths(self, source_node: int, sink_node: int) -> list[Path]:
-        """Decompose the current flow into walks from source to sink.
+    def extract_paths(self, source: int, sink: int) -> list[Path]:
+        """Decompose the flow into walks from source to sink.
 
         Unit interior capacities make every walk a simple path; leftover
         circulation (if any) never touches the source and is ignored.
+        Only arcs the augmentations touched can carry flow.
         """
-        net = self.net
-        remaining: dict[int, int] = {}
-        used_out: dict[int, list[int]] = {}
-        for node in range(len(net.head)):
-            for e in net.head[node]:
-                if e % 2 == 0 and net.flow_on(e) > 0:
-                    remaining[e] = net.flow_on(e)
-                    used_out.setdefault(node, []).append(e)
+        rows, to, cap = self.net.rows, self.net.to, self.net.cap
+        remaining = {k: c - cap[k] for k, c in self.init.items() if c > cap[k]}
+        tails: dict[int, list[int]] = {}
+        for k in remaining:
+            tails.setdefault(to[k ^ 1], []).append(k)
+        used_out = {node: [e for e in rows[node] if e in remaining] if len(arcs) > 1 else arcs
+                    for node, arcs in tails.items()}
         paths = []
         while True:
-            arcs = used_out.get(source_node, [])
-            start = next((e for e in arcs if remaining.get(e, 0) > 0), None)
+            start = next((e for e in used_out.get(source, ()) if remaining[e] > 0), None)
             if start is None:
                 break
-            node_path = [source_node]
+            node_path = [source]
             e = start
             while True:
                 remaining[e] -= 1
-                node = net.to[e]
+                node = to[e]
                 node_path.append(node)
-                if node == sink_node:
+                if node == sink:
                     break
-                e = next(a for a in used_out.get(node, []) if remaining.get(a, 0) > 0)
+                e = next(a for a in used_out.get(node, ()) if remaining[a] > 0)
             vp: list[int] = []
             for node in node_path:
-                v = self.node_vertex(node)
+                v = self._vertex(node)
                 if v is not None and (not vp or vp[-1] != v):
                     vp.append(v)
             paths.append(Path(tuple(vp)))
         return paths
 
-    def witness_cut(self, source_node: int, terminal_vertices: set[int]) -> tuple[int, ...]:
+    def witness_cut(self, source: int, terminal_vertices) -> tuple[int, ...]:
         """Vertex separator read off the residual cut.
 
         Crossing split arcs name their vertex; crossing edge arcs name
         whichever endpoint is not an uncapped terminal.
         """
-        net = self.net
-        reach = net.residual_reachable(source_node)
+        rows, to, cap, tpl = self.net.rows, self.net.to, self.net.cap, self.template
+        reach = {source}
+        queue = [source]
+        for node in queue:
+            for e in rows[node]:
+                w = to[e]
+                if cap[e] > 0 and tpl[w] == -1 and w not in reach:
+                    reach.add(w)
+                    queue.append(w)
         cut: set[int] = set()
-        for node in range(len(net.head)):
-            if node not in reach:
-                continue
-            for e in net.head[node]:
-                if e % 2 or net.orig[e] == 0 or net.to[e] in reach:
+        for node in queue:
+            for e in rows[node]:
+                w = to[e]
+                if e & 1 or w in reach or tpl[w] != -1 or self.init.get(e, cap[e]) == 0:
                     continue
-                u = self.node_vertex(node)
-                w = self.node_vertex(net.to[e])
-                if u is not None and w is not None and u == w:
+                u, x = self._vertex(node), self._vertex(w)
+                if u is not None and x is not None and u == x:
                     cut.add(u)  # split arc
-                elif w is not None and w not in terminal_vertices:
-                    cut.add(w)
+                elif x is not None and x not in terminal_vertices:
+                    cut.add(x)
                 elif u is not None and u not in terminal_vertices:
                     cut.add(u)
-                elif w is not None:
-                    cut.add(w)
+                elif x is not None:
+                    cut.add(x)
         return tuple(sorted(cut))
+
+
+def _require(view, vertices) -> None:
+    """Every vertex must lie in the view; shared arrays are indexed by it."""
+    for v in vertices:
+        if not view.contains(v):
+            raise RankOutOfRange(f"vertex {v!r} is not in the view")
+
+
+def _distinct(items, what: str) -> list:
+    items = list(items)
+    if len(set(items)) != len(items):
+        raise ValueError(f"duplicate {what}: {items}")
+    return items
 
 
 def shortest_path(view, u: int, v: int, avoid=frozenset()) -> Path | None:
     """BFS path from u to v with interior vertices outside `avoid`."""
     avoid = frozenset(avoid)
-    assert u not in avoid and v not in avoid, (u, v)
+    if u in avoid or v in avoid:
+        raise ValueError(f"path ends {u}, {v} cannot be avoided")
     if u == v:
         return Path((u,))
     parent = {u: None}
@@ -277,19 +446,24 @@ def shortest_path(view, u: int, v: int, avoid=frozenset()) -> Path | None:
     return None
 
 
+def _check_pair(view, u: int, v: int) -> None:
+    if u == v:
+        raise ValueError(f"flow between {u} and itself")
+    _require(view, (u, v))
+
+
 def max_internally_disjoint_paths(view, u: int, v: int, limit: int | None = None,
                                   order_seed: int | None = None,
                                   counter: StepCounter | None = None) -> PathFamily:
     """All (or `limit`) internally disjoint u-v paths; adjacency contributes
     the direct edge as a one-edge path."""
-    assert u != v, u
-    assert view.contains(u) and view.contains(v), (u, v)
+    _check_pair(view, u, v)
     cap = min(view.degree(u), view.degree(v))
     goal = cap if limit is None else min(limit, cap)
-    sn = _SplitNet(view, order_seed=order_seed,
-                   entry_blocked={u}, exit_blocked={v}, uncapped={u, v})
-    sn.net.max_flow(sn.vout(u), sn.vin(v), goal, counter)
-    paths = sn.extract_paths(sn.vout(u), sn.vin(v))
+    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(u,), exit_blocked=(v,),
+                    uncapped=(u, v)) as q:
+        q.max_flow(q.vout(u), q.vin(v), goal, counter)
+        paths = q.extract_paths(q.vout(u), q.vin(v))
     return PathFamily(tuple(paths), PathKind.INTERNALLY_DISJOINT)
 
 
@@ -297,27 +471,24 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
           counter: StepCounter | None = None) -> PathFamily:
     """k paths from x to k distinct members of `targets`, pairwise sharing
     only x and internally avoiding the whole target set."""
-    ys = sorted(set(targets))
-    assert len(ys) == len(list(targets)), "duplicate fan targets"
-    if x in ys:
+    targets = _distinct(targets, "fan targets")
+    if x in targets:
         raise ValueError(f"fan root {x} cannot be a target")
-    if k > len(ys):
-        raise ValueError(f"fan of {k} paths needs at least {k} targets, got {len(ys)}")
-    for y in ys:
-        assert view.contains(y), y
-    sn = _SplitNet(view, order_seed=order_seed, entry_blocked={x},
-                   no_split=set(ys), uncapped={x}, extra_nodes=1)
-    tnode = sn.base
-    for y in ys:
-        sn.net.add(sn.vin(y), tnode, 1)
-    value = sn.net.max_flow(sn.vout(x), tnode, k, counter)
-    paths = sn.extract_paths(sn.vout(x), tnode)
-    fam = PathFamily(tuple(paths), PathKind.INTERNALLY_DISJOINT)
-    if value < k:
-        cut = sn.witness_cut(sn.vout(x), {x})
-        raise InsufficientConnectivity(
-            f"fan from {x} reached only {value} of {k} targets",
-            achieved=fam, witness_cut=cut)
+    if k > len(targets):
+        raise ValueError(f"fan of {k} paths needs at least {k} targets, got {len(targets)}")
+    _require(view, [x] + targets)
+    ys = sorted(targets)
+    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(x,), no_split=ys,
+                    uncapped=(x,)) as q:
+        for y in ys:
+            q.add_arc(q.vin(y), q.sink, 1)
+        value = q.max_flow(q.vout(x), q.sink, k, counter)
+        fam = PathFamily(tuple(q.extract_paths(q.vout(x), q.sink)),
+                         PathKind.INTERNALLY_DISJOINT)
+        if value < k:
+            raise InsufficientConnectivity(
+                f"fan from {x} reached only {value} of {k} targets",
+                achieved=fam, witness_cut=q.witness_cut(q.vout(x), {x}))
     return fam
 
 
@@ -325,13 +496,11 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None,
                        counter: StepCounter | None = None) -> PathFamily:
     """k pairwise fully disjoint paths from X to Y, internally avoiding
     X and Y; members of X∩Y count as zero-length paths."""
-    xset = sorted(set(xs))
-    yset = sorted(set(ys))
-    assert len(xset) == len(list(xs)) and len(yset) == len(list(ys)), "duplicate terminals"
-    if k > min(len(xset), len(yset)):
+    xs, ys = _distinct(xs, "terminals"), _distinct(ys, "terminals")
+    if k > min(len(xs), len(ys)):
         raise ValueError(f"{k} disjoint paths need {k} terminals on each side")
-    for v in xset + yset:
-        assert view.contains(v), v
+    _require(view, xs + ys)
+    xset, yset = sorted(xs), sorted(ys)
     shared = sorted(set(xset) & set(yset))
     zero = [Path((w,)) for w in shared[:k]]
     need = k - len(zero)
@@ -339,52 +508,47 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None,
         return PathFamily(tuple(zero), PathKind.FULLY_DISJOINT)
     xonly = [v for v in xset if v not in shared]
     yonly = [v for v in yset if v not in shared]
-    sub = view.without(shared)
-    sn = _SplitNet(sub, order_seed=order_seed,
-                   entry_blocked=set(xonly), exit_blocked=set(yonly),
-                   no_split=set(yonly), extra_nodes=2)
-    snode, tnode = sn.base, sn.base + 1
-    for x in xonly:
-        sn.net.add(snode, sn.vin(x), 1)
-    for y in yonly:
-        sn.net.add(sn.vin(y), tnode, 1)
-    value = sn.net.max_flow(snode, tnode, need, counter)
-    flow_paths = sn.extract_paths(snode, tnode)
-    fam = PathFamily(tuple(zero + flow_paths), PathKind.FULLY_DISJOINT)
-    if value < need:
-        cut = sn.witness_cut(snode, set())
-        raise InsufficientConnectivity(
-            f"only {len(zero) + value} of {k} disjoint set paths exist",
-            achieved=fam, witness_cut=tuple(sorted(set(cut) | set(shared))))
+    with _FlowQuery(view, order_seed=order_seed, entry_blocked=xonly, exit_blocked=yonly,
+                    no_split=yonly, removed=shared) as q:
+        for x in xonly:
+            q.add_arc(q.source, q.vin(x), 1)
+        for y in yonly:
+            q.add_arc(q.vin(y), q.sink, 1)
+        value = q.max_flow(q.source, q.sink, need, counter)
+        fam = PathFamily(tuple(zero + q.extract_paths(q.source, q.sink)),
+                         PathKind.FULLY_DISJOINT)
+        if value < need:
+            cut = q.witness_cut(q.source, set())
+            raise InsufficientConnectivity(
+                f"only {len(zero) + value} of {k} disjoint set paths exist",
+                achieved=fam, witness_cut=tuple(sorted(set(cut) | set(shared))))
     return fam
 
 
-def _flow_value(view, u: int, v: int, drop_direct: bool, counter=None) -> tuple[int, "_SplitNet"]:
-    sn = _SplitNet(view, entry_blocked={u}, exit_blocked={v}, uncapped={u, v})
-    if drop_direct:
-        # zero out both arcs of the direct edge
-        net = sn.net
-        for e in list(net.head[sn.vout(u)]):
-            if e % 2 == 0 and net.to[e] == sn.vin(v):
-                net.cap[e] = 0
-                net.orig[e] = 0
+def _pair_flow(view, u: int, v: int, drop_direct: bool, counter,
+               want_cut: bool) -> tuple[int, tuple[int, ...] | None]:
+    """Flow value from u to v and, if asked, the residual vertex cut."""
     cap = min(view.degree(u), view.degree(v)) + 1
-    value = sn.net.max_flow(sn.vout(u), sn.vin(v), cap, counter)
-    return value, sn
+    with _FlowQuery(view, entry_blocked=(u,), exit_blocked=(v,), uncapped=(u, v)) as q:
+        if drop_direct:
+            q.drop_edge(u, v)
+        value = q.max_flow(q.vout(u), q.vin(v), cap, counter)
+        return value, (q.witness_cut(q.vout(u), {u, v}) if want_cut else None)
 
 
 def min_vertex_cut(view, u: int, v: int, counter: StepCounter | None = None) -> CutResult:
     """Minimum u,v-separator; adjacent pairs are cut in the graph minus
     the direct edge and flagged."""
+    _check_pair(view, u, v)
     adjacent = view.adjacent(u, v)
-    _, sn = _flow_value(view, u, v, drop_direct=adjacent, counter=counter)
-    cut = sn.witness_cut(sn.vout(u), {u, v})
+    _, cut = _pair_flow(view, u, v, adjacent, counter, want_cut=True)
     return CutResult(cut, adjacent)
 
 
 def local_connectivity(view, u: int, v: int, counter: StepCounter | None = None) -> int:
     """Maximum number of internally disjoint u-v paths (direct edge counts)."""
-    value, _ = _flow_value(view, u, v, drop_direct=False, counter=counter)
+    _check_pair(view, u, v)
+    value, _ = _pair_flow(view, u, v, False, counter, want_cut=False)
     return value
 
 

@@ -9,6 +9,7 @@ the bubble-sort star graph one degree down.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import factorial
 
@@ -34,21 +35,28 @@ class CayleyGraph:
         self.gens = gens.members
         self.vertex_count = factorial(n)
         self.degree = len(self.gens)
-        perms = [unrank(v, n) for v in range(self.vertex_count)]
+        # permutations() yields one-line forms in lexicographic order, so
+        # the position of a form is its Lehmer rank
+        perms = list(itertools.permutations(range(1, n + 1)))
+        index = {p: v for v, p in enumerate(perms)}
+        swaps = [(gi, t.i - 1, t.j - 1) for gi, t in enumerate(self.gens)]
         adj = []
-        for v in range(self.vertex_count):
-            sigma = perms[v]
+        for p in perms:
             row = []
-            for gi, t in enumerate(self.gens):
-                row.append((rank(apply_generator(sigma, t)), gi))
+            for gi, i, j in swaps:
+                q = list(p)
+                q[i], q[j] = q[j], q[i]
+                row.append((index[tuple(q)], gi))
             row.sort()
             adj.append(tuple(row))
         self.adj = tuple(adj)
-        self.copy_id = tuple(p.images[n - 1] for p in perms)
+        self.copy_id = tuple(p[n - 1] for p in perms)
         members: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
         for v, c in enumerate(self.copy_id):
             members[c].append(v)
         self.copy_members = {c: tuple(vs) for c, vs in members.items()}
+        # flow networks by generator mask, built by the flow layer on first use
+        self.split_networks: dict = {}
 
     def check_rank(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -79,7 +87,9 @@ class View:
     allowed_gens: frozenset[int] | None = None
 
     def contains(self, v: int) -> bool:
-        return self.allowed is None or v in self.allowed
+        if self.allowed is None:
+            return isinstance(v, int) and 0 <= v < self.graph.vertex_count
+        return v in self.allowed
 
     def vertices(self) -> list[int]:
         if self.allowed is None:
@@ -93,15 +103,13 @@ class View:
         return len(self.allowed)
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
-        assert self.contains(v), v
-        out = []
-        for w, gi in self.graph.adj[v]:
-            if self.allowed_gens is not None and gi not in self.allowed_gens:
-                continue
-            if self.allowed is not None and w not in self.allowed:
-                continue
-            out.append((w, gi))
-        return out
+        if not self.contains(v):
+            raise RankOutOfRange(f"vertex {v!r} is not in the view")
+        allowed, gens = self.allowed, self.allowed_gens
+        if allowed is None and gens is None:
+            return list(self.graph.adj[v])
+        return [(w, gi) for w, gi in self.graph.adj[v]
+                if (gens is None or gi in gens) and (allowed is None or w in allowed)]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -141,6 +149,7 @@ class AdjacencyView:
                 nbrs.setdefault(v, set()).add(w)
                 nbrs.setdefault(w, set()).add(v)
         self._nbrs = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+        self.split_networks: dict = {}  # the flow network, built on first use
 
     def contains(self, v: int) -> bool:
         return v in self._nbrs

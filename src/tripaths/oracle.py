@@ -80,13 +80,9 @@ class _MilpModel:
                 if coeffs:
                     rows.append((coeffs, 0, 0))
             coeffs = {var: 1 for var in out_at.get(s, [])}
-            lb = ub = 0
             for var, coef in demand_terms[ci]:
-                if var is None:
-                    lb = ub = coef
-                else:
-                    coeffs[var] = coeffs.get(var, 0) + coef
-            rows.append((coeffs, lb, ub))
+                coeffs[var] = coeffs.get(var, 0) + coef
+            rows.append((coeffs, 0, 0))
 
     def capacity_rows(self, rows):
         omega = set(self.omega)

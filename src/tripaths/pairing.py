@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import comb
 
 from ._util import mix_seed
 from .errors import InvalidStructure
@@ -154,11 +155,18 @@ def pi3_upper(g: CayleyGraph) -> UpperBoundReport:
 def sample_triples(g: CayleyGraph, count: int, seed: int) -> list[tuple[int, int, int]]:
     """Deterministic sample stratified by copy multiplicity: thirds with all
     terminals in one copy, split two/one, and three distinct copies."""
+    quotas = [count // 3 + (1 if i < count % 3 else 0) for i in range(3)]
+    copies = sorted(g.copy_members)
+    size = len(g.copy_members[copies[0]])
+    k = len(copies)
+    exist = (k * comb(size, 3), k * (k - 1) * comb(size, 2) * size, comb(k, 3) * size ** 3)
+    for name, quota, total in zip(("one-copy", "two-copy", "three-copy"), quotas, exist):
+        if quota > total:
+            raise ValueError(f"{count} samples ask for {quota} {name} triples; "
+                             f"n={g.n} has only {total}")
     rng = random.Random(mix_seed(seed, g.n, 1 if g.family is Family.WHEEL else 0))
     out: list[tuple[int, int, int]] = []
     seen = set()
-    quotas = [count // 3 + (1 if i < count % 3 else 0) for i in range(3)]
-    copies = sorted(g.copy_members)
 
     def push(tri):
         tri = tuple(sorted(tri))

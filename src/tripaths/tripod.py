@@ -15,7 +15,7 @@ from ._util import mix_seed
 from .flows import (
     Path,
     StepCounter,
-    _SplitNet,
+    _FlowQuery,
     max_internally_disjoint_paths,
 )
 from .verification import check_tripod
@@ -107,18 +107,17 @@ def _phase_a(view, pivot_v, sink1, k1, sink2, k2, order_seed, counter):
     """
     if k1 + k2 == 0:
         return [], []
-    sn = _SplitNet(view, order_seed=order_seed, entry_blocked={pivot_v},
-                   exit_blocked={sink1, sink2}, no_split={sink1, sink2},
-                   uncapped={pivot_v}, extra_nodes=1)
-    tnode = sn.base
-    if k1:
-        sn.net.add(sn.vin(sink1), tnode, k1)
-    if k2:
-        sn.net.add(sn.vin(sink2), tnode, k2)
-    value = sn.net.max_flow(sn.vout(pivot_v), tnode, k1 + k2, counter)
-    if value < k1 + k2:
-        return _INFEASIBLE
-    paths = sn.extract_paths(sn.vout(pivot_v), tnode)
+    sinks = (sink1, sink2)
+    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(pivot_v,),
+                    exit_blocked=sinks, no_split=sinks, uncapped=(pivot_v,)) as q:
+        if k1:
+            q.add_arc(q.vin(sink1), q.sink, k1)
+        if k2:
+            q.add_arc(q.vin(sink2), q.sink, k2)
+        value = q.max_flow(q.vout(pivot_v), q.sink, k1 + k2, counter)
+        if value < k1 + k2:
+            return _INFEASIBLE
+        paths = q.extract_paths(q.vout(pivot_v), q.sink)
     to1 = [p for p in paths if p.vertices[-1] == sink1]
     to2 = [p for p in paths if p.vertices[-1] == sink2]
     assert len(to1) == k1 and len(to2) == k2, (len(to1), len(to2))

@@ -204,17 +204,30 @@ def test_outdir_redirect(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "lemmas-n4.txt.json").exists()
 
 
-def test_verify_runs_without_scipy():
+def _child(args, timeout):
+    """Run a child interpreter that imports this checkout's tripaths."""
     src = str(pathlib.Path(tripaths.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_verify_runs_without_scipy():
     script = (
         "import sys, tripaths, tripaths.cli\n"
         f"code = tripaths.cli.main(['verify', {str(GOLDEN / 'certificate-n5.json')!r}])\n"
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _child(["-c", script], timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_pi3_samples_beyond_a_stratum_is_a_usage_error():
+    # n = 4 has 80 one-copy triples; 300 samples ask for 100 of them
+    done = _child(["-m", "tripaths.cli", "pi3", "--n", "4", "--samples", "300"],
+                  timeout=60)
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "only 80" in done.stderr

@@ -1,0 +1,282 @@
+"""The flow engine: pinned outputs, isolation between queries, graph build.
+
+``tests/pinned/flows.json`` holds the outputs of every query that
+``pinned_outputs`` runs at n = 5 and n = 6, recorded with the per-call
+network builder that the shared engine replaced.  The engine must give
+the same paths in the same order, the same cuts and the same failures.
+"""
+
+import itertools
+import json
+import random
+from dataclasses import asdict
+from pathlib import Path as FilePath
+
+import pytest
+
+from tripaths.errors import InsufficientConnectivity, RankOutOfRange
+from tripaths.flows import (
+    _network,
+    disjoint_set_paths,
+    k_fan,
+    local_connectivity,
+    max_internally_disjoint_paths,
+    min_vertex_cut,
+    vertex_connectivity,
+)
+from tripaths.graphs import (
+    AdjacencyView,
+    build,
+    copy_union,
+    delete_copies,
+    full_view,
+    spanning_intra_view,
+)
+from tripaths.perms import Family, apply_generator, generator_set, rank, unrank
+from tripaths.tripod import (
+    StructureTarget,
+    TripodFailure,
+    _two_phase,
+    solve_tripod,
+    standard_target,
+)
+
+PINNED = FilePath(__file__).parent / "pinned" / "flows.json"
+SEEDS = (None, 5, 1001)
+
+
+def _paths(fam):
+    return [list(p.vertices) for p in fam.paths]
+
+
+def _call(fn, *args, **kwargs):
+    """Outcome of one query as JSON data; a shortfall keeps its message,
+    the paths found and the witness cut."""
+    try:
+        res = fn(*args, **kwargs)
+    except InsufficientConnectivity as exc:
+        return {"error": str(exc), "achieved": _paths(exc.achieved),
+                "witness_cut": list(exc.witness_cut)}
+    if hasattr(res, "paths"):
+        return _paths(res)
+    if hasattr(res, "adjacent"):
+        return {"cut": list(res.vertices), "adjacent": res.adjacent}
+    if isinstance(res, TripodFailure):
+        return asdict(res)
+    if hasattr(res, "bundle_ab"):
+        return {name: [list(p.vertices) for p in getattr(res, name)]
+                for name in ("bundle_ab", "bundle_ac", "bundle_bc")}
+    if res is None or isinstance(res, (int, str)):
+        return res
+    raise TypeError(type(res))
+
+
+def _views(g, rng):
+    holes = rng.sample(range(g.vertex_count), g.vertex_count // 10)
+    return {
+        "full": full_view(g),
+        "union13": copy_union(g, {1, 3}),
+        "minus2": delete_copies(g, {2}),
+        "intra": spanning_intra_view(g),
+        "holes": full_view(g).without(holes),
+    }
+
+
+def _flow_queries(n):
+    """(key, function, args, kwargs) for every pinned flow query on the
+    n-wheel."""
+    g = build(n, Family.WHEEL)
+    rng = random.Random(1000 + n)
+    out = []
+
+    def add(key, fn, *args, **kwargs):
+        out.append((f"n{n}/{key}", fn, args, kwargs))
+
+    for vname, view in _views(g, rng).items():
+        verts = view.vertices()
+        for _ in range(2):
+            u, v = rng.sample(verts, 2)
+            w = next(w for w, _ in view.neighbors(u))
+            for seed in SEEDS:
+                add(f"{vname}/paths/{u}-{v}/s{seed}", max_internally_disjoint_paths,
+                    view, u, v, order_seed=seed)
+                add(f"{vname}/paths2/{u}-{w}/s{seed}", max_internally_disjoint_paths,
+                    view, u, w, limit=2, order_seed=seed)
+            for a, b in ((u, v), (u, w)):
+                add(f"{vname}/cut/{a}-{b}", min_vertex_cut, view, a, b)
+                add(f"{vname}/kappa/{a}-{b}", local_connectivity, view, a, b)
+
+        x = rng.choice(verts)
+        targets = rng.sample([t for t in verts if t != x], 5)
+        nbrs = [t for t, _ in view.neighbors(x)]
+        starved = view.without(nbrs[2:])
+        far = rng.sample([t for t in starved.vertices() if t != x and t not in nbrs], 3)
+        xs = rng.sample(verts, 4)
+        ys = rng.sample([t for t in verts if t not in xs], 3) + xs[:1]
+        cut_off = view.without(nbrs)
+        xs2 = [x] + rng.sample([t for t in cut_off.vertices() if t != x], 1)
+        ys2 = rng.sample([t for t in cut_off.vertices() if t not in xs2], 2)
+        for seed in SEEDS:
+            add(f"{vname}/fan/{x}/s{seed}", k_fan, view, x, targets, 5, order_seed=seed)
+            add(f"{vname}/fan-fails/{x}/s{seed}", k_fan, starved, x, far, 3,
+                order_seed=seed)
+            add(f"{vname}/sets/s{seed}", disjoint_set_paths, view, xs, ys, 4,
+                order_seed=seed)
+            add(f"{vname}/sets-fail/s{seed}", disjoint_set_paths, cut_off, xs2, ys2, 2,
+                order_seed=seed)
+    for copies in ((1,), (2, 4)):
+        add(f"connectivity/{copies}", vertex_connectivity, copy_union(g, copies))
+    return out
+
+
+# (n, omega, target, also run solve_tripod): the n = 5 (3, 3, 3) and n = 6
+# triples need exchange repair on some pivot and order seed, (2, 4, 4) at
+# n = 5 is certified infeasible, and (3, 4, 4) exhausts exchange repair.
+TRIPOD_CASES = (
+    (5, (20, 96, 57), (3, 3, 3), True),
+    (5, (83, 60, 14), (3, 3, 3), True),
+    (5, (23, 95, 113), (3, 3, 3), True),
+    (5, (57, 1, 9), (2, 4, 4), True),
+    (5, (57, 1, 9), (3, 4, 4), False),
+    (6, (75, 74, 702), (4, 4, 4), True),
+    (6, (8, 467, 586), (4, 4, 4), True),
+    (6, (168, 270, 125), (4, 4, 4), True),
+)
+
+
+def _tripod_queries():
+    graphs = {n: build(n, Family.WHEEL) for n in (5, 6)}
+    out = []
+    for n, omega, sizes, solve in TRIPOD_CASES:
+        view = spanning_intra_view(graphs[n])
+        target = StructureTarget(*sizes)
+        key = f"n{n}/{omega}/{sizes}"
+        if solve:
+            for seed in (0, 1, 1001):
+                out.append((f"{key}/tripod/seed{seed}", solve_tripod,
+                            (view, omega, target), {"seed": seed}))
+        for pivot, order_seed in itertools.product("abc", SEEDS):
+            out.append((f"{key}/two-phase/{pivot}/s{order_seed}", _two_phase,
+                        (view, omega, target, pivot, order_seed, None), {}))
+    return out
+
+
+def _adjacency_queries():
+    theta = AdjacencyView({0: [1, 4, 6], 1: [2], 2: [3], 4: [5], 5: [3], 6: [3]})
+    k4 = AdjacencyView({10: [11, 12, 13], 11: [12, 13], 12: [13]})
+    out = []
+    for seed in SEEDS:
+        out.append((f"adj/theta/paths/s{seed}", max_internally_disjoint_paths,
+                    (theta, 0, 3), {"order_seed": seed}))
+        out.append((f"adj/theta/fan/s{seed}", k_fan, (theta, 0, [2, 5, 6], 3),
+                    {"order_seed": seed}))
+        out.append((f"adj/k4/sets/s{seed}", disjoint_set_paths, (k4, [10, 11], [12, 13], 2),
+                    {"order_seed": seed}))
+    out.append(("adj/theta/cut", min_vertex_cut, (theta, 0, 3), {}))
+    out.append(("adj/theta/connectivity", vertex_connectivity, (theta,), {}))
+    out.append(("adj/k4/connectivity", vertex_connectivity, (k4,), {}))
+    return out
+
+
+def all_queries():
+    return _flow_queries(5) + _flow_queries(6) + _tripod_queries() + _adjacency_queries()
+
+
+def pinned_outputs() -> dict:
+    return {key: _call(fn, *args, **kwargs) for key, fn, args, kwargs in all_queries()}
+
+
+def test_pinned_outputs():
+    expected = json.loads(PINNED.read_text())
+    got = pinned_outputs()
+    assert sorted(got) == sorted(expected)
+    for key in expected:
+        assert got[key] == expected[key], key
+
+
+def _query_a(view):
+    return _call(max_internally_disjoint_paths, view, 3, 97, order_seed=5)
+
+
+def _query_b(view):
+    return _call(disjoint_set_paths, view, [1, 2, 3], [50, 60, 70], 3)
+
+
+def _raising_query(view):
+    """A fan from 0 that keeps one neighbour of 0 and needs two paths."""
+    nbrs = [w for w, _ in view.neighbors(0)]
+    starved = view.without(nbrs[1:])
+    targets = [t for t in starved.vertices() if t != 0 and t not in nbrs][-2:]
+    out = _call(k_fan, starved, 0, targets, 2)
+    assert "error" in out
+    return out
+
+
+def test_queries_leave_the_shared_network_clean():
+    view = full_view(build(5, Family.WHEEL))
+    first = _query_a(view)
+    _raising_query(view)
+    b = _query_b(view)
+    assert _query_a(view) == first
+    _raising_query(view)
+    assert _query_b(view) == b
+    assert _query_a(full_view(build(5, Family.WHEEL))) == first
+
+
+def test_queries_restore_the_shared_arrays():
+    g = build(5, Family.WHEEL)
+    view = full_view(g)
+    _query_a(view)
+    net = _network(view)
+    before = (net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows])
+    _raising_query(view)
+    _query_b(view.without({5, 6}))
+    _call(_two_phase, view, (0, 50, 100), StructureTarget(3, 3, 3), "b", 7, None)
+    assert not net.busy
+    assert (net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows]) == before
+
+
+def test_interleaved_graphs_do_not_share_state():
+    g5, g6, g5_bss = (build(5, Family.WHEEL), build(6, Family.WHEEL),
+                      build(5, Family.BUBBLE_SORT_STAR))
+    before = [_query_a(full_view(g)) for g in (g5, g6, g5_bss)]
+    before_intra = _query_a(spanning_intra_view(g6))
+    for g in (g6, g5_bss, g5):
+        _raising_query(full_view(g))
+    assert [_query_a(full_view(g)) for g in (g5, g6, g5_bss)] == before
+    assert _query_a(spanning_intra_view(g6)) == before_intra
+
+
+def test_tripod_after_failed_flow_is_unchanged():
+    g = build(6, Family.WHEEL)
+    view = spanning_intra_view(g)
+    omega = (0, 300, 611)
+    first = _call(solve_tripod, view, omega, standard_target(6), seed=3)
+    _raising_query(view)
+    assert _call(solve_tripod, view, omega, standard_target(6), seed=3) == first
+
+
+@pytest.mark.parametrize("family,n", [(Family.BUBBLE_SORT_STAR, 3), (Family.BUBBLE_SORT_STAR, 4),
+                                      (Family.BUBBLE_SORT_STAR, 5), (Family.WHEEL, 4),
+                                      (Family.WHEEL, 5), (Family.WHEEL, 6)])
+def test_graph_build_matches_rank_construction(family, n):
+    g = build(n, family)
+    gens = generator_set(family, n).members
+    for v in range(g.vertex_count):
+        sigma = unrank(v, n)
+        row = sorted((rank(apply_generator(sigma, t)), gi) for gi, t in enumerate(gens))
+        assert g.adj[v] == tuple(row)
+        assert g.copy_id[v] == sigma.images[n - 1]
+
+
+@pytest.mark.parametrize("bad", [-1, 120, 10**9, "7"])
+def test_out_of_range_ranks_are_rejected(bad):
+    view = full_view(build(5, Family.WHEEL))
+    assert not view.contains(bad)
+    for fn, args in ((max_internally_disjoint_paths, (view, 0, bad)),
+                     (k_fan, (view, 0, [1, bad], 2)),
+                     (disjoint_set_paths, (view, [0, 1], [bad, 7], 2)),
+                     (min_vertex_cut, (view, bad, 0)),
+                     (local_connectivity, (view, 0, bad))):
+        with pytest.raises(RankOutOfRange):
+            fn(*args)

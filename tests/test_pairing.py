@@ -132,6 +132,19 @@ def test_sample_triples_stratified():
     assert min(spreads.values()) >= 90
 
 
+def test_sample_triples_takes_a_whole_stratum():
+    g = build(4, Family.WHEEL)
+    triples = sample_triples(g, 240, seed=0)
+    assert len(set(triples)) == 240
+    assert sum(1 for tri in triples if len({g.copy_id[v] for v in tri}) == 1) == 80
+
+
+def test_sample_triples_rejects_quota_beyond_stratum():
+    g = build(4, Family.WHEEL)
+    with pytest.raises(ValueError, match="only 80"):
+        sample_triples(g, 241, seed=0)
+
+
 def test_sample_triples_deterministic():
     g = build(5, Family.WHEEL)
     assert sample_triples(g, 50, seed=3) == sample_triples(g, 50, seed=3)
