@@ -123,6 +123,19 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+def _ranks(value, what: str) -> list:
+    """Vertex ranks: a list of non-negative ints (JSON booleans are not)."""
+    if not (isinstance(value, list) and all(type(v) is int and v >= 0 for v in value)):
+        raise SchemaError(f"{what} must be a list of non-negative integers")
+    return value
+
+
+def _paths(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list of paths")
+    return [_ranks(vs, what) for vs in value]
+
+
 def load_text(text: str) -> Certificate:
     try:
         payload = json.loads(text)
@@ -146,13 +159,22 @@ def load_text(text: str) -> Certificate:
     missing = _CASE_KEYS - set(case)
     if missing:
         raise SchemaError(f"case missing keys: {sorted(missing)}")
-    omega_ranks = _need(payload, "omega_ranks")
+    omega_ranks = _ranks(_need(payload, "omega_ranks"), "omega_ranks")
     omega_perms = _need(payload, "omega_perms")
-    if len(omega_ranks) != 3 or len(omega_perms) != 3:
+    if (len(omega_ranks) != 3 or not isinstance(omega_perms, list)
+            or len(omega_perms) != 3):
         raise SchemaError("omega entries must list exactly three terminals")
     bundles = _need(payload, "bundles")
-    if set(bundles) != {"ab", "ac", "bc"}:
+    if not isinstance(bundles, dict) or set(bundles) != {"ab", "ac", "bc"}:
         raise SchemaError("bundles must carry exactly ab, ac, bc")
+    bundles = {tag: _paths(paths, f"bundles.{tag}") for tag, paths in bundles.items()}
+    pi3 = _need(payload, "pi3")
+    if pi3 is not None and not (isinstance(pi3, dict) and all(
+            pi3.get(k) is None or type(pi3[k]) is int for k in ("lower", "upper"))):
+        raise SchemaError("pi3 must be null or an object with integer bounds")
+    checks = _need(payload, "checks")
+    if not isinstance(checks, list) or not all(isinstance(r, dict) for r in checks):
+        raise SchemaError("checks must be a list of objects")
     return Certificate(
         n=_need(payload, "n"),
         family=_need(payload, "family"),
@@ -160,10 +182,10 @@ def load_text(text: str) -> Certificate:
         omega_perms=tuple(omega_perms),
         case=case,
         bundles=bundles,
-        omega_paths=_need(payload, "omega_paths"),
-        pi3=_need(payload, "pi3"),
+        omega_paths=_paths(_need(payload, "omega_paths"), "omega_paths"),
+        pi3=pi3,
         solver=_need(payload, "solver"),
-        checks=_need(payload, "checks"),
+        checks=checks,
     )
 
 

@@ -20,6 +20,7 @@ from .errors import (
     ConstructionFailed,
     DegreeOutOfRange,
     DegreeTooSmall,
+    InvalidStructure,
     TripathsError,
 )
 from .graphs import build, full_view, to_dot, to_edgelist
@@ -146,7 +147,11 @@ def _cmd_structure(args, argv) -> int:
         print("strict mode: construction fell back to the generic solver",
               file=sys.stderr)
         return EXIT_CONSTRUCTION
-    omega_set = pair_structure(full_view(g), structure)
+    try:
+        omega_set = pair_structure(full_view(g), structure)
+    except InvalidStructure as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     counts = structure.counts()
     target = standard_target(g.n)
     upper = pi3_upper(g)

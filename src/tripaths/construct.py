@@ -3,9 +3,9 @@
 Terminals in one copy route through the copy plus neighbor copies;
 terminals split two/one harvest copy paths and fan from the lone vertex;
 terminals in three copies match slice vertices across copies and thread
-the remaining demand through the untouched copies.  Every route ends in
-an exact verification; anything that misses falls back to the generic
-solver on the whole graph.
+the remaining demand through the untouched copies.  A route that fails or
+misses the standard bundle counts falls back to the generic solver on the
+whole graph; the one full check of a structure is ``pairing.pair_structure``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .tripod import (
     solve_tripod,
     standard_target,
 )
-from .verification import check_tripod
 
 CASE_EVEN = "Even"
 CASE_1_1 = "OddCase1_1"
@@ -66,27 +65,6 @@ class CaseTrace:
     auxiliary: dict = field(default_factory=dict)
     fallback: bool = False
     seed: int = 0
-
-
-def _pair_ends(tag: str, a: int, b: int, c: int) -> tuple[int, int]:
-    return {"ab": (a, b), "ac": (a, c), "bc": (b, c)}[tag]
-
-
-def _group(tagged, roles: tuple[int, int, int]) -> TripodStructure:
-    """Bucket (tag, path) entries into a structure, orienting every path
-    from the tag's first terminal to its second."""
-    a, b, c = roles
-    buckets: dict[str, list[Path]] = {"ab": [], "ac": [], "bc": []}
-    for tag, p in tagged:
-        vs = p.vertices if isinstance(p, Path) else tuple(p)
-        first, last = _pair_ends(tag, a, b, c)
-        if vs[0] == last and vs[-1] == first:
-            vs = tuple(reversed(vs))
-        assert vs[0] == first and vs[-1] == last, (tag, vs[0], vs[-1])
-        buckets[tag].append(Path(vs))
-    return TripodStructure(
-        (a, b, c), tuple(buckets["ab"]), tuple(buckets["ac"]), tuple(buckets["bc"])
-    )
 
 
 def _cat(*parts) -> Path:
@@ -116,7 +94,9 @@ def _bundle_between(structure: TripodStructure, x: int, y: int) -> list[Path]:
 
 def build_structure(g: CayleyGraph, omega, seed: int = 0,
                     budget: Budget | None = None):
-    """Build a standard-size tripod structure for the terminal triple.
+    """Build a tripod structure with ``standard_target(g.n)`` bundle
+    counts for the terminal triple; its validity is checked by
+    ``pairing.pair_structure``, not here.
 
     Returns (TripodStructure, CaseTrace); raises ConstructionFailed when
     even the generic fallback cannot realize the target.
@@ -142,12 +122,12 @@ def build_structure(g: CayleyGraph, omega, seed: int = 0,
             got = _two_copies(g, tri, seed)
         else:
             got = _three_copies(g, tri, seed)
-    if got is None:
+    if got is None or got[0].counts() != target.as_tuple():
         got = _fallback(g, tri, seed, budget, target)
-    structure, trace = got
-    verdict = check_tripod(full_view(g), structure, target, exact=True)
-    assert verdict.ok, verdict.violations
-    return structure, trace
+    if got[0].counts() != target.as_tuple():
+        raise ConstructionFailed(f"bundle counts {got[0].counts()} for terminals "
+                                 f"{tri} miss the target {target.as_tuple()}")
+    return got
 
 
 def _roles_dict(a: int, b: int, c: int) -> dict:
@@ -244,29 +224,13 @@ def _route_1_1(g, K, tri, base, t, w, order_seed, seed):
     t takes the role with the larger bundles and w doubles its exits."""
     others = [v for v in tri if v != t]
     a, b, c = others[0], others[1], t
-    a_out = outside_neighbors(g, a)
-    b_out = outside_neighbors(g, b)
-    c_out = outside_neighbors(g, c)
-    w_plus = outside_neighbors(g, w)[0]
-    X = [c_out[0], c_out[1], c_out[2], w_plus]
-    Y = [a_out[0], a_out[1], b_out[0], b_out[1]]
-    if len(set(X) | set(Y)) != 8:
-        return None
-    outside = delete_copies(g, {K})
-    try:
-        fam = disjoint_set_paths(outside, X, Y, 4, order_seed=order_seed)
-    except InsufficientConnectivity:
+    detours = _outside_detours(g, K, (a, b, c), w, order_seed)
+    if detours is None:
         return None
     tagged = [("ab", p) for p in _bundle_between(base, a, b)]
     tagged += [("ac", p) for p in _bundle_between(base, a, c)]
     tagged += [("bc", p) for p in _bundle_between(base, b, c)]
-    for p in fam.paths:
-        start, end = p.vertices[0], p.vertices[-1]
-        prefix = (c, w) if start == w_plus else (c,)
-        owner = a if end in (a_out[0], a_out[1]) else b
-        tag = "ac" if owner == a else "bc"
-        tagged.append((tag, _cat(prefix, p, (owner,))))
-    structure = _group(tagged, (a, b, c))
+    structure = TripodStructure.from_tagged((a, b, c), tagged + detours)
     trace = CaseTrace(CASE_1_1, _roles_dict(a, b, c), _copies_dict(g, a, b, c),
                       {"unused_neighbor": w}, False, seed)
     return structure, trace
@@ -331,11 +295,30 @@ def _finish_1_2_1(g, K, roles, ab, ac, bc, picked, primes, idx, order_seed, seed
     q1_star = Path(tuple(P1.vertices[: ci + 1]) + (C,))
     qi = Q1.vertices.index(b_pr)
     r1_star = Path((B,) + tuple(Q1.vertices[qi:]))
+    detours = _outside_detours(g, K, roles, g0, order_seed)
+    if detours is None:
+        return None
+    tagged = [("ab", p1_star)] + [("ab", p) for p in ab if p is not P1]
+    tagged += [("ac", q1_star)] + [("ac", p) for p in ac if p is not Q1]
+    tagged += [("bc", r1_star)] + [("bc", p) for p in bc if p is not R1]
+    structure = TripodStructure.from_tagged(roles, tagged + detours)
+    trace = CaseTrace(
+        CASE_1_2_1, _roles_dict(A, B, C), _copies_dict(g, A, B, C),
+        {"a_prime": a_pr, "b_prime": b_pr, "c_prime": c_pr, "detour": g0},
+        False, seed)
+    return structure, trace
+
+
+def _outside_detours(g, K, roles, detour, order_seed):
+    """Four tagged paths outside copy K from C (its three outside neighbors,
+    plus one through its copy neighbor ``detour``) to the first two outside
+    neighbors of A and B; None when the ends collide or no linkage exists."""
+    A, B, C = roles
     a_out = outside_neighbors(g, A)
     b_out = outside_neighbors(g, B)
     c_out = outside_neighbors(g, C)
-    g_plus = outside_neighbors(g, g0)[0]
-    X = [c_out[0], c_out[1], c_out[2], g_plus]
+    d_plus = outside_neighbors(g, detour)[0]
+    X = [c_out[0], c_out[1], c_out[2], d_plus]
     Y = [a_out[0], a_out[1], b_out[0], b_out[1]]
     if len(set(X) | set(Y)) != 8:
         return None
@@ -344,21 +327,12 @@ def _finish_1_2_1(g, K, roles, ab, ac, bc, picked, primes, idx, order_seed, seed
         fam = disjoint_set_paths(outside, X, Y, 4, order_seed=order_seed)
     except InsufficientConnectivity:
         return None
-    tagged = [("ab", p1_star)] + [("ab", p) for p in ab if p is not P1]
-    tagged += [("ac", q1_star)] + [("ac", p) for p in ac if p is not Q1]
-    tagged += [("bc", r1_star)] + [("bc", p) for p in bc if p is not R1]
+    tagged = []
     for p in fam.paths:
-        start, end = p.vertices[0], p.vertices[-1]
-        prefix = (C, g0) if start == g_plus else (C,)
-        owner = A if end in (a_out[0], a_out[1]) else B
-        tag = "ac" if owner == A else "bc"
-        tagged.append((tag, _cat(prefix, p, (owner,))))
-    structure = _group(tagged, (A, B, C))
-    trace = CaseTrace(
-        CASE_1_2_1, _roles_dict(A, B, C), _copies_dict(g, A, B, C),
-        {"a_prime": a_pr, "b_prime": b_pr, "c_prime": c_pr, "detour": g0},
-        False, seed)
-    return structure, trace
+        prefix = (C, detour) if p.vertices[0] == d_plus else (C,)
+        owner = A if p.vertices[-1] in (a_out[0], a_out[1]) else B
+        tagged.append(("ac" if owner == A else "bc", _cat(prefix, p, (owner,))))
+    return tagged
 
 
 def _route_cyclic(g, K, rot, seed, budget):
@@ -410,7 +384,7 @@ def _finish_cyclic(g, K, roles, j, tally, tagged_cross, seed, budget, regime):
     tagged += [("ac", p) for p in base.bundle_ac]
     tagged += [("bc", p) for p in base.bundle_bc]
     tagged += tagged_cross
-    structure = _group(tagged, roles)
+    structure = TripodStructure.from_tagged(roles, tagged)
     A, B, C = roles
     trace = CaseTrace(CASE_1_2_2, _roles_dict(A, B, C), _copies_dict(g, A, B, C),
                       {"rotation_step": j, "regime": regime}, False, seed)
@@ -563,7 +537,7 @@ def _two_copies(g, tri, seed):
             else:
                 run = (c,) if inner_v == c else (inner_v, c)
                 tagged.append((tag, _cat(fp, run)))
-        structure = _group(tagged, (a, b, c))
+        structure = TripodStructure.from_tagged((a, b, c), tagged)
         trace = CaseTrace(
             CASE_2, _roles_dict(a, b, c), _copies_dict(g, a, b, c),
             {"harvested": [p.vertices[1] for p in chosen]},
@@ -741,6 +715,7 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
     a, b, c = roles
     ia, ib, ic = copy_of(g, a), copy_of(g, b), copy_of(g, c)
     x1, x2, x3 = plan["xsizes"]
+    ends = {"ab": (a, b), "ac": (a, c), "bc": (b, c)}
 
     reserved = {a, b, c}
     for _root, target, _far, _tag in plan["extras"]:
@@ -780,7 +755,7 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
 
     fan_targets: dict[int, list[int]] = {a: [], b: [], c: []}
     for w, ws, tag in matches:
-        left, right = _pair_ends(tag, a, b, c)
+        left, right = ends[tag]
         fan_targets[left].append(w)
         fan_targets[right].append(ws)
     role_v = {"a": a, "b": b, "c": c}
@@ -815,7 +790,7 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
 
     tagged: list[tuple[str, Path]] = list(plan["directs"])
     for w, ws, tag in matches:
-        left, right = _pair_ends(tag, a, b, c)
+        left, right = ends[tag]
         tagged.append((tag, _cat(fans[left][w], fans[right][ws].reverse())))
     for root_role, target, far, tag in plan["extras"]:
         tagged.append((tag, _cat(fans[role_v[root_role]][target], (far,))))
@@ -858,11 +833,7 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
     elif need:
         return None
 
-    structure = _group(tagged, (a, b, c))
-    target = standard_target(g.n)
-    if structure.counts() != target.as_tuple():
-        return None
-    verdict = check_tripod(full_view(g), structure, target, exact=True)
-    if not verdict.ok:
+    structure = TripodStructure.from_tagged(roles, tagged)
+    if structure.counts() != standard_target(g.n).as_tuple():
         return None
     return structure

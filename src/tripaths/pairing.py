@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from ._util import mix_seed
-from .errors import InvalidStructure
+from .errors import ConstructionFailed, InvalidStructure
 from .flows import Path
 from .graphs import CayleyGraph, full_view
 from .perms import Family
@@ -19,7 +19,8 @@ from .verification import check_omega_path_set, check_tripod
 def pairing_capacity(x: int, y: int, z: int) -> int:
     """Largest number of terminal-spanning paths obtainable by pairing
     bundles of sizes x, y, z at shared endpoints."""
-    assert min(x, y, z) >= 0, (x, y, z)
+    if min(x, y, z) < 0:
+        raise ValueError(f"bundle sizes must be non-negative, got {(x, y, z)}")
     return min((x + y + z) // 2, x + y, y + z, z + x)
 
 
@@ -47,8 +48,9 @@ class OmegaPathSet:
 def pair_structure(view, structure: TripodStructure) -> OmegaPathSet:
     """Concatenate bundle paths at shared terminals, lowest indices first.
 
-    The structure is re-verified before pairing; an unsound structure is
-    rejected rather than propagated into certificates.
+    This is the validity gate of the package: the structure gets its one
+    full check here, and the paired paths another, and either failing
+    raises InvalidStructure rather than reaching a certificate.
     """
     counts = structure.counts()
     verdict = check_tripod(view, structure, StructureTarget(*counts), exact=True)
@@ -68,7 +70,8 @@ def pair_structure(view, structure: TripodStructure) -> OmegaPathSet:
         out.append(Path(ac[mu_a + i].vertices + bc[mu_b + i].reverse().vertices[1:]))
     result = OmegaPathSet(structure.omega, tuple(out))
     verdict = check_omega_path_set(view, structure.omega, result.paths)
-    assert verdict.ok, verdict.violations
+    if not verdict.ok:
+        raise InvalidStructure("; ".join(verdict.violations[:4]))
     return result
 
 
@@ -194,10 +197,9 @@ def sample_triples(g: CayleyGraph, count: int, seed: int) -> list[tuple[int, int
 
 def pi3_lower(g: CayleyGraph, triples, seed: int = 0, budget=None) -> LowerBoundReport:
     """Constructive lower bound: build a structure and pair it for every
-    triple; the bound is the worst pairing count seen."""
+    triple; the bound is the worst pairing count seen.  Triples whose
+    structure cannot be built or is rejected are recorded as failures."""
     from .construct import build_structure  # local import to avoid a cycle
-
-    from .errors import ConstructionFailed
 
     view = full_view(g)
     report = LowerBoundReport(value=0, evaluated=0)
@@ -206,10 +208,10 @@ def pi3_lower(g: CayleyGraph, triples, seed: int = 0, budget=None) -> LowerBound
         report.evaluated += 1
         try:
             structure, trace = build_structure(g, tri, seed=mix_seed(seed, *tri), budget=budget)
-        except ConstructionFailed as exc:
+            omega_paths = pair_structure(view, structure)
+        except (ConstructionFailed, InvalidStructure) as exc:
             report.failures.append((tri, str(exc)))
             continue
-        omega_paths = pair_structure(view, structure)
         got = len(omega_paths)
         report.case_counts[trace.case_id] = report.case_counts.get(trace.case_id, 0) + 1
         if trace.fallback:

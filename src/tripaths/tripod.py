@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._util import mix_seed
+from .errors import DuplicateVertices, RankOutOfRange
 from .flows import (
     Path,
     StepCounter,
     _FlowQuery,
     max_internally_disjoint_paths,
 )
-from .verification import check_tripod
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,20 @@ class TripodStructure:
     def all_paths(self) -> list[Path]:
         return list(self.bundle_ab) + list(self.bundle_ac) + list(self.bundle_bc)
 
+    @classmethod
+    def from_tagged(cls, omega, tagged) -> "TripodStructure":
+        """Bucket ("ab" | "ac" | "bc", path) pairs into bundles in the order
+        given, each path oriented from its tag's first terminal."""
+        a, b, c = omega
+        starts = {"ab": a, "ac": a, "bc": b}
+        bundles = {"ab": [], "ac": [], "bc": []}
+        for tag, path in tagged:
+            if path.vertices[0] != starts[tag]:
+                path = path.reverse()
+            bundles[tag].append(path)
+        return cls(tuple(omega), tuple(bundles["ab"]), tuple(bundles["ac"]),
+                   tuple(bundles["bc"]))
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -85,20 +99,6 @@ def _phase_plan(omega, target, pivot):
     return (c, (a, target.ac, "ac"), (b, target.bc, "bc"), (a, b, target.ab, "ab"))
 
 
-def _orient(path: Path, start: int) -> Path:
-    return path if path.vertices[0] == start else path.reverse()
-
-
-def _assemble(omega, named_paths) -> TripodStructure:
-    a, b, c = omega
-    ends = {"ab": (a, b), "ac": (a, c), "bc": (b, c)}
-    bundles = {"ab": [], "ac": [], "bc": []}
-    for name, path in named_paths:
-        bundles[name].append(_orient(path, ends[name][0]))
-    return TripodStructure(omega, tuple(bundles["ab"]), tuple(bundles["ac"]),
-                           tuple(bundles["bc"]))
-
-
 def _phase_a(view, pivot_v, sink1, k1, sink2, k2, order_seed, counter):
     """k1+k2 paths from the pivot, split between two capped sinks.
 
@@ -120,7 +120,6 @@ def _phase_a(view, pivot_v, sink1, k1, sink2, k2, order_seed, counter):
         paths = q.extract_paths(q.vout(pivot_v), q.sink)
     to1 = [p for p in paths if p.vertices[-1] == sink1]
     to2 = [p for p in paths if p.vertices[-1] == sink2]
-    assert len(to1) == k1 and len(to2) == k2, (len(to1), len(to2))
     return to1, to2
 
 
@@ -134,7 +133,7 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
 
     def finish(kept, third_paths):
         named = list(kept) + [(n3, p) for p in third_paths]
-        return _assemble(omega, named)
+        return TripodStructure.from_tagged(omega, named)
 
     blocked = {w for _, p in phase_a_paths for w in p.interior()}
     sub = view.without(blocked | {pivot_v})
@@ -184,10 +183,11 @@ def solve_tripod(view, omega, target: StructureTarget, budget: Budget | None = N
     is marked certified when an exact argument rules the target out.
     """
     budget = budget or Budget()
-    a, b, c = omega
-    assert len({a, b, c}) == 3, omega
+    if len(set(omega)) != 3:
+        raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
     for v in omega:
-        assert view.contains(v), v
+        if not view.contains(v):
+            raise RankOutOfRange(f"terminal {v} is not in the view")
     counter = StepCounter()
     certified = False
     restarts = 0
@@ -202,8 +202,6 @@ def solve_tripod(view, omega, target: StructureTarget, budget: Budget | None = N
                 certified = True
                 break
             if res is not None:
-                verdict = check_tripod(view, res, target, exact=True)
-                assert verdict.ok, verdict.violations
                 return res
         if certified or counter.used >= budget.max_steps:
             break

@@ -1,13 +1,16 @@
 """Command line behavior: subcommands, exit codes, file outputs."""
 
+import dataclasses
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
-import tripaths
+import pytest
 
+import tripaths
+import tripaths.cli
 from tripaths.cli import (
     EXIT_CONSTRUCTION,
     EXIT_MISMATCH,
@@ -16,6 +19,7 @@ from tripaths.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from tripaths.flows import Path
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -76,6 +80,20 @@ def test_structure_duplicate_omega(capsys):
                  "[1,2,3,4];[1,2,3,4];[2,1,3,4]"])
     assert code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_structure_rejected_by_the_gate_exits_4(monkeypatch, capsys):
+    real = tripaths.cli.build_structure
+
+    def broken(g, omega, **kwargs):
+        structure, trace = real(g, omega, **kwargs)
+        a, b, _ = structure.omega
+        bad = structure.bundle_ab[:1] + (Path((a, a, b)),)
+        return dataclasses.replace(structure, bundle_ab=bad), trace
+
+    monkeypatch.setattr(tripaths.cli, "build_structure", broken)
+    assert main(["structure", "--n", "4", "--random"]) == EXIT_VERIFICATION
+    assert "verification failed" in capsys.readouterr().err
 
 
 def test_structure_missing_omega(capsys):
@@ -167,6 +185,20 @@ def test_verify_wrong_schema(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["bundles"]["ab"][0].__setitem__(1, "8"),
+    lambda doc: doc.__setitem__("pi3", [1]),
+    lambda doc: doc.__setitem__("checks", [1, 2]),
+], ids=["string-vertex", "pi3-list", "checks-ints"])
+def test_verify_ill_typed_certificate_is_a_usage_error(mutate, tmp_path, capsys):
+    doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == EXIT_USAGE
+    assert "certificate rejected" in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/cert.json"]) == EXIT_USAGE
     capsys.readouterr()
@@ -231,3 +263,14 @@ def test_pi3_samples_beyond_a_stratum_is_a_usage_error():
                   timeout=60)
     assert done.returncode == EXIT_USAGE, done.stderr
     assert "only 80" in done.stderr
+
+
+def test_structure_and_verify_under_optimize(tmp_path):
+    # python -O strips assert statements; the gates must not depend on them
+    cert = tmp_path / "n5.json"
+    done = _child(["-O", "-m", "tripaths.cli", "structure", "--n", "5",
+                   "--random", "--certificate", str(cert)], timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    done = _child(["-O", "-m", "tripaths.cli", "verify", str(cert)], timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "status     : ok" in done.stdout

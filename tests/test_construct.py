@@ -1,9 +1,11 @@
 """Case machine: routes, traces, and structural guarantees per terminal layout."""
 
 import random
+import sys
 
 import pytest
 
+import tripaths.verification
 from tripaths.construct import (
     CASE_1_1,
     CASE_1_2_1,
@@ -161,3 +163,38 @@ def test_bridged_rotation_regime_n7():
     assert trace.auxiliary["regime"] == "bridged-j3"
     omega_set = pair_structure(full_view(g7), structure)
     assert len(omega_set) == 8
+
+
+# one triple per case route reached at n = 5 (OddCase3_3 is not), plus Even
+ONE_PER_CASE = [
+    (CASE_EVEN, G4, (0, 3, 4)),
+    (CASE_1_1, G5, (25, 44, 110)),
+    (CASE_1_2_1, G5, (13, 22, 92)),
+    (CASE_1_2_2, G5, (57, 83, 105)),
+    (CASE_2, G5, (40, 89, 97)),
+    (CASE_3_1, G5, (26, 65, 92)),
+    (CASE_3_2, G5, (3, 53, 57)),
+]
+
+
+@pytest.mark.parametrize("case_id, g, omega", ONE_PER_CASE,
+                         ids=[case_id for case_id, _, _ in ONE_PER_CASE])
+def test_each_structure_is_checked_once(case_id, g, omega, monkeypatch):
+    # count check_tripod calls at every place a tripaths module binds it
+    original = tripaths.verification.check_tripod
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].omega)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tripaths" or name.startswith("tripaths."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    structure, trace = build_structure(g, omega, seed=0)
+    omega_set = pair_structure(full_view(g), structure)
+    assert trace.case_id == case_id
+    assert len(omega_set) == (6 * g.n - 9) // 4
+    assert len(calls) == 1, calls

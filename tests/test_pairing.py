@@ -1,10 +1,12 @@
 """Pairing arithmetic and the bound machinery."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+import tripaths.construct
 from tripaths.construct import build_structure
 from tripaths.errors import InvalidStructure
 from tripaths.flows import Path
@@ -101,6 +103,22 @@ def test_pair_structure_rejects_bad_input():
         structure.bundle_bc)
     with pytest.raises(InvalidStructure):
         pair_structure(view, broken)
+
+
+def test_pi3_lower_records_a_rejected_structure_as_a_failure(monkeypatch):
+    def broken(g, omega, **kwargs):
+        structure, trace = build_structure(g, omega, **kwargs)
+        a, b, _ = structure.omega
+        bad = structure.bundle_ab[:1] + (Path((a, a, b)),)
+        return dataclasses.replace(structure, bundle_ab=bad), trace
+
+    monkeypatch.setattr(tripaths.construct, "build_structure", broken)
+    g = build(4, Family.WHEEL)
+    rep = pi3_lower(g, [(0, 3, 4), (1, 5, 9)])
+    assert rep.evaluated == 2
+    assert [tri for tri, _ in rep.failures] == [(0, 3, 4), (1, 5, 9)]
+    assert "repeats" in rep.failures[0][1]
+    assert rep.case_counts == {}
 
 
 def test_upper_bound_values():

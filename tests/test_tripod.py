@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from tripaths.errors import OracleScaleExceeded
+from tripaths.errors import DuplicateVertices, OracleScaleExceeded, RankOutOfRange
 from tripaths.graphs import AdjacencyView, build, full_view, spanning_intra_view
 from tripaths.oracle import exact_pi
+from tripaths.pairing import pairing_capacity
 from tripaths.perms import Family
 from tripaths.tripod import (
     StructureTarget,
@@ -49,6 +50,21 @@ def test_solve_inside_spanning_subgraph_n4():
         assert not isinstance(res, TripodFailure), omega
         verdict = check_tripod(view, res, target, exact=True)
         assert verdict.ok, (omega, verdict.violations)
+
+
+def test_bad_inputs_raise_typed_errors():
+    # typed errors, so the checks hold under python -O as well
+    g = build(4, Family.WHEEL)
+    view = full_view(g)
+    target = standard_target(4)
+    with pytest.raises(DuplicateVertices):
+        solve_tripod(view, (0, 3, 3), target)
+    with pytest.raises(RankOutOfRange):
+        solve_tripod(view, (0, 3, 24), target)
+    with pytest.raises(RankOutOfRange):
+        solve_tripod(spanning_intra_view(g).without({4}), (0, 3, 4), target)
+    with pytest.raises(ValueError):
+        pairing_capacity(2, -1, 2)
 
 
 def test_target_beyond_connectivity_is_infeasible():
