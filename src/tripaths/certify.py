@@ -12,7 +12,7 @@ from .errors import CertificateError, SchemaError, VersionMismatch
 from .flows import Path
 from .graphs import build, full_view
 from .pairing import OmegaPathSet, formula_value, pairing_capacity
-from .perms import parse_family, parse_permutation, permutation_text, rank
+from .perms import MAX_DEGREE, parse_family, parse_permutation, permutation_text, rank
 from .tripod import TripodStructure, standard_target
 from .verification import check_omega_path_set, check_tripod
 
@@ -150,6 +150,14 @@ def load_text(text: str) -> Certificate:
     if version != SCHEMA_VERSION:
         raise VersionMismatch(
             f"certificate schema {version}, reader supports {SCHEMA_VERSION}")
+    n = _need(payload, "n")
+    if type(n) is not int or not 4 <= n <= MAX_DEGREE:
+        raise SchemaError(f"n must be an integer in 4..{MAX_DEGREE}, got {n!r}")
+    family = _need(payload, "family")
+    try:
+        parse_family(family)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     case = _need(payload, "case")
     if not isinstance(case, dict):
         raise SchemaError("case must be an object")
@@ -176,8 +184,8 @@ def load_text(text: str) -> Certificate:
     if not isinstance(checks, list) or not all(isinstance(r, dict) for r in checks):
         raise SchemaError("checks must be a list of objects")
     return Certificate(
-        n=_need(payload, "n"),
-        family=_need(payload, "family"),
+        n=n,
+        family=family,
         omega_ranks=tuple(omega_ranks),
         omega_perms=tuple(omega_perms),
         case=case,

@@ -555,10 +555,8 @@ def _slice_pool(g, i_from, j_to, reserved):
     for w in g.copy_members[i_from]:
         if w in reserved:
             continue
-        if g.perm(w).images[1] != j_to:
-            continue
         ws = outside_neighbors(g, w)[2]
-        if ws in reserved:
+        if g.copy_id[ws] != j_to or ws in reserved:
             continue
         out.append((w, ws))
     return out
@@ -741,9 +739,9 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
         for v in g.copy_members[copy_of(g, root)]:
             if v in used_from:
                 continue
-            if g.perm(v).images[1] not in chat_copies:
-                continue
             v_star = outside_neighbors(g, v)[2]
+            if g.copy_id[v_star] not in chat_copies:
+                continue
             if v_star in set(plan["chat_x"]) | set(chat_y) | reserved:
                 continue
             u = (v, v_star)

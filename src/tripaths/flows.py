@@ -23,10 +23,14 @@ touches:
 
 Augmentation is Edmonds-Karp: BFS shortest paths with every row scanned
 in a fixed order, so results are deterministic.  ``vin(v)`` scans its
-split arc, the reverse arcs from its neighbours in ascending rank, then
-its terminal arc; ``vout(v)`` scans its split reverse arc, then its
-forward arcs in adjacency order.  An order seed reshuffles the forward
-arcs of every vertex with one ``random.Random`` for randomized restarts.
+split arc, then the reverse arcs from its neighbours in ascending rank,
+then its terminal arcs.  It lists the reverse arc of an edge only while
+the edge carries flow, since only then has that arc capacity: an
+augmentation inserts it in order when it pushes a unit along the edge
+and removes it when it cancels that unit.  ``vout(v)`` scans its split
+reverse arc, then its forward arcs in adjacency order.  An order seed
+reshuffles the forward arcs of every vertex with one ``random.Random``
+for randomized restarts.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import enum
 import random
 from array import array
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import InsufficientConnectivity, RankOutOfRange
@@ -102,6 +107,11 @@ class _SplitNetwork:
     vertex in adjacency order, and every arc starts at its unit
     capacity (0 for the reverse arc of a pair).  The super source and
     sink are the two nodes after the vertex nodes.
+
+    The row of ``vout(i)`` holds the split reverse arc and the edge arcs
+    of vertex i.  The row of ``vin(i)`` holds only the split arc: the
+    reverse arcs of the edges into it carry nothing until a query pushes
+    flow, and ``_FlowQuery.max_flow`` lists each one while it does.
     """
 
     def __init__(self, nbrs, labels=None):
@@ -114,23 +124,18 @@ class _SplitNetwork:
         for i in range(nv):
             to[2 * i] = 2 * i + 1
             to[2 * i + 1] = 2 * i
-        in_rows = [array("i", [2 * i]) for i in range(nv)]
-        out_rows = []
+        rows = []
         for i, ws in enumerate(nbrs):
             first = len(to)
-            out_rows.append(array("i", [2 * i + 1])
-                            + array("i", range(first, first + 2 * len(ws), 2)))
+            rows.append(array("i", [2 * i]))
+            rows.append(array("i", [2 * i + 1])
+                        + array("i", range(first, first + 2 * len(ws), 2)))
             for w in ws:
-                in_rows[w].append(len(to) + 1)
                 to.append(2 * w)
                 to.append(2 * i + 1)
         self.to = to
         self.cap = array("i", [1, 0]) * (len(to) // 2)
         self.arc_count = len(to)
-        rows = []
-        for i in range(nv):
-            rows.append(in_rows[i])
-            rows.append(out_rows[i])
         rows += [array("i"), array("i")]
         self.rows = rows
         self.open_template = [-1] * len(rows)
@@ -215,15 +220,19 @@ class _FlowQuery:
         return tpl
 
     def _edit(self, entry_blocked, exit_blocked, no_split, uncapped, order_seed) -> None:
-        rows, ix = self.net.rows, self._ix
+        rows, to, ix = self.net.rows, self.net.to, self._ix
         for v in uncapped:
             if v not in no_split:
                 self._set_cap(2 * ix(v), _INF)
         for v in no_split:
             self._set_cap(2 * ix(v), 0)
         for v in entry_blocked:
-            for r in rows[2 * ix(v)][1:]:
-                self._set_cap(r ^ 1, 0)
+            # the edge arcs into vin(v) start in its neighbours' vout rows
+            head = 2 * ix(v)
+            for e in rows[head + 1][1:]:
+                for f in rows[to[e] + 1][1:]:
+                    if to[f] == head:
+                        self._set_cap(f, 0)
         stuck = {ix(v) for v in exit_blocked} | {ix(v) for v in no_split}
         for i in stuck:
             for e in rows[2 * i + 1][1:]:
@@ -239,9 +248,9 @@ class _FlowQuery:
             if tpl[2 * i] != -1 or i in stuck:
                 continue
             row = rows[2 * i + 1]
-            arcs = [e for e in row[1:] if tpl[to[e]] == -1]
+            arcs = array("i", [e for e in row[1:] if tpl[to[e]] == -1])
             rng.shuffle(arcs)
-            self._set_row(2 * i + 1, array("i", row[:1]) + array("i", arcs))
+            self._own_row(2 * i + 1)[1:] = arcs
 
     def _set_cap(self, e: int, c: int) -> None:
         cap = self.net.cap
@@ -249,11 +258,15 @@ class _FlowQuery:
             self.saved[e] = cap[e]
         cap[e] = c
 
-    def _set_row(self, node: int, row: array) -> None:
+    def _own_row(self, node: int) -> array:
+        """The row of `node` as a copy this query may change in place; the
+        static row goes to the undo log on first use."""
         rows = self.net.rows
+        row = rows[node]
         if node not in self.saved_rows:
-            self.saved_rows[node] = rows[node]
-        rows[node] = row
+            self.saved_rows[node] = row
+            row = rows[node] = array("i", row)
+        return row
 
     def _restore(self) -> None:
         net = self.net
@@ -276,8 +289,8 @@ class _FlowQuery:
         net.to.append(tail)
         net.cap.append(c)
         net.cap.append(0)
-        self._set_row(tail, net.rows[tail] + array("i", [e]))
-        self._set_row(head, net.rows[head] + array("i", [e + 1]))
+        self._own_row(tail).append(e)
+        self._own_row(head).append(e + 1)
 
     def drop_edge(self, u: int, v: int) -> None:
         """Remove the arc vout(u) -> vin(v) of an edge for this query."""
@@ -289,6 +302,7 @@ class _FlowQuery:
     def max_flow(self, s: int, t: int, limit: int, counter: StepCounter | None = None) -> int:
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
         template, saved, init = self.template, self.saved, self.init
+        first_edge, last_edge = 2 * self.net.vertex_count, self.net.arc_count
         value = 0
         while value < limit:
             if counter is not None:
@@ -328,6 +342,13 @@ class _FlowQuery:
                     saved.setdefault(k + 1, cap[k + 1])
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck
+                if first_edge <= k < last_edge:
+                    # a unit edge arc: its reverse arc k + 1, in the row of
+                    # its head, opens with the push and closes with the cancel
+                    if e == k:
+                        insort(self._own_row(to[k]), k + 1)
+                    else:
+                        self._own_row(to[k]).remove(k + 1)
             value += bottleneck
         return value
 

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DuplicateVertices, RankOutOfRange, SameCopy, WrongFamily
-from .perms import (
-    Family,
-    Transposition,
-    apply_generator,
-    generator_set,
-    permutation_text,
-    rank,
-    unrank,
-)
+from .perms import Family, generator_set, permutation_text, unrank
 
 
 class CayleyGraph:
@@ -55,6 +47,9 @@ class CayleyGraph:
         for v, c in enumerate(self.copy_id):
             members[c].append(v)
         self.copy_members = {c: tuple(vs) for c, vs in members.items()}
+        # generator indices of (1 n), (n-1 n), (2 n): the outside neighbours
+        gen_of = {(t.i, t.j): gi for gi, t in enumerate(self.gens)}
+        self.outside_gens = tuple(gen_of.get(ij) for ij in ((1, n), (n - 1, n), (2, n)))
         # flow networks by generator mask, built by the flow layer on first use
         self.split_networks: dict = {}
 
@@ -211,11 +206,9 @@ def outside_neighbors(g: CayleyGraph, v: int) -> tuple[int, int, int]:
     if g.family is not Family.WHEEL:
         raise WrongFamily("outside-neighbor triple is defined for the wheel family")
     g.check_rank(v)
-    sigma = g.perm(v)
-    plus = rank(apply_generator(sigma, Transposition(1, g.n)))
-    minus = rank(apply_generator(sigma, Transposition(g.n - 1, g.n)))
-    star = rank(apply_generator(sigma, Transposition(2, g.n)))
-    return (plus, minus, star)
+    by_gen = {gi: w for w, gi in g.adj[v]}
+    plus, minus, star = g.outside_gens
+    return (by_gen[plus], by_gen[minus], by_gen[star])
 
 
 def _check_copy_ids(g: CayleyGraph, copies) -> frozenset[int]:

@@ -189,7 +189,10 @@ def test_verify_wrong_schema(tmp_path, capsys):
     lambda doc: doc["bundles"]["ab"][0].__setitem__(1, "8"),
     lambda doc: doc.__setitem__("pi3", [1]),
     lambda doc: doc.__setitem__("checks", [1, 2]),
-], ids=["string-vertex", "pi3-list", "checks-ints"])
+    lambda doc: doc.__setitem__("n", 100),
+    lambda doc: doc.__setitem__("n", 3),
+    lambda doc: doc.__setitem__("family", "hexagon"),
+], ids=["string-vertex", "pi3-list", "checks-ints", "n-100", "n-3", "family-hexagon"])
 def test_verify_ill_typed_certificate_is_a_usage_error(mutate, tmp_path, capsys):
     doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
     mutate(doc)

@@ -19,7 +19,7 @@ from tripaths.construct import (
 )
 from tripaths.errors import DuplicateVertices, WrongFamily
 from tripaths.graphs import build, full_view
-from tripaths.pairing import pair_structure
+from tripaths.pairing import formula_value, pair_structure, pi3_lower, sample_triples
 from tripaths.perms import Family, parse_permutation, rank
 from tripaths.tripod import standard_target
 from tripaths.verification import check_tripod
@@ -163,6 +163,14 @@ def test_bridged_rotation_regime_n7():
     assert trace.auxiliary["regime"] == "bridged-j3"
     omega_set = pair_structure(full_view(g7), structure)
     assert len(omega_set) == 8
+
+
+def test_n7_sample_needs_no_fallback():
+    g7 = build(7, Family.WHEEL)
+    report = pi3_lower(g7, sample_triples(g7, 60, 1), seed=1)
+    assert report.value == formula_value(7) == 8
+    assert report.failures == [] and report.fallback_count == 0
+    assert {CASE_1_1, CASE_2, CASE_3_1} <= set(report.case_counts), report.case_counts
 
 
 # one triple per case route reached at n = 5 (OddCase3_3 is not), plus Even

@@ -4,6 +4,9 @@
 ``pinned_outputs`` runs at n = 5 and n = 6, recorded with the per-call
 network builder that the shared engine replaced.  The engine must give
 the same paths in the same order, the same cuts and the same failures.
+``tests/pinned/flows_n7.json`` holds the outputs of ``n7_queries``,
+recorded before ``vin`` rows stopped listing reverse arcs that carry no
+flow.
 """
 
 import itertools
@@ -16,6 +19,7 @@ import pytest
 
 from tripaths.errors import InsufficientConnectivity, RankOutOfRange
 from tripaths.flows import (
+    _FlowQuery,
     _network,
     disjoint_set_paths,
     k_fan,
@@ -27,9 +31,11 @@ from tripaths.flows import (
 from tripaths.graphs import (
     AdjacencyView,
     build,
+    copy_of,
     copy_union,
     delete_copies,
     full_view,
+    outside_neighbors,
     spanning_intra_view,
 )
 from tripaths.perms import Family, apply_generator, generator_set, rank, unrank
@@ -42,6 +48,7 @@ from tripaths.tripod import (
 )
 
 PINNED = FilePath(__file__).parent / "pinned" / "flows.json"
+PINNED_N7 = FilePath(__file__).parent / "pinned" / "flows_n7.json"
 SEEDS = (None, 5, 1001)
 
 
@@ -182,16 +189,70 @@ def all_queries():
     return _flow_queries(5) + _flow_queries(6) + _tripod_queries() + _adjacency_queries()
 
 
-def pinned_outputs() -> dict:
-    return {key: _call(fn, *args, **kwargs) for key, fn, args, kwargs in all_queries()}
+def pinned_outputs(queries=None) -> dict:
+    return {key: _call(fn, *args, **kwargs)
+            for key, fn, args, kwargs in (queries or all_queries())}
 
 
-def test_pinned_outputs():
-    expected = json.loads(PINNED.read_text())
-    got = pinned_outputs()
+def _assert_pinned(path, queries):
+    expected = json.loads(path.read_text())
+    got = pinned_outputs(queries)
     assert sorted(got) == sorted(expected)
     for key in expected:
         assert got[key] == expected[key], key
+
+
+def test_pinned_outputs():
+    _assert_pinned(PINNED, all_queries())
+
+
+# (omega, target) on the n = 7 spanning intra view: exchange repair on
+# the first two, a plain solve, and a phase-A shortfall (6 + 6 > 11).
+N7_TRIPODS = (
+    ((3705, 3711, 3713), (5, 5, 5)),
+    ((2080, 2086, 2083), (5, 6, 5)),
+    ((3489, 2411, 2374), (4, 4, 4)),
+    ((3705, 3711, 3713), (6, 6, 6)),
+)
+
+
+def n7_queries():
+    """The n = 7 queries the construction leans on: the same-copy
+    outside-detour linkage, fans in a copy union, and solve_tripod."""
+    g = build(7, Family.WHEEL)
+    rng = random.Random(1007)
+    out = []
+    K = 3
+    for _ in range(2):
+        A, B, C = rng.sample(g.copy_members[K], 3)
+        detour = next(w for w, _ in g.adj[C] if copy_of(g, w) == K)
+        a_out, b_out, c_out = (outside_neighbors(g, v) for v in (A, B, C))
+        xs = [*c_out, outside_neighbors(g, detour)[0]]
+        ys = [a_out[0], a_out[1], b_out[0], b_out[1]]
+        for seed in SEEDS:
+            out.append((f"n7/outside-detour/{A}-{B}-{C}/s{seed}", disjoint_set_paths,
+                        (delete_copies(g, {K}), xs, ys, 4), {"order_seed": seed}))
+    union = copy_union(g, {2, 5})
+    x = rng.choice(g.copy_members[2])
+    targets = rng.sample([v for v in union.vertices() if v != x], 8)
+    nbrs = [w for w, _ in union.neighbors(x)]
+    starved = union.without(nbrs[2:])
+    far = rng.sample([v for v in starved.vertices() if v != x and v not in nbrs], 3)
+    for seed in SEEDS:
+        out.append((f"n7/fan/{x}/s{seed}", k_fan, (union, x, targets, 6),
+                    {"order_seed": seed}))
+        out.append((f"n7/fan-fails/{x}/s{seed}", k_fan, (starved, x, far, 3),
+                    {"order_seed": seed}))
+    view = spanning_intra_view(g)
+    for omega, sizes in N7_TRIPODS:
+        for seed in (0, 1):
+            out.append((f"n7/tripod/{omega}/{sizes}/seed{seed}", solve_tripod,
+                        (view, omega, StructureTarget(*sizes)), {"seed": seed}))
+    return out
+
+
+def test_pinned_outputs_n7():
+    _assert_pinned(PINNED_N7, n7_queries())
 
 
 def _query_a(view):
@@ -234,6 +295,54 @@ def test_queries_restore_the_shared_arrays():
     _call(_two_phase, view, (0, 50, 100), StructureTarget(3, 3, 3), "b", 7, None)
     assert not net.busy
     assert (net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows]) == before
+
+
+def _flowing_edges(net) -> set:
+    """Static edge arcs that carry a unit: their reverse arc is open."""
+    cap = net.cap
+    return {k for k in range(2 * net.vertex_count, net.arc_count, 2) if cap[k + 1] > 0}
+
+
+def _assert_vin_rows(net) -> None:
+    """Each vin row: its split arc, the reverse arcs of the edges into it
+    that carry flow in ascending order, then its terminal arcs."""
+    to = net.to
+    reverse = {}
+    for k in sorted(_flowing_edges(net)):
+        reverse.setdefault(to[k], []).append(k + 1)
+    terminal = {}
+    for e in range(net.arc_count, len(to)):
+        terminal.setdefault(to[e ^ 1], []).append(e)
+    for i in range(net.vertex_count):
+        node = 2 * i
+        assert list(net.rows[node]) == [node] + reverse.get(node, []) + terminal.get(node, [])
+
+
+def test_vin_rows_list_reverse_arcs_only_while_they_carry_flow(monkeypatch):
+    """Push one unit at a time inside live queries and check the vin rows
+    after every push, through exchange repair and shortfalls."""
+    seen = {"pushes": 0, "cancels": 0, "shortfalls": 0}
+    push_units = _FlowQuery.max_flow
+
+    def stepped(self, s, t, limit, counter=None):
+        value = 0
+        while value < limit:
+            before = _flowing_edges(self.net)
+            if not push_units(self, s, t, 1, counter):
+                seen["shortfalls"] += 1
+                break
+            value += 1
+            seen["pushes"] += 1
+            seen["cancels"] += bool(before - _flowing_edges(self.net))
+            _assert_vin_rows(self.net)
+        return value
+
+    monkeypatch.setattr(_FlowQuery, "max_flow", stepped)
+    for key, fn, args, kwargs in _tripod_queries():
+        if key.startswith("n5/") and "/two-phase/" in key:
+            fn(*args, **kwargs)
+    _raising_query(full_view(build(5, Family.WHEEL)))
+    assert seen["cancels"] > 0 and seen["shortfalls"] > 0, seen
 
 
 def test_interleaved_graphs_do_not_share_state():

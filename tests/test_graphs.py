@@ -19,7 +19,7 @@ from tripaths.graphs import (
     to_dot,
     to_edgelist,
 )
-from tripaths.perms import Family, rank, unrank
+from tripaths.perms import Family, Transposition, apply_generator, rank, unrank
 
 
 def _edge_count(g):
@@ -79,6 +79,17 @@ def test_outside_neighbors_symmetry():
         v = rng.randrange(g.vertex_count)
         for w in outside_neighbors(g, v):
             assert v in outside_neighbors(g, w)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_outside_neighbors_match_the_permutation_images(n):
+    """The adjacency lookup agrees with applying (1 n), (n-1 n), (2 n)."""
+    g = build(n, Family.WHEEL)
+    swaps = [Transposition(1, n), Transposition(n - 1, n), Transposition(2, n)]
+    for v in range(g.vertex_count):
+        sigma = unrank(v, n)
+        assert outside_neighbors(g, v) == tuple(
+            rank(apply_generator(sigma, t)) for t in swaps)
 
 
 def test_outside_neighbors_wrong_family():
