@@ -53,8 +53,7 @@ def _jsonable(value):
 
 
 def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
-                     omega_set: OmegaPathSet, pi3: dict | None = None,
-                     solver: dict | None = None) -> Certificate:
+                     omega_set: OmegaPathSet, pi3: dict | None = None) -> Certificate:
     view = full_view(g)
     target = standard_target(g.n)
     rows = []
@@ -67,9 +66,6 @@ def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
     rows.append({"name": "omega-paths-valid", "pass": om_verdict.ok})
     rows.append({"name": "omega-path-count-maximal",
                  "pass": len(omega_set) == pairing_capacity(*counts)})
-    meta = dict(solver or {})
-    meta.setdefault("seed", trace.seed)
-    meta.setdefault("ranking", "lehmer-lex")
     return Certificate(
         n=g.n,
         family=g.family.value,
@@ -90,7 +86,7 @@ def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
         },
         omega_paths=[list(p.vertices) for p in omega_set.paths],
         pi3=_jsonable(pi3) if pi3 is not None else None,
-        solver=_jsonable(meta),
+        solver={"ranking": "lehmer-lex", "seed": trace.seed},
         checks=rows,
     )
 

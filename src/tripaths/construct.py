@@ -3,14 +3,17 @@
 Terminals in one copy route through the copy plus neighbor copies;
 terminals split two/one harvest copy paths and fan from the lone vertex;
 terminals in three copies match slice vertices across copies and thread
-the remaining demand through the untouched copies.  A route that fails or
-misses the standard bundle counts falls back to the generic solver on the
-whole graph; the one full check of a structure is ``pairing.pair_structure``.
+the remaining demand through the untouched copies.  Each route returns its
+outcome as data, ``(structure, case_id, roles, aux)`` or None, and
+``build_structure`` records the one CaseTrace.  A route that fails or misses
+the standard bundle counts falls back to the generic solver on the whole
+graph; the one full check of a structure is ``pairing.pair_structure``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ._util import mix_seed
@@ -39,7 +42,6 @@ from .graphs import (
 )
 from .perms import Family, compose, inverse, rank
 from .tripod import (
-    Budget,
     StructureTarget,
     TripodStructure,
     solve_tripod,
@@ -92,14 +94,15 @@ def _bundle_between(structure: TripodStructure, x: int, y: int) -> list[Path]:
 
 # ------------------------------------------------------------- dispatcher
 
-def build_structure(g: CayleyGraph, omega, seed: int = 0,
-                    budget: Budget | None = None):
+def build_structure(g: CayleyGraph, omega, seed: int = 0):
     """Build a tripod structure with ``standard_target(g.n)`` bundle
     counts for the terminal triple; its validity is checked by
     ``pairing.pair_structure``, not here.
 
-    Returns (TripodStructure, CaseTrace); raises ConstructionFailed when
-    even the generic fallback cannot realize the target.
+    Routes return outcomes, not traces; this dispatcher records the one
+    CaseTrace.  Returns (TripodStructure, CaseTrace); raises
+    ConstructionFailed when even the generic fallback cannot realize the
+    target.
     """
     if g.family is not Family.WHEEL:
         raise WrongFamily("structure construction runs on the wheel family")
@@ -108,52 +111,42 @@ def build_structure(g: CayleyGraph, omega, seed: int = 0,
         raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
     for v in tri:
         g.check_rank(v)
-    budget = budget or Budget()
     target = standard_target(g.n)
 
     if g.n % 2 == 0:
-        got = _case_even(g, tri, seed, budget, target)
+        got = _case_even(g, tri, seed, target)
     else:
         copies = [copy_of(g, v) for v in tri]
         distinct = len(set(copies))
         if distinct == 1:
-            got = _same_copy(g, tri, seed, budget)
+            got = _same_copy(g, tri, seed)
         elif distinct == 2:
             got = _two_copies(g, tri, seed)
         else:
             got = _three_copies(g, tri, seed)
     if got is None or got[0].counts() != target.as_tuple():
-        got = _fallback(g, tri, seed, budget, target)
-    if got[0].counts() != target.as_tuple():
-        raise ConstructionFailed(f"bundle counts {got[0].counts()} for terminals "
+        got = _fallback(g, tri, seed, target)
+    structure, case_id, roles, aux = got
+    if structure.counts() != target.as_tuple():
+        raise ConstructionFailed(f"bundle counts {structure.counts()} for terminals "
                                  f"{tri} miss the target {target.as_tuple()}")
-    return got
+    trace = CaseTrace(case_id, dict(zip("abc", roles)),
+                      {r: g.copy_id[v] for r, v in zip("abc", roles)},
+                      aux, case_id == CASE_FALLBACK, seed)
+    return structure, trace
 
 
-def _roles_dict(a: int, b: int, c: int) -> dict:
-    return {"a": a, "b": b, "c": c}
-
-
-def _copies_dict(g: CayleyGraph, a: int, b: int, c: int) -> dict:
-    return {r: copy_of(g, v) for r, v in (("a", a), ("b", b), ("c", c))}
-
-
-def _case_even(g, tri, seed, budget, target):
-    view = spanning_intra_view(g)
-    res = solve_tripod(view, tri, target, budget, seed)
+def _case_even(g, tri, seed, target):
+    res = solve_tripod(spanning_intra_view(g), tri, target, seed)
     if isinstance(res, TripodStructure):
-        trace = CaseTrace(CASE_EVEN, _roles_dict(*tri), _copies_dict(g, *tri),
-                          {}, False, seed)
-        return res, trace
+        return res, CASE_EVEN, tri, {}
     return None
 
 
-def _fallback(g, tri, seed, budget, target):
-    res = solve_tripod(full_view(g), tri, target, budget, mix_seed(seed, 0xFA11))
+def _fallback(g, tri, seed, target):
+    res = solve_tripod(full_view(g), tri, target, mix_seed(seed, 0xFA11))
     if isinstance(res, TripodStructure):
-        trace = CaseTrace(CASE_FALLBACK, _roles_dict(*tri), _copies_dict(g, *tri),
-                          {}, True, seed)
-        return res, trace
+        return res, CASE_FALLBACK, tri, {}
     raise ConstructionFailed(
         f"no structure for terminals {tri} at n={g.n}: {res.reason}")
 
@@ -179,19 +172,19 @@ def _detect_cyclic_triple(g, tri):
     return None
 
 
-def _same_copy(g, tri, seed, budget):
+def _same_copy(g, tri, seed):
     d = g.n // 2
     K = copy_of(g, tri[0])
     rot = _detect_cyclic_triple(g, tri)
     if rot is not None:
-        got = _route_cyclic(g, K, rot, seed, budget)
+        got = _route_cyclic(g, K, rot, seed)
         if got is not None:
             return got
     cview = copy_union(g, {K})
     base_target = StructureTarget(2 * d - 2, 2 * d - 2, 2 * d - 2)
     for attempt in range(3):
         aseed = mix_seed(seed, 11, attempt)
-        base = solve_tripod(cview, tri, base_target, budget, aseed)
+        base = solve_tripod(cview, tri, base_target, aseed)
         if not isinstance(base, TripodStructure):
             if base.certified_infeasible:
                 break
@@ -199,10 +192,10 @@ def _same_copy(g, tri, seed, budget):
         hit = _scan_unused_neighbor(cview, tri, base)
         if hit is not None:
             t, w = hit
-            got = _route_1_1(g, K, tri, base, t, w, aseed, seed)
+            got = _route_1_1(g, K, tri, base, t, w, aseed)
             if got is not None:
                 return got
-        got = _route_1_2_1(g, K, cview, tri, base, aseed, seed)
+        got = _route_1_2_1(g, K, cview, tri, base, aseed)
         if got is not None:
             return got
     return None
@@ -219,7 +212,7 @@ def _scan_unused_neighbor(cview, tri, base):
     return None
 
 
-def _route_1_1(g, K, tri, base, t, w, order_seed, seed):
+def _route_1_1(g, K, tri, base, t, w, order_seed):
     """Terminal t has a copy neighbor w untouched by the base structure:
     t takes the role with the larger bundles and w doubles its exits."""
     others = [v for v in tri if v != t]
@@ -231,12 +224,10 @@ def _route_1_1(g, K, tri, base, t, w, order_seed, seed):
     tagged += [("ac", p) for p in _bundle_between(base, a, c)]
     tagged += [("bc", p) for p in _bundle_between(base, b, c)]
     structure = TripodStructure.from_tagged((a, b, c), tagged + detours)
-    trace = CaseTrace(CASE_1_1, _roles_dict(a, b, c), _copies_dict(g, a, b, c),
-                      {"unused_neighbor": w}, False, seed)
-    return structure, trace
+    return structure, CASE_1_1, (a, b, c), {"unused_neighbor": w}
 
 
-def _route_1_2_1(g, K, cview, tri, base, order_seed, seed):
+def _route_1_2_1(g, K, cview, tri, base, order_seed):
     """Every copy neighbor of every terminal sits on some base path:
     cannibalize three paths to free a detour vertex g0 next to C."""
     for A, B, C in itertools.permutations(tri):
@@ -277,13 +268,13 @@ def _route_1_2_1(g, K, cview, tri, base, order_seed, seed):
                 continue
             got = _finish_1_2_1(g, K, (A, B, C), ab, ac, bc,
                                 (P1, Q1, R1), (a_pr, b_pr, c_pr), idx,
-                                order_seed, seed)
+                                order_seed)
             if got is not None:
                 return got
     return None
 
 
-def _finish_1_2_1(g, K, roles, ab, ac, bc, picked, primes, idx, order_seed, seed):
+def _finish_1_2_1(g, K, roles, ab, ac, bc, picked, primes, idx, order_seed):
     A, B, C = roles
     P1, Q1, R1 = picked
     a_pr, b_pr, c_pr = primes
@@ -302,11 +293,8 @@ def _finish_1_2_1(g, K, roles, ab, ac, bc, picked, primes, idx, order_seed, seed
     tagged += [("ac", q1_star)] + [("ac", p) for p in ac if p is not Q1]
     tagged += [("bc", r1_star)] + [("bc", p) for p in bc if p is not R1]
     structure = TripodStructure.from_tagged(roles, tagged + detours)
-    trace = CaseTrace(
-        CASE_1_2_1, _roles_dict(A, B, C), _copies_dict(g, A, B, C),
-        {"a_prime": a_pr, "b_prime": b_pr, "c_prime": c_pr, "detour": g0},
-        False, seed)
-    return structure, trace
+    return structure, CASE_1_2_1, roles, {
+        "a_prime": a_pr, "b_prime": b_pr, "c_prime": c_pr, "detour": g0}
 
 
 def _outside_detours(g, K, roles, detour, order_seed):
@@ -335,49 +323,39 @@ def _outside_detours(g, K, roles, detour, order_seed):
     return tagged
 
 
-def _route_cyclic(g, K, rot, seed, budget):
+def _route_cyclic(g, K, rot, seed):
     """Roles form a rotation under a 3-cycle moving {1, j, j+1}: their
-    outside neighbors pair up inside shared copies."""
+    outside neighbors pair up inside shared copies.
+
+    The nine outside neighbors are distinct, and each paired region lies
+    in its own copy other than K (``tests/test_lemmas.py`` walks every
+    rotation at n = 5 and 7)."""
     A, B, C, j = rot
-    n = g.n
     outs = {V: outside_neighbors(g, V) for V in (A, B, C)}
-    owner_of = {}
-    for V in (A, B, C):
-        for w in outs[V]:
-            owner_of[w] = V
-    if len(owner_of) != 9:
-        return None
+    owner_of = {w: V for V in (A, B, C) for w in outs[V]}
     aP, aM, aS = outs[A]
     bP, bM, bS = outs[B]
     cP, cM, cS = outs[C]
     if j == 2:
         regions = [(aP, cS, "ac"), (aS, bP, "ab"), (bS, cP, "bc"), (bM, cM, "bc")]
-    elif j == n - 2:
+    elif j == g.n - 2:
         regions = [(aP, bM, "ab"), (bP, cM, "bc"), (aM, cP, "ac"), (bS, cS, "bc")]
     else:
-        return _route_cyclic_bridge(g, K, rot, outs, owner_of, seed, budget)
-    tally = {"ab": 0, "ac": 0, "bc": 0}
+        return _route_cyclic_bridge(g, K, rot, outs, owner_of, seed)
+    tally = Counter(tag for _u, _v, tag in regions)
     tagged_cross = []
-    used_copies = set()
     for u, v, tag in regions:
-        cu = copy_of(g, u)
-        assert cu == copy_of(g, v) and cu != K, (u, v)
-        assert cu not in used_copies, cu
-        used_copies.add(cu)
-        inner = shortest_path(copy_union(g, {cu}), u, v)
-        assert inner is not None
+        inner = shortest_path(copy_union(g, {copy_of(g, u)}), u, v)
         tagged_cross.append((tag, _cat((owner_of[u],), inner, (owner_of[v],))))
-        tally[tag] += 1
-    return _finish_cyclic(g, K, (A, B, C), j, tally, tagged_cross, seed, budget,
+    return _finish_cyclic(g, K, (A, B, C), j, tally, tagged_cross, seed,
                           regime=f"paired-j{j}")
 
 
-def _finish_cyclic(g, K, roles, j, tally, tagged_cross, seed, budget, regime):
+def _finish_cyclic(g, K, roles, j, tally, tagged_cross, seed, regime):
     d = g.n // 2
     in_target = StructureTarget(
         2 * d - 2 - tally["ab"], 2 * d - tally["ac"], 2 * d - tally["bc"])
-    base = solve_tripod(copy_union(g, {K}), roles, in_target, budget,
-                        mix_seed(seed, 122))
+    base = solve_tripod(copy_union(g, {K}), roles, in_target, mix_seed(seed, 122))
     if not isinstance(base, TripodStructure):
         return None
     tagged = [("ab", p) for p in base.bundle_ab]
@@ -385,29 +363,33 @@ def _finish_cyclic(g, K, roles, j, tally, tagged_cross, seed, budget, regime):
     tagged += [("bc", p) for p in base.bundle_bc]
     tagged += tagged_cross
     structure = TripodStructure.from_tagged(roles, tagged)
-    A, B, C = roles
-    trace = CaseTrace(CASE_1_2_2, _roles_dict(A, B, C), _copies_dict(g, A, B, C),
-                      {"rotation_step": j, "regime": regime}, False, seed)
-    return structure, trace
+    return structure, CASE_1_2_2, roles, {"rotation_step": j, "regime": regime}
 
 
-def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed, budget):
+def _tag(roles, u, v):
+    """Bundle tag ("ab" | "ac" | "bc") of a path joining terminals u and v."""
+    names = dict(zip(roles, "abc"))
+    return "".join(sorted((names[u], names[v])))
+
+
+def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed):
     """Middle rotation steps leave the minus and star images unpaired;
-    a cross edge between their two copies stitches them together."""
+    a cross edge between their two copies stitches them together.
+
+    The minus images share one copy, the star images another, and the
+    plus images lie in three distinct copies (``tests/test_lemmas.py``)."""
     A, B, C, j = rot
+    roles = (A, B, C)
     aP, aM, aS = outs[A]
     bP, bM, bS = outs[B]
     cP, cM, cS = outs[C]
     copy_minus = copy_of(g, aM)
     copy_star = copy_of(g, aS)
-    assert copy_of(g, bM) == copy_minus == copy_of(g, cM)
-    assert copy_of(g, bS) == copy_star == copy_of(g, cS)
     minus_set = {aM, bM, cM}
     star_set = {aS, bS, cS}
     vm = copy_union(g, {copy_minus})
     vs = copy_union(g, {copy_star})
     plus_copies = {copy_of(g, aP), copy_of(g, bP), copy_of(g, cP)}
-    assert len(plus_copies) == 3
     tried = 0
     for u, w in cross_edges(g, copy_minus, copy_star):
         if u in minus_set or w in star_set:
@@ -438,28 +420,23 @@ def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed, budget):
                 continue
             from_w, from_as = p1, p2
         end_owner = owner_of[from_w.vertices[-1]]
-        bridge_tag = "".join(sorted(
-            {A: "a", B: "b", C: "c"}[t] for t in (bridge_owner, end_owner)))
+        cm_owner = owner_of[to_cm.vertices[0]]
+        as_owner = owner_of[from_as.vertices[-1]]
         tagged_cross = [
-            (bridge_tag, _cat((bridge_owner,), to_u, from_w, (end_owner,))),
-            ("".join(sorted({A: "a", B: "b", C: "c"}[t]
-                            for t in (owner_of[to_cm.vertices[0]], C))),
-             _cat((owner_of[to_cm.vertices[0]],), to_cm, (C,))),
-            ("".join(sorted({A: "a", B: "b", C: "c"}[t]
-                            for t in (A, owner_of[from_as.vertices[-1]]))),
-             _cat((A,), from_as, (owner_of[from_as.vertices[-1]],))),
+            (_tag(roles, bridge_owner, end_owner),
+             _cat((bridge_owner,), to_u, from_w, (end_owner,))),
+            (_tag(roles, cm_owner, C), _cat((cm_owner,), to_cm, (C,))),
+            (_tag(roles, A, as_owner), _cat((A,), from_as, (as_owner,))),
         ]
         plus_path = shortest_path(copy_union(g, plus_copies), aP, cP)
         if plus_path is None:
             continue
         tagged_cross.append(("ac", _cat((A,), plus_path, (C,))))
-        tally = {"ab": 0, "ac": 0, "bc": 0}
-        for tag, _p in tagged_cross:
-            tally[tag] += 1
+        tally = Counter(tag for tag, _p in tagged_cross)
         if tally != {"ab": 1, "ac": 2, "bc": 1}:
             continue
-        got = _finish_cyclic(g, K, (A, B, C), j, tally, tagged_cross, seed,
-                             budget, regime=f"bridged-j{j}")
+        got = _finish_cyclic(g, K, roles, j, tally, tagged_cross, seed,
+                             regime=f"bridged-j{j}")
         if got is not None:
             return got
     return None
@@ -538,11 +515,8 @@ def _two_copies(g, tri, seed):
                 run = (c,) if inner_v == c else (inner_v, c)
                 tagged.append((tag, _cat(fp, run)))
         structure = TripodStructure.from_tagged((a, b, c), tagged)
-        trace = CaseTrace(
-            CASE_2, _roles_dict(a, b, c), _copies_dict(g, a, b, c),
-            {"harvested": [p.vertices[1] for p in chosen]},
-            False, seed)
-        return structure, trace
+        return structure, CASE_2, (a, b, c), {
+            "harvested": [p.vertices[1] for p in chosen]}
     return None
 
 
@@ -590,12 +564,12 @@ def _three_copies(g, tri, seed):
         else:
             a = next(v for v in tri if v != c and copy_of(g, v) == copy_of(g, t_c))
         b = next(v for v in tri if v not in (a, c))
-        plans = _plans_3_1(g, a, b, c, t_c, doors, d)
+        plan = _plan_3_1(g, a, b, c, t_c, doors, d)
         case_id = CASE_3_1
     elif len(ones) >= 2:
         b, c = ones[0], ones[1]
         a = next(v for v in tri if v not in (b, c))
-        plans = _plans_3_2(g, a, b, c, outs, doors, d)
+        plan = _plan_3_2(g, a, b, c, outs, doors, d)
         case_id = CASE_3_2
     else:
         if ones:
@@ -603,23 +577,21 @@ def _three_copies(g, tri, seed):
             b, c = sorted(v for v in tri if v != a)
         else:
             a, b, c = tri
-        plans = _plans_3_3(g, a, b, c, doors, d)
+        plan = _plan_3_3(g, a, b, c, doors, d)
         case_id = CASE_3_3
 
+    if plan is None:
+        return None
     chat_copies = frozenset(range(1, n + 1)) - term_copies
-    for plan in plans:
-        for attempt in range(3):
-            oseed = None if attempt == 0 else mix_seed(seed, 3, attempt)
-            built = _execute_three(g, (a, b, c), chat_copies, outs, plan, oseed)
-            if built is not None:
-                trace = CaseTrace(
-                    plan.get("case", case_id), _roles_dict(a, b, c),
-                    _copies_dict(g, a, b, c), plan["aux"], False, seed)
-                return built, trace
+    for attempt in range(3):
+        oseed = None if attempt == 0 else mix_seed(seed, 3, attempt)
+        built = _execute_three(g, (a, b, c), chat_copies, outs, plan, oseed)
+        if built is not None:
+            return built, case_id, (a, b, c), plan["aux"]
     return None
 
 
-def _plans_3_1(g, a, b, c, t_c, doors, d):
+def _plan_3_1(g, a, b, c, t_c, doors, d):
     plan = {
         "xsizes": [2 * d - 2, 2 * d - 2, 2 * d - 1],
         "extras": [], "directs": [],
@@ -634,11 +606,10 @@ def _plans_3_1(g, a, b, c, t_c, doors, d):
         ya, yb = pick
         plan["chat_y"] = [ya, yb]
         plan["y_owner"] = {ya: a, yb: b}
-        return [plan]
+        return plan
     # both fans share one sole outer door: leave via a bridge vertex
     w = doors[a][0]
     bplan = {
-        "case": CASE_3_1,
         "xsizes": [2 * d - 2, 2 * d - 3, 2 * d - 2],
         "extras": [], "directs": [],
         "chat_x": sorted(doors[c]), "chat_y": [w], "y_owner": {w: b},
@@ -650,16 +621,14 @@ def _plans_3_1(g, a, b, c, t_c, doors, d):
                     if v == c or copy_of(g, v) == copy_of(g, c)), None)
     beta_c = next((v for v in outside_neighbors(g, b)
                    if v == c or copy_of(g, v) == copy_of(g, c)), None)
-    if alpha_c is None or beta_c is None:
-        return [bplan]
-    if alpha_c == beta_c and alpha_c != c:
-        return [bplan]
+    if alpha_c is None or beta_c is None or (alpha_c == beta_c and alpha_c != c):
+        return bplan
     _extra_or_direct(c, alpha_c, a, "c", "ac", bplan)
     _extra_or_direct(c, beta_c, b, "c", "bc", bplan)
-    return [bplan]
+    return bplan
 
 
-def _plans_3_2(g, a, b, c, outs, doors, d):
+def _plan_3_2(g, a, b, c, outs, doors, d):
     ia, ib, ic = copy_of(g, a), copy_of(g, b), copy_of(g, c)
     beta_a = next(v for v in outs[b] if v == a or copy_of(g, v) == ia)
     gamma_a = next(v for v in outs[c] if v == a or copy_of(g, v) == ia)
@@ -689,15 +658,15 @@ def _plans_3_2(g, a, b, c, outs, doors, d):
     else:
         _extra_or_direct(b, gamma_b, c, "b", "bc", plan)
         _extra_or_direct(c, beta_c, b, "c", "bc", plan)
-    return [plan]
+    return plan
 
 
-def _plans_3_3(g, a, b, c, doors, d):
+def _plan_3_3(g, a, b, c, doors, d):
     alpha0 = sorted(doors[a])[0]
     ybs = [v for v in sorted(doors[b]) if v != alpha0][:2]
     if len(ybs) < 2:
-        return []
-    plan = {
+        return None
+    return {
         "xsizes": [2 * d - 2, 2 * d - 1, 2 * d - 2],
         "extras": [], "directs": [],
         "chat_x": sorted(doors[c]),
@@ -706,11 +675,11 @@ def _plans_3_3(g, a, b, c, doors, d):
         "needs": {"ac": 1, "bc": 2}, "bridge": None,
         "aux": {"alpha0": alpha0},
     }
-    return [plan]
 
 
 def _execute_three(g, roles, chat_copies, outs, plan, oseed):
     a, b, c = roles
+    role_v = dict(zip("abc", roles))
     ia, ib, ic = copy_of(g, a), copy_of(g, b), copy_of(g, c)
     x1, x2, x3 = plan["xsizes"]
     ends = {"ab": (a, b), "ac": (a, c), "bc": (b, c)}
@@ -733,7 +702,7 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
     bridge = None
     if plan["bridge"] is not None:
         root_role, btag = plan["bridge"]
-        root = {"a": a, "b": b, "c": c}[root_role]
+        root = role_v[root_role]
         used_from = {w for w, _ws, _t in matches} | reserved
         u = None
         for v in g.copy_members[copy_of(g, root)]:
@@ -756,7 +725,6 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
         left, right = ends[tag]
         fan_targets[left].append(w)
         fan_targets[right].append(ws)
-    role_v = {"a": a, "b": b, "c": c}
     for root_role, target, _far, _tag in plan["extras"]:
         fan_targets[role_v[root_role]].append(target)
     if bridge is not None:
@@ -801,7 +769,6 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
         chat_paths.remove(bp)
         tagged.append((btag, _cat(fans[root][u], bp.reverse(), (c,))))
 
-    need = dict(plan["needs"])
     if chat_paths:
         options = []
         for p in chat_paths:
@@ -816,11 +783,7 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
             options.append(owners)
         assign = None
         for combo in itertools.product(*options):
-            tally: dict[str, int] = {}
-            for owner in combo:
-                tag = "ac" if owner == a else "bc"
-                tally[tag] = tally.get(tag, 0) + 1
-            if tally == need:
+            if Counter("ac" if owner == a else "bc" for owner in combo) == plan["needs"]:
                 assign = combo
                 break
         if assign is None:
@@ -828,7 +791,7 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
         for p, owner in zip(chat_paths, assign):
             tag = "ac" if owner == a else "bc"
             tagged.append((tag, _cat((owner,), p.reverse(), (c,))))
-    elif need:
+    elif plan["needs"]:
         return None
 
     structure = TripodStructure.from_tagged(roles, tagged)

@@ -172,13 +172,6 @@ class AdjacencyView:
             for v, ws in self._nbrs.items() if v not in removed
         })
 
-    def restricted_to(self, kept) -> "AdjacencyView":
-        kept = set(kept)
-        return AdjacencyView({
-            v: [w for w in ws if w in kept]
-            for v, ws in self._nbrs.items() if v in kept
-        })
-
 
 def spanning_intra_view(g: CayleyGraph) -> View:
     """All vertices, intra-copy generators only (wheel: drops (2 n) too).

@@ -13,7 +13,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import OracleScaleExceeded
+from .errors import (
+    DuplicateVertices,
+    OracleScaleExceeded,
+    RankOutOfRange,
+    TripathsError,
+)
 
 MILP_VERTEX_LIMIT = 40
 
@@ -127,10 +132,11 @@ def exact_pi(view, omega) -> int:
         raise OracleScaleExceeded(
             f"exact oracle capped at {MILP_VERTEX_LIMIT} vertices, "
             f"got {view.vertex_count}")
-    a, b, c = omega
-    assert len({a, b, c}) == 3, omega
+    if len(set(omega)) != 3:
+        raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
     for v in omega:
-        assert view.contains(v), v
+        if not view.contains(v):
+            raise RankOutOfRange(f"terminal {v} is not in the view")
     model = _MilpModel(view, omega)
     n_arcs = model.n_arc_vars
     # variables: arcs, then m_ab m_ac m_bc, then mu_a mu_b mu_c
@@ -149,5 +155,6 @@ def exact_pi(view, omega) -> int:
     upper = [1] * n_arcs + deg_cap + [max(deg_cap)] * 3
     objective = [0.0] * n_arcs + [0.0] * 3 + [-1.0] * 3
     res = model.solve(rows, n_vars, objective, [1] * n_vars, lower, upper)
-    assert res.status == 0, res.message
+    if res.status != 0:
+        raise TripathsError(f"exact oracle MILP failed: {res.message}")
     return int(round(-res.fun))

@@ -195,7 +195,7 @@ def sample_triples(g: CayleyGraph, count: int, seed: int) -> list[tuple[int, int
     return out
 
 
-def pi3_lower(g: CayleyGraph, triples, seed: int = 0, budget=None) -> LowerBoundReport:
+def pi3_lower(g: CayleyGraph, triples, seed: int = 0) -> LowerBoundReport:
     """Constructive lower bound: build a structure and pair it for every
     triple; the bound is the worst pairing count seen.  Triples whose
     structure cannot be built or is rejected are recorded as failures."""
@@ -207,7 +207,7 @@ def pi3_lower(g: CayleyGraph, triples, seed: int = 0, budget=None) -> LowerBound
     for tri in triples:
         report.evaluated += 1
         try:
-            structure, trace = build_structure(g, tri, seed=mix_seed(seed, *tri), budget=budget)
+            structure, trace = build_structure(g, tri, seed=mix_seed(seed, *tri))
             omega_paths = pair_structure(view, structure)
         except (ConstructionFailed, InvalidStructure) as exc:
             report.failures.append((tri, str(exc)))

@@ -43,7 +43,8 @@ class Transposition:
     j: int
 
     def __post_init__(self):
-        assert 1 <= self.i < self.j, (self.i, self.j)
+        if not 1 <= self.i < self.j:
+            raise ValueError(f"transposition needs 1 <= i < j, got ({self.i} {self.j})")
 
     def text(self) -> str:
         return f"({self.i} {self.j})"

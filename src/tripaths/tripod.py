@@ -74,12 +74,6 @@ class TripodStructure:
 
 
 @dataclass(frozen=True)
-class Budget:
-    max_steps: int = 1_000_000
-    max_restarts: int = 32
-
-
-@dataclass(frozen=True)
 class TripodFailure:
     reason: str
     steps_used: int
@@ -88,6 +82,8 @@ class TripodFailure:
 
 
 _INFEASIBLE = "infeasible"
+_MAX_STEPS = 1_000_000
+_MAX_RESTARTS = 32
 
 
 def _phase_plan(omega, target, pivot):
@@ -175,14 +171,12 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
     return None
 
 
-def solve_tripod(view, omega, target: StructureTarget, budget: Budget | None = None,
-                 seed: int = 0):
+def solve_tripod(view, omega, target: StructureTarget, seed: int = 0):
     """Find a tripod structure hitting the target exactly, or report failure.
 
     Returns TripodStructure on success, else TripodFailure; the failure
     is marked certified when an exact argument rules the target out.
     """
-    budget = budget or Budget()
     if len(set(omega)) != 3:
         raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
     for v in omega:
@@ -191,11 +185,11 @@ def solve_tripod(view, omega, target: StructureTarget, budget: Budget | None = N
     counter = StepCounter()
     certified = False
     restarts = 0
-    for r in range(budget.max_restarts + 1):
+    for r in range(_MAX_RESTARTS + 1):
         restarts = r
         order_seed = None if r == 0 else mix_seed(seed, r)
         for pivot in ("a", "b", "c"):
-            if counter.used >= budget.max_steps:
+            if counter.used >= _MAX_STEPS:
                 break
             res = _two_phase(view, omega, target, pivot, order_seed, counter)
             if res == _INFEASIBLE:
@@ -203,7 +197,7 @@ def solve_tripod(view, omega, target: StructureTarget, budget: Budget | None = N
                 break
             if res is not None:
                 return res
-        if certified or counter.used >= budget.max_steps:
+        if certified or counter.used >= _MAX_STEPS:
             break
     reason = "target certified infeasible" if certified else "search budget exhausted"
     return TripodFailure(reason, counter.used, restarts, certified)

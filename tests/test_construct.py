@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import tripaths.construct
 import tripaths.verification
 from tripaths.construct import (
     CASE_1_1,
@@ -15,6 +16,7 @@ from tripaths.construct import (
     CASE_3_2,
     CASE_3_3,
     CASE_EVEN,
+    CASE_FALLBACK,
     build_structure,
 )
 from tripaths.errors import DuplicateVertices, WrongFamily
@@ -26,6 +28,7 @@ from tripaths.verification import check_tripod
 
 G4 = build(4, Family.WHEEL)
 G5 = build(5, Family.WHEEL)
+G7 = build(7, Family.WHEEL)
 
 
 def _check(g, omega, seed=0):
@@ -150,30 +153,41 @@ def test_omega_order_does_not_matter():
     assert set(one.omega) == {10, 40, 90}
 
 
+def test_route_miss_falls_back_with_its_trace(monkeypatch):
+    # a route that returns None hands the triple to the generic solver
+    monkeypatch.setattr(tripaths.construct, "_two_copies", lambda g, tri, seed: None)
+    omega = (97, 40, 89)
+    structure, trace = _check(G5, omega, seed=4)
+    assert trace.case_id == CASE_FALLBACK and trace.fallback
+    assert trace.roles == dict(zip("abc", sorted(omega)))
+    assert trace.copies == {r: G5.copy_id[v] for r, v in trace.roles.items()}
+    assert trace.auxiliary == {} and trace.seed == 4
+    assert len(pair_structure(full_view(G5), structure)) == formula_value(5)
+
+
 def test_bridged_rotation_regime_n7():
     # rotation steps strictly between 2 and n-2 only exist from n=7 up
-    g7 = build(7, Family.WHEEL)
     a = rank(parse_permutation("[1,2,3,4,5,6,7]"))
     b = rank(parse_permutation("[3,2,4,1,5,6,7]"))
     c = rank(parse_permutation("[4,2,1,3,5,6,7]"))
-    structure, trace = build_structure(g7, (a, b, c), seed=0)
-    verdict = check_tripod(full_view(g7), structure, standard_target(7), exact=True)
+    structure, trace = build_structure(G7, (a, b, c), seed=0)
+    verdict = check_tripod(full_view(G7), structure, standard_target(7), exact=True)
     assert verdict.ok, verdict.violations
     assert trace.case_id == CASE_1_2_2
     assert trace.auxiliary["regime"] == "bridged-j3"
-    omega_set = pair_structure(full_view(g7), structure)
+    omega_set = pair_structure(full_view(G7), structure)
     assert len(omega_set) == 8
 
 
 def test_n7_sample_needs_no_fallback():
-    g7 = build(7, Family.WHEEL)
-    report = pi3_lower(g7, sample_triples(g7, 60, 1), seed=1)
+    report = pi3_lower(G7, sample_triples(G7, 60, 1), seed=1)
     assert report.value == formula_value(7) == 8
     assert report.failures == [] and report.fallback_count == 0
     assert {CASE_1_1, CASE_2, CASE_3_1} <= set(report.case_counts), report.case_counts
 
 
-# one triple per case route reached at n = 5 (OddCase3_3 is not), plus Even
+# one triple per case route: Even at n = 4, the odd routes at n = 5, and
+# OddCase3_3, which no n = 5 triple reaches, at n = 7
 ONE_PER_CASE = [
     (CASE_EVEN, G4, (0, 3, 4)),
     (CASE_1_1, G5, (25, 44, 110)),
@@ -182,6 +196,7 @@ ONE_PER_CASE = [
     (CASE_2, G5, (40, 89, 97)),
     (CASE_3_1, G5, (26, 65, 92)),
     (CASE_3_2, G5, (3, 53, 57)),
+    (CASE_3_3, G7, (957, 1108, 3678)),
 ]
 
 

@@ -74,6 +74,12 @@ def test_apply_generator_is_right_multiplication():
         assert apply_generator(sigma, t) == compose(sigma, as_perm)
 
 
+@pytest.mark.parametrize("i, j", [(0, 2), (2, 2), (3, 2)])
+def test_transposition_needs_ordered_positions(i, j):
+    with pytest.raises(ValueError):
+        Transposition(i, j)
+
+
 def test_involution():
     for t in generator_set(Family.WHEEL, 5).members:
         sigma = unrank(77, 5)

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from tripaths.errors import DuplicateVertices, OracleScaleExceeded, RankOutOfRange
+from tripaths import oracle
+from tripaths.errors import (
+    DuplicateVertices,
+    OracleScaleExceeded,
+    RankOutOfRange,
+    TripathsError,
+)
 from tripaths.graphs import AdjacencyView, build, full_view, spanning_intra_view
 from tripaths.oracle import exact_pi
 from tripaths.pairing import pairing_capacity
@@ -109,6 +115,21 @@ def test_exact_pi_scale_cap():
     g = build(5, Family.WHEEL)
     with pytest.raises(OracleScaleExceeded):
         exact_pi(full_view(g), (0, 1, 2))
+
+
+def test_exact_pi_bad_inputs_raise_typed_errors(monkeypatch):
+    k3 = AdjacencyView({0: [1, 2], 1: [2]})
+    with pytest.raises(DuplicateVertices):
+        exact_pi(k3, (0, 1, 1))
+    with pytest.raises(RankOutOfRange):
+        exact_pi(k3, (0, 1, 7))
+
+    class Failed:
+        status, message = 2, "the problem is infeasible"
+
+    monkeypatch.setattr(oracle._MilpModel, "solve", lambda *args: Failed())
+    with pytest.raises(TripathsError, match="infeasible"):
+        exact_pi(k3, (0, 1, 2))
 
 
 def test_solver_deterministic():
