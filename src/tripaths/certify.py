@@ -52,20 +52,29 @@ def _jsonable(value):
     return str(value)
 
 
-def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
-                     omega_set: OmegaPathSet, pi3: dict | None = None) -> Certificate:
+def _structure_checks(g, structure: TripodStructure, omega_paths) -> list:
+    """The four structure rows a certificate records and its verifier
+    re-checks, as (name, ok, detail, hard): a failed hard row makes the
+    certificate invalid, any other failure a mismatch."""
     view = full_view(g)
     target = standard_target(g.n)
-    rows = []
-    tri_verdict = check_tripod(view, structure, target, exact=True)
-    rows.append({"name": "structure-valid", "pass": tri_verdict.ok})
     counts = structure.counts()
-    rows.append({"name": "bundle-counts-standard",
-                 "pass": counts == target.as_tuple()})
-    om_verdict = check_omega_path_set(view, structure.omega, omega_set.paths)
-    rows.append({"name": "omega-paths-valid", "pass": om_verdict.ok})
-    rows.append({"name": "omega-path-count-maximal",
-                 "pass": len(omega_set) == pairing_capacity(*counts)})
+    verdict = check_tripod(view, structure, target, exact=True)
+    om_verdict = check_omega_path_set(view, structure.omega, omega_paths)
+    return [
+        ("structure-valid", verdict.ok, "; ".join(verdict.violations[:3]), True),
+        ("bundle-counts-standard", counts == target.as_tuple(),
+         f"counts {counts} vs {target.as_tuple()}", False),
+        ("omega-paths-valid", om_verdict.ok, "; ".join(om_verdict.violations[:3]), True),
+        ("omega-path-count-maximal", len(omega_paths) == pairing_capacity(*counts),
+         f"{len(omega_paths)} paths", False),
+    ]
+
+
+def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
+                     omega_set: OmegaPathSet, pi3: dict | None = None) -> Certificate:
+    rows = [{"name": name, "pass": ok}
+            for name, ok, _, _ in _structure_checks(g, structure, omega_set.paths)]
     return Certificate(
         n=g.n,
         family=g.family.value,
@@ -232,9 +241,6 @@ def verify_certificate(cert: Certificate) -> tuple[str, list]:
         g = build(cert.n, family)
     except Exception as exc:
         return "invalid", [("graph-rebuild", False, str(exc))]
-    view = full_view(g)
-    target = standard_target(g.n)
-
     perms_ok = True
     for v, text in zip(cert.omega_ranks, cert.omega_perms):
         try:
@@ -251,20 +257,9 @@ def verify_certificate(cert: Certificate) -> tuple[str, list]:
         structure = _structure_from(cert)
     except Exception as exc:
         return "invalid", rows + [("bundle-shapes", False, str(exc))]
-    verdict = check_tripod(view, structure, target, exact=True)
-    add("structure-valid", verdict.ok,
-        "; ".join(verdict.violations[:3]), hard=True)
-    add("bundle-counts-standard",
-        structure.counts() == target.as_tuple(),
-        f"counts {structure.counts()} vs {target.as_tuple()}")
-
     omega_paths = tuple(Path(tuple(vs)) for vs in cert.omega_paths)
-    om_verdict = check_omega_path_set(view, structure.omega, omega_paths)
-    add("omega-paths-valid", om_verdict.ok,
-        "; ".join(om_verdict.violations[:3]), hard=True)
-    add("omega-path-count-maximal",
-        len(omega_paths) == pairing_capacity(*structure.counts()),
-        f"{len(omega_paths)} paths")
+    for name, ok, detail, hard in _structure_checks(g, structure, omega_paths):
+        add(name, ok, detail, hard)
 
     if cert.pi3 is not None:
         add("pi3-formula", cert.pi3.get("formula") == formula_value(g.n),

@@ -205,6 +205,8 @@ def _cmd_pi3(args, argv) -> int:
         return _fail_usage(str(exc))
     if args.family != "wheel":
         return _fail_usage("the packing bound is certified on the wheel family")
+    if args.jobs < 1:
+        return _fail_usage("--jobs must be at least 1")
     if args.exhaustive:
         if args.n != 4:
             return _fail_usage("--exhaustive is sized for n=4 only")
@@ -225,8 +227,11 @@ def _cmd_pi3(args, argv) -> int:
         size = -(-len(triples) // args.jobs)
         chunks = [triples[i:i + size] for i in range(0, len(triples), size)]
         rep = LowerBoundReport(value=0, evaluated=0)
+        # the pool starts all its workers up front, so ask for no more than
+        # there are chunks or CPUs
         with ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_pi3_worker_init,
+                max_workers=min(len(chunks), os.cpu_count() or 1),
+                initializer=_pi3_worker_init,
                 initargs=(args.n, args.family)) as pool:
             for part in pool.map(_pi3_worker, [(c, args.seed) for c in chunks]):
                 rep.merge(part)

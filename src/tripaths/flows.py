@@ -1,17 +1,17 @@
 """Disjoint-path machinery: unit-capacity flows on one shared
 vertex-split network per graph.
 
-Every request (internally disjoint paths, fans, set-to-set path
-systems, cuts, connectivity) reduces to a max flow in which vertex v is
-split into ``vin(v) = 2v`` and ``vout(v) = 2v + 1``, joined by a
-capacity-1 split arc, and each edge vw becomes the arcs
-``vout(v) -> vin(w)`` and ``vout(w) -> vin(v)``.
+Every request (shortest paths, internally disjoint paths, fans,
+set-to-set path systems, cuts, connectivity) reduces to a max flow in
+which vertex v is split into ``vin(v) = 2v`` and ``vout(v) = 2v + 1``,
+joined by a capacity-1 split arc, and each edge vw becomes the arcs
+``vout(v) -> vin(w)`` and ``vout(w) -> vin(v)``.  Vertices are the
+graph's own integers: Lehmer ranks, or the vertices of an explicit graph.
 
 The static network is built on the first flow query of a graph and
-generator mask and kept on the graph (``CayleyGraph.split_networks``;
-an ``AdjacencyView`` keeps its own).  Arcs are paired ``e`` / ``e ^ 1``
-in flat ``array``s.  A query (``_FlowQuery``) costs only what it
-touches:
+generator mask and kept on the graph (``split_networks``).  Arcs are
+paired ``e`` / ``e ^ 1`` in flat ``array``s.  A query
+(``_FlowQuery``) costs only what it touches:
 
 * the view's vertex set becomes a mask in the BFS ``parent`` template,
   so nodes outside the view are never entered;
@@ -35,14 +35,12 @@ for randomized restarts.
 
 from __future__ import annotations
 
-import enum
 import random
 from array import array
 from bisect import insort
 from dataclasses import dataclass
 
 from .errors import InsufficientConnectivity, RankOutOfRange
-from .graphs import AdjacencyView
 
 _INF = 1 << 30
 _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
@@ -70,18 +68,9 @@ class Path:
         return self.vertices[1:-1]
 
 
-class PathKind(enum.Enum):
-    INTERNALLY_DISJOINT = "internally-disjoint"
-    FULLY_DISJOINT = "fully-disjoint"
-
-
 @dataclass(frozen=True)
 class PathFamily:
     paths: tuple[Path, ...]
-    kind: PathKind
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 @dataclass
@@ -101,24 +90,21 @@ class CutResult:
 class _SplitNetwork:
     """Static split network of one graph under one generator mask.
 
-    ``nbrs[i]`` lists the neighbours of vertex index i in ascending
-    order; ``labels`` names the vertices when they are not ranks.  Arc
-    2i is the split arc of vertex i, the edge arcs follow vertex by
+    ``nbrs[v]`` lists the neighbours of vertex v in ascending order.
+    Arc 2v is the split arc of vertex v, the edge arcs follow vertex by
     vertex in adjacency order, and every arc starts at its unit
     capacity (0 for the reverse arc of a pair).  The super source and
     sink are the two nodes after the vertex nodes.
 
-    The row of ``vout(i)`` holds the split reverse arc and the edge arcs
-    of vertex i.  The row of ``vin(i)`` holds only the split arc: the
+    The row of ``vout(v)`` holds the split reverse arc and the edge arcs
+    of vertex v.  The row of ``vin(v)`` holds only the split arc: the
     reverse arcs of the edges into it carry nothing until a query pushes
     flow, and ``_FlowQuery.max_flow`` lists each one while it does.
     """
 
-    def __init__(self, nbrs, labels=None):
+    def __init__(self, nbrs):
         nv = len(nbrs)
         self.vertex_count = nv
-        self.labels = labels
-        self.index = None if labels is None else {v: i for i, v in enumerate(labels)}
         self.source, self.sink = 2 * nv, 2 * nv + 1
         to = array("i", [0]) * (2 * nv)
         for i in range(nv):
@@ -144,23 +130,12 @@ class _SplitNetwork:
 
 def _network(view) -> _SplitNetwork:
     """The static network a view's queries run on, built on first use and
-    kept on the graph (an AdjacencyView is its own graph)."""
-    if isinstance(view, AdjacencyView):
-        cache, key = view.split_networks, None
-    else:
-        cache, key = view.graph.split_networks, view.allowed_gens
-    net = cache.get(key)
+    kept on the graph."""
+    cache, gens = view.graph.split_networks, view.allowed_gens
+    net = cache.get(gens)
     if net is None:
-        if isinstance(view, AdjacencyView):
-            labels = view.vertices()
-            index = {v: i for i, v in enumerate(labels)}
-            net = _SplitNetwork([[index[w] for w, _ in view.neighbors(v)] for v in labels],
-                                labels)
-        else:
-            gens = view.allowed_gens
-            net = _SplitNetwork([[w for w, gi in row if gens is None or gi in gens]
-                                 for row in view.graph.adj])
-        cache[key] = net
+        net = cache[gens] = _SplitNetwork([[w for w, gi in row if gens is None or gi in gens]
+                                           for row in view.graph.adj])
     return net
 
 
@@ -178,15 +153,13 @@ class _FlowQuery:
         self.net = net = _network(view)
         if net.busy:
             raise RuntimeError("flow queries on one network cannot nest")
-        self._ix = (lambda v: v) if net.index is None else net.index.__getitem__
         self.source, self.sink = net.source, net.sink
         self.saved: dict[int, int] = {}  # arc -> capacity before the query
         self.saved_rows: dict[int, array] = {}
         self.init: dict[int, int] = {}  # augmented even arc -> capacity at query start
         net.busy = True
         try:
-            allowed = None if isinstance(view, AdjacencyView) else view.allowed
-            self.template = self._template(allowed, removed)
+            self.template = self._template(view.allowed, removed)
             self._edit(entry_blocked, exit_blocked, no_split, uncapped, order_seed)
         except BaseException:
             self._restore()
@@ -199,10 +172,10 @@ class _FlowQuery:
         self._restore()
 
     def vin(self, v: int) -> int:
-        return 2 * self._ix(v)
+        return 2 * v
 
     def vout(self, v: int) -> int:
-        return 2 * self._ix(v) + 1
+        return 2 * v + 1
 
     def _template(self, allowed, removed) -> list[int]:
         """BFS ``parent`` start: -1 for nodes the query may enter."""
@@ -215,27 +188,26 @@ class _FlowQuery:
             for v in allowed:
                 tpl[2 * v] = tpl[2 * v + 1] = -1
         for v in removed:
-            i = self._ix(v)
-            tpl[2 * i] = tpl[2 * i + 1] = _OFF_VIEW
+            tpl[2 * v] = tpl[2 * v + 1] = _OFF_VIEW
         return tpl
 
     def _edit(self, entry_blocked, exit_blocked, no_split, uncapped, order_seed) -> None:
-        rows, to, ix = self.net.rows, self.net.to, self._ix
+        rows, to = self.net.rows, self.net.to
         for v in uncapped:
             if v not in no_split:
-                self._set_cap(2 * ix(v), _INF)
+                self._set_cap(2 * v, _INF)
         for v in no_split:
-            self._set_cap(2 * ix(v), 0)
+            self._set_cap(2 * v, 0)
         for v in entry_blocked:
             # the edge arcs into vin(v) start in its neighbours' vout rows
-            head = 2 * ix(v)
+            head = 2 * v
             for e in rows[head + 1][1:]:
                 for f in rows[to[e] + 1][1:]:
                     if to[f] == head:
                         self._set_cap(f, 0)
-        stuck = {ix(v) for v in exit_blocked} | {ix(v) for v in no_split}
-        for i in stuck:
-            for e in rows[2 * i + 1][1:]:
+        stuck = set(exit_blocked) | set(no_split)
+        for v in stuck:
+            for e in rows[2 * v + 1][1:]:
                 self._set_cap(e, 0)
         if order_seed is not None:
             self._shuffle(random.Random(order_seed), stuck)
@@ -244,13 +216,13 @@ class _FlowQuery:
         """Reorder the forward arcs of every in-view vertex but the stuck
         ones, in ascending order, as a shuffle of its in-view neighbours."""
         rows, to, tpl = self.net.rows, self.net.to, self.template
-        for i in range(self.net.vertex_count):
-            if tpl[2 * i] != -1 or i in stuck:
+        for v in range(self.net.vertex_count):
+            if tpl[2 * v] != -1 or v in stuck:
                 continue
-            row = rows[2 * i + 1]
+            row = rows[2 * v + 1]
             arcs = array("i", [e for e in row[1:] if tpl[to[e]] == -1])
             rng.shuffle(arcs)
-            self._own_row(2 * i + 1)[1:] = arcs
+            self._own_row(2 * v + 1)[1:] = arcs
 
     def _set_cap(self, e: int, c: int) -> None:
         cap = self.net.cap
@@ -353,10 +325,7 @@ class _FlowQuery:
         return value
 
     def _vertex(self, node: int) -> int | None:
-        if node >= self.net.source:
-            return None
-        i = node >> 1
-        return i if self.net.labels is None else self.net.labels[i]
+        return None if node >= self.net.source else node >> 1
 
     def extract_paths(self, source: int, sink: int) -> list[Path]:
         """Decompose the flow into walks from source to sink.
@@ -442,29 +411,19 @@ def _distinct(items, what: str) -> list:
 
 
 def shortest_path(view, u: int, v: int, avoid=frozenset()) -> Path | None:
-    """BFS path from u to v with interior vertices outside `avoid`."""
+    """Shortest path from u to v with interior vertices outside `avoid`:
+    the first augmenting path of a u-v flow."""
     avoid = frozenset(avoid)
     if u in avoid or v in avoid:
         raise ValueError(f"path ends {u}, {v} cannot be avoided")
+    _require(view, (u, v))
     if u == v:
         return Path((u,))
-    parent = {u: None}
-    queue = [u]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for w, _ in view.neighbors(x):
-            if w in parent or w in avoid:
-                continue
-            parent[w] = x
-            if w == v:
-                out = [w]
-                while parent[out[-1]] is not None:
-                    out.append(parent[out[-1]])
-                return Path(tuple(reversed(out)))
-            queue.append(w)
-    return None
+    with _FlowQuery(view, entry_blocked=(u,), exit_blocked=(v,), uncapped=(u, v),
+                    removed=[w for w in avoid if view.contains(w)]) as q:
+        q.max_flow(q.vout(u), q.vin(v), 1)
+        paths = q.extract_paths(q.vout(u), q.vin(v))
+    return paths[0] if paths else None
 
 
 def _check_pair(view, u: int, v: int) -> None:
@@ -485,11 +444,10 @@ def max_internally_disjoint_paths(view, u: int, v: int, limit: int | None = None
                     uncapped=(u, v)) as q:
         q.max_flow(q.vout(u), q.vin(v), goal, counter)
         paths = q.extract_paths(q.vout(u), q.vin(v))
-    return PathFamily(tuple(paths), PathKind.INTERNALLY_DISJOINT)
+    return PathFamily(tuple(paths))
 
 
-def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
-          counter: StepCounter | None = None) -> PathFamily:
+def k_fan(view, x: int, targets, k: int, order_seed: int | None = None) -> PathFamily:
     """k paths from x to k distinct members of `targets`, pairwise sharing
     only x and internally avoiding the whole target set."""
     targets = _distinct(targets, "fan targets")
@@ -503,9 +461,8 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
                     uncapped=(x,)) as q:
         for y in ys:
             q.add_arc(q.vin(y), q.sink, 1)
-        value = q.max_flow(q.vout(x), q.sink, k, counter)
-        fam = PathFamily(tuple(q.extract_paths(q.vout(x), q.sink)),
-                         PathKind.INTERNALLY_DISJOINT)
+        value = q.max_flow(q.vout(x), q.sink, k)
+        fam = PathFamily(tuple(q.extract_paths(q.vout(x), q.sink)))
         if value < k:
             raise InsufficientConnectivity(
                 f"fan from {x} reached only {value} of {k} targets",
@@ -513,8 +470,7 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
     return fam
 
 
-def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None,
-                       counter: StepCounter | None = None) -> PathFamily:
+def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> PathFamily:
     """k pairwise fully disjoint paths from X to Y, internally avoiding
     X and Y; members of X∩Y count as zero-length paths."""
     xs, ys = _distinct(xs, "terminals"), _distinct(ys, "terminals")
@@ -526,7 +482,7 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None,
     zero = [Path((w,)) for w in shared[:k]]
     need = k - len(zero)
     if need <= 0:
-        return PathFamily(tuple(zero), PathKind.FULLY_DISJOINT)
+        return PathFamily(tuple(zero))
     xonly = [v for v in xset if v not in shared]
     yonly = [v for v in yset if v not in shared]
     with _FlowQuery(view, order_seed=order_seed, entry_blocked=xonly, exit_blocked=yonly,
@@ -535,9 +491,8 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None,
             q.add_arc(q.source, q.vin(x), 1)
         for y in yonly:
             q.add_arc(q.vin(y), q.sink, 1)
-        value = q.max_flow(q.source, q.sink, need, counter)
-        fam = PathFamily(tuple(zero + q.extract_paths(q.source, q.sink)),
-                         PathKind.FULLY_DISJOINT)
+        value = q.max_flow(q.source, q.sink, need)
+        fam = PathFamily(tuple(zero + q.extract_paths(q.source, q.sink)))
         if value < need:
             cut = q.witness_cut(q.source, set())
             raise InsufficientConnectivity(
@@ -546,34 +501,34 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None,
     return fam
 
 
-def _pair_flow(view, u: int, v: int, drop_direct: bool, counter,
+def _pair_flow(view, u: int, v: int, drop_direct: bool,
                want_cut: bool) -> tuple[int, tuple[int, ...] | None]:
     """Flow value from u to v and, if asked, the residual vertex cut."""
     cap = min(view.degree(u), view.degree(v)) + 1
     with _FlowQuery(view, entry_blocked=(u,), exit_blocked=(v,), uncapped=(u, v)) as q:
         if drop_direct:
             q.drop_edge(u, v)
-        value = q.max_flow(q.vout(u), q.vin(v), cap, counter)
+        value = q.max_flow(q.vout(u), q.vin(v), cap)
         return value, (q.witness_cut(q.vout(u), {u, v}) if want_cut else None)
 
 
-def min_vertex_cut(view, u: int, v: int, counter: StepCounter | None = None) -> CutResult:
+def min_vertex_cut(view, u: int, v: int) -> CutResult:
     """Minimum u,v-separator; adjacent pairs are cut in the graph minus
     the direct edge and flagged."""
     _check_pair(view, u, v)
     adjacent = view.adjacent(u, v)
-    _, cut = _pair_flow(view, u, v, adjacent, counter, want_cut=True)
+    _, cut = _pair_flow(view, u, v, adjacent, want_cut=True)
     return CutResult(cut, adjacent)
 
 
-def local_connectivity(view, u: int, v: int, counter: StepCounter | None = None) -> int:
+def local_connectivity(view, u: int, v: int) -> int:
     """Maximum number of internally disjoint u-v paths (direct edge counts)."""
     _check_pair(view, u, v)
-    value, _ = _pair_flow(view, u, v, False, counter, want_cut=False)
+    value, _ = _pair_flow(view, u, v, False, want_cut=False)
     return value
 
 
-def vertex_connectivity(view, counter: StepCounter | None = None) -> int:
+def vertex_connectivity(view) -> int:
     """Connectivity of the view: 0 if disconnected, n-1 if complete,
     else the min over a standard candidate family of pair connectivities."""
     verts = view.vertices()
@@ -603,10 +558,10 @@ def vertex_connectivity(view, counter: StepCounter | None = None) -> int:
     for w in verts:
         if w == v0 or w in nbr_set:
             continue
-        best = min(best, local_connectivity(view, v0, w, counter))
+        best = min(best, local_connectivity(view, v0, w))
     for i in range(len(nbrs)):
         for j in range(i + 1, len(nbrs)):
             x, y = nbrs[i], nbrs[j]
             if not view.adjacent(x, y):
-                best = min(best, local_connectivity(view, x, y, counter))
+                best = min(best, local_connectivity(view, x, y))
     return best

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DuplicateVertices, RankOutOfRange, SameCopy, WrongFamily
-from .perms import Family, generator_set, permutation_text, unrank
+from .perms import MAX_DEGREE, Family, generator_set, permutation_text, unrank
+
+_MAX_LABELS = factorial(MAX_DEGREE)  # vertices of the largest graph built
 
 
 class CayleyGraph:
@@ -73,11 +75,12 @@ def build(n: int, family: Family) -> CayleyGraph:
 class View:
     """Restriction of a graph to a vertex subset and/or generator subset.
 
-    None means unrestricted.  Views compose; flows and solvers only
-    ever see the graph through a View.
+    The graph is a CayleyGraph or an ExplicitGraph.  None means
+    unrestricted.  Views compose; flows and solvers only ever see the
+    graph through a View.
     """
 
-    graph: CayleyGraph
+    graph: CayleyGraph | ExplicitGraph
     allowed: frozenset[int] | None = None
     allowed_gens: frozenset[int] | None = None
 
@@ -128,49 +131,36 @@ def full_view(g: CayleyGraph) -> View:
     return View(g)
 
 
-class AdjacencyView:
-    """View-compatible wrapper over an explicit adjacency mapping.
+class ExplicitGraph:
+    """An ad-hoc graph with the attributes a View reads: ``adj`` rows
+    indexed by label (empty for unused labels), ``vertex_count`` one past
+    the largest label, and the flow-network cache."""
 
-    Lets the solvers and checkers run on small ad-hoc graphs; neighbor
-    entries carry -1 in place of a generator index.
+    def __init__(self, nbrs: dict[int, set[int]]):
+        self.vertex_count = max(nbrs, default=-1) + 1
+        self.adj = tuple(tuple((w, -1) for w in sorted(nbrs.get(v, ())))
+                         for v in range(self.vertex_count))
+        self.split_networks: dict = {}
+
+
+def AdjacencyView(adjacency: dict) -> View:
+    """View of an explicit adjacency mapping, so the solvers and checkers
+    run on small ad-hoc graphs; neighbor entries carry -1 in place of a
+    generator index.
+
+    Labels index the graph's rows, so each must be an int in
+    [0, 8!), the size of the largest graph the package builds.
     """
-
-    def __init__(self, adjacency: dict):
-        nbrs: dict[int, set[int]] = {v: set() for v in adjacency}
-        for v, ws in adjacency.items():
-            for w in ws:
-                if w == v:
-                    continue
+    nbrs: dict[int, set[int]] = {v: set() for v in adjacency}
+    for v, ws in adjacency.items():
+        for w in ws:
+            if w != v:
                 nbrs.setdefault(v, set()).add(w)
                 nbrs.setdefault(w, set()).add(v)
-        self._nbrs = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
-        self.split_networks: dict = {}  # the flow network, built on first use
-
-    def contains(self, v: int) -> bool:
-        return v in self._nbrs
-
-    def vertices(self) -> list[int]:
-        return sorted(self._nbrs)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._nbrs)
-
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        return [(w, -1) for w in self._nbrs[v]]
-
-    def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return v in self._nbrs[u]
-
-    def without(self, removed) -> "AdjacencyView":
-        removed = set(removed)
-        return AdjacencyView({
-            v: [w for w in ws if w not in removed]
-            for v, ws in self._nbrs.items() if v not in removed
-        })
+    for v in nbrs:
+        if type(v) is not int or not 0 <= v < _MAX_LABELS:
+            raise ValueError(f"adjacency label {v!r} is not an int in [0, {_MAX_LABELS})")
+    return View(ExplicitGraph(nbrs), frozenset(nbrs))
 
 
 def spanning_intra_view(g: CayleyGraph) -> View:

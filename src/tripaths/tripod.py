@@ -27,10 +27,6 @@ class StructureTarget:
     ac: int
     bc: int
 
-    @property
-    def total(self) -> int:
-        return self.ab + self.ac + self.bc
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.ab, self.ac, self.bc)
 

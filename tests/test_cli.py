@@ -133,6 +133,49 @@ def test_pi3_jobs_agree_with_serial(tmp_path, capsys):
     assert sidecar_serial["worst_triple"] is not None
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: runs the chunks in this process
+    and records how many workers the pool was asked for."""
+
+    asked: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.asked.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pi3_jobs_never_exceed_the_chunks_or_cpus(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tripaths.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(tripaths.cli, "_WORKER_GRAPH", None)
+    monkeypatch.setattr(_InlinePool, "asked", [])
+    args = ["pi3", "--n", "5", "--samples", "3", "--seed", "2"]
+    assert main(args + ["--report", str(tmp_path / "serial.txt")]) == EXIT_OK
+    assert _InlinePool.asked == []
+    assert main(args + ["--jobs", "5000", "--report", str(tmp_path / "jobs.txt")]) == EXIT_OK
+    capsys.readouterr()
+    assert _InlinePool.asked == [min(3, os.cpu_count() or 1)]
+    assert (json.loads((tmp_path / "jobs.txt.json").read_text())
+            == json.loads((tmp_path / "serial.txt.json").read_text()))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_pi3_jobs_below_one_is_a_usage_error(jobs, capsys, monkeypatch):
+    monkeypatch.setattr(tripaths.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "asked", [])
+    assert main(["pi3", "--n", "5", "--samples", "3", "--jobs", jobs]) == EXIT_USAGE
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert _InlinePool.asked == []
+
+
 def test_lemmas_pass(capsys):
     assert main(["lemmas", "--n", "4"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -2,7 +2,11 @@
 
 import random
 
+import pytest
+
+from tripaths.errors import RankOutOfRange
 from tripaths.flows import (
+    _network,
     Path,
     disjoint_set_paths,
     k_fan,
@@ -12,12 +16,21 @@ from tripaths.flows import (
     shortest_path,
     vertex_connectivity,
 )
-from tripaths.graphs import build, copy_union, full_view
+from tripaths.graphs import (
+    AdjacencyView,
+    build,
+    copy_union,
+    delete_copies,
+    full_view,
+    spanning_intra_view,
+)
 from tripaths.perms import Family
+from tripaths.tripod import StructureTarget, TripodStructure, solve_tripod
 from tripaths.verification import (
     check_disjoint_set_paths,
     check_fan,
     check_internally_disjoint,
+    check_tripod,
 )
 
 
@@ -38,6 +51,93 @@ def test_shortest_path():
     for u, w in zip(p.vertices, p.vertices[1:]):
         assert view.adjacent(u, w)
     assert shortest_path(view, 0, 23, avoid=set(range(1, 23))) is None
+
+
+def _reference_shortest_path(view, u, v, avoid=frozenset()):
+    """Plain BFS over view.neighbors, scanning neighbours in ascending
+    order: the reference shortest_path must match path for path."""
+    if u == v:
+        return Path((u,))
+    parent = {u: None}
+    queue = [u]
+    for x in queue:
+        for w, _ in view.neighbors(x):
+            if w in parent or w in avoid:
+                continue
+            parent[w] = x
+            if w == v:
+                out = [w]
+                while parent[out[-1]] is not None:
+                    out.append(parent[out[-1]])
+                return Path(tuple(reversed(out)))
+            queue.append(w)
+    return None
+
+
+def _views(n, rng):
+    g = build(n, Family.WHEEL)
+    return {
+        "full": full_view(g),
+        "copy-union": copy_union(g, rng.sample(range(1, n + 1), 2)),
+        "minus-copy": delete_copies(g, {rng.randint(1, n)}),
+        "spanning": spanning_intra_view(g),
+        "adjacency": AdjacencyView({v: [rng.randrange(3, 60) for _ in range(2)]
+                                    for v in range(3, 60)}),
+    }
+
+
+def test_shortest_path_matches_reference_bfs():
+    rng = random.Random(2024)
+    unreachable = 0
+    for n in (4, 5, 6):
+        for kind, view in _views(n, rng).items():
+            verts = view.vertices()
+            for _ in range(120):
+                u, v = rng.choice(verts), rng.choice(verts)
+                rest = [w for w in verts if w not in (u, v)]
+                avoid = set(rng.sample(rest, rng.randint(0, len(rest) // 3)))
+                got = shortest_path(view, u, v, avoid)
+                assert got == _reference_shortest_path(view, u, v, avoid), (n, kind, u, v)
+                unreachable += got is None
+            # every neighbour of u avoided: nothing but the direct edge is left
+            u, v = verts[0], verts[-1]
+            avoid = {w for w, _ in view.neighbors(u)} - {v}
+            got = shortest_path(view, u, v, avoid)
+            assert got == _reference_shortest_path(view, u, v, avoid)
+            assert got is None or got.vertices == (u, v)
+            unreachable += got is None
+    assert unreachable > 0
+
+
+def test_shortest_path_ends_must_lie_in_the_view():
+    view = copy_union(build(5, Family.WHEEL), {1})
+    inside = view.vertices()[0]
+    outside = next(v for v in range(120) if not view.contains(v))
+    for u, v in ((inside, outside), (outside, inside), (inside, 120), (-1, inside)):
+        with pytest.raises(RankOutOfRange):
+            shortest_path(view, u, v)
+    with pytest.raises(ValueError, match="cannot be avoided"):
+        shortest_path(view, inside, inside, avoid={inside})
+
+
+def test_shortest_path_ignores_avoided_vertices_outside_the_view():
+    view = copy_union(build(5, Family.WHEEL), {1})
+    u, v = view.vertices()[0], view.vertices()[-1]
+    outside = next(w for w in range(120) if not view.contains(w))
+    assert shortest_path(view, u, v, avoid={outside, 120, 10**6, -5}) == shortest_path(view, u, v)
+
+
+def test_adjacency_view_without_shares_its_network():
+    # theta graph: three strands from 0 to 3, plus a chord 1-6
+    theta = AdjacencyView({0: [1, 4, 6], 1: [2, 6], 2: [3], 4: [5], 5: [3], 6: [3]})
+    cut = theta.without({4})
+    fam = max_internally_disjoint_paths(cut, 0, 3)
+    assert sorted(p.vertices for p in fam.paths) == [(0, 1, 2, 3), (0, 6, 3)]
+    assert _network(cut) is _network(theta)
+    target = StructureTarget(1, 1, 1)
+    res = solve_tripod(cut, (0, 3, 6), target)
+    assert isinstance(res, TripodStructure), res
+    assert check_tripod(cut, res, target).ok
 
 
 def test_connectivity_bss():

@@ -7,6 +7,8 @@ import pytest
 
 from tripaths.errors import SameCopy, WrongFamily
 from tripaths.graphs import (
+    AdjacencyView,
+    View,
     build,
     common_neighbors,
     copy_of,
@@ -181,3 +183,30 @@ def test_edgelist_export():
         assert u < w
         seen.add((u, w))
     assert len(seen) == 72
+
+
+def test_adjacency_view_is_a_view_over_its_labels():
+    view = AdjacencyView({10: [11, 12], 11: [12], 13: []})
+    assert type(view) is View
+    assert view.vertices() == [10, 11, 12, 13]
+    assert view.neighbors(10) == [(11, -1), (12, -1)]
+    assert view.neighbors(12) == [(10, -1), (11, -1)]
+    assert view.degree(13) == 0
+    assert view.graph.vertex_count == 14
+    assert not view.contains(0) and not view.contains(14)
+    assert view.without({11}).vertices() == [10, 12, 13]
+    assert view.without({11}).graph is view.graph
+
+
+@pytest.mark.parametrize("adjacency", [
+    {10**9: [1]}, {0: [10**9]}, {40320: []}, {-1: [0]}, {"7": [0]}, {0: [2.0]}, {True: [0]},
+])
+def test_adjacency_view_rejects_labels_outside_the_table(adjacency):
+    with pytest.raises(ValueError, match="adjacency label"):
+        AdjacencyView(adjacency)
+
+
+def test_adjacency_view_accepts_the_largest_label():
+    view = AdjacencyView({40319: [0]})
+    assert view.vertices() == [0, 40319]
+    assert view.graph.vertex_count == 40320
