@@ -387,7 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         "lemmas": _cmd_lemmas,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args, argv)
+    try:
+        return handlers[args.command](args, argv)
+    except OSError as exc:  # an output file that cannot be written
+        return _fail_usage(f"cannot write output: {exc}")
 
 
 def run() -> None:

@@ -22,15 +22,15 @@ paired ``e`` / ``e ^ 1`` in flat ``array``s.  A query
   it ends, also when it raises.
 
 Augmentation is Edmonds-Karp: BFS shortest paths with every row scanned
-in a fixed order, so results are deterministic.  ``vin(v)`` scans its
-split arc, then the reverse arcs from its neighbours in ascending rank,
-then its terminal arcs.  It lists the reverse arc of an edge only while
-the edge carries flow, since only then has that arc capacity: an
-augmentation inserts it in order when it pushes a unit along the edge
-and removes it when it cancels that unit.  ``vout(v)`` scans its split
-reverse arc, then its forward arcs in adjacency order.  An order seed
-reshuffles the forward arcs of every vertex with one ``random.Random``
-for randomized restarts.
+in a fixed order, so results are deterministic.  A row lists the reverse
+arc of a static pair only while the pair carries flow, since only then
+has it capacity: an augmentation inserts it in order when its capacity
+leaves 0 and removes it when the capacity returns to 0.  So ``vin(v)``
+scans its split arc, the reverse arcs of flow-carrying edges in ascending
+rank and its terminal arcs; ``vout(v)`` its split reverse arc while v
+carries flow, its forward arcs in adjacency order and its terminal arcs.
+An order seed reshuffles the forward arcs for randomized restarts, with
+the swaps ``random.Random(seed).shuffle`` would make, drawn inline.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ class _SplitNetwork:
     capacity (0 for the reverse arc of a pair).  The super source and
     sink are the two nodes after the vertex nodes.
 
-    The row of ``vout(v)`` holds the split reverse arc and the edge arcs
-    of vertex v.  The row of ``vin(v)`` holds only the split arc: the
-    reverse arcs of the edges into it carry nothing until a query pushes
-    flow, and ``_FlowQuery.max_flow`` lists each one while it does.
+    The row of ``vout(v)`` holds the edge arcs of vertex v and the row of
+    ``vin(v)`` only its split arc: every reverse arc, the split reverse
+    arc included, starts at capacity 0, and ``_FlowQuery.max_flow`` lists
+    one in the row of its tail only while its pair carries flow.
     """
 
     def __init__(self, nbrs):
@@ -114,8 +114,7 @@ class _SplitNetwork:
         for i, ws in enumerate(nbrs):
             first = len(to)
             rows.append(array("i", [2 * i]))
-            rows.append(array("i", [2 * i + 1])
-                        + array("i", range(first, first + 2 * len(ws), 2)))
+            rows.append(array("i", range(first, first + 2 * len(ws), 2)))
             for w in ws:
                 to.append(2 * w)
                 to.append(2 * i + 1)
@@ -201,28 +200,32 @@ class _FlowQuery:
         for v in entry_blocked:
             # the edge arcs into vin(v) start in its neighbours' vout rows
             head = 2 * v
-            for e in rows[head + 1][1:]:
-                for f in rows[to[e] + 1][1:]:
+            for e in rows[head + 1]:
+                for f in rows[to[e] + 1]:
                     if to[f] == head:
                         self._set_cap(f, 0)
         stuck = set(exit_blocked) | set(no_split)
         for v in stuck:
-            for e in rows[2 * v + 1][1:]:
+            for e in rows[2 * v + 1]:
                 self._set_cap(e, 0)
         if order_seed is not None:
-            self._shuffle(random.Random(order_seed), stuck)
+            self._shuffle(random.Random(order_seed).getrandbits, stuck)
 
-    def _shuffle(self, rng, stuck) -> None:
-        """Reorder the forward arcs of every in-view vertex but the stuck
-        ones, in ascending order, as a shuffle of its in-view neighbours."""
+    def _shuffle(self, getrandbits, stuck) -> None:
+        """Shuffle the in-view forward arcs of every in-view vertex but the
+        stuck ones, in ascending order, with ``Random.shuffle``'s draws."""
         rows, to, tpl = self.net.rows, self.net.to, self.template
         for v in range(self.net.vertex_count):
             if tpl[2 * v] != -1 or v in stuck:
                 continue
-            row = rows[2 * v + 1]
-            arcs = array("i", [e for e in row[1:] if tpl[to[e]] == -1])
-            rng.shuffle(arcs)
-            self._own_row(2 * v + 1)[1:] = arcs
+            arcs = [e for e in rows[2 * v + 1] if tpl[to[e]] == -1]
+            for i in range(len(arcs) - 1, 0, -1):
+                k = (i + 1).bit_length()
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                arcs[i], arcs[j] = arcs[j], arcs[i]
+            self._own_row(2 * v + 1)[:] = array("i", arcs)
 
     def _set_cap(self, e: int, c: int) -> None:
         cap = self.net.cap
@@ -267,14 +270,14 @@ class _FlowQuery:
     def drop_edge(self, u: int, v: int) -> None:
         """Remove the arc vout(u) -> vin(v) of an edge for this query."""
         to, head = self.net.to, self.vin(v)
-        for e in self.net.rows[self.vout(u)][1:]:
+        for e in self.net.rows[self.vout(u)]:
             if to[e] == head:
                 self._set_cap(e, 0)
 
     def max_flow(self, s: int, t: int, limit: int, counter: StepCounter | None = None) -> int:
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
         template, saved, init = self.template, self.saved, self.init
-        first_edge, last_edge = 2 * self.net.vertex_count, self.net.arc_count
+        last_static = self.net.arc_count
         value = 0
         while value < limit:
             if counter is not None:
@@ -285,13 +288,12 @@ class _FlowQuery:
             push = queue.append
             for u in queue:
                 for e in rows[u]:
-                    if cap[e] > 0:
-                        w = to[e]
-                        if parent[w] == -1:
-                            parent[w] = e
-                            if w == t:
-                                break
-                            push(w)
+                    w = to[e]
+                    if parent[w] == -1 and cap[e] > 0:
+                        parent[w] = e
+                        if w == t:
+                            break
+                        push(w)
                 else:
                     continue
                 break
@@ -314,12 +316,12 @@ class _FlowQuery:
                     saved.setdefault(k + 1, cap[k + 1])
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck
-                if first_edge <= k < last_edge:
-                    # a unit edge arc: its reverse arc k + 1, in the row of
-                    # its head, opens with the push and closes with the cancel
-                    if e == k:
+                if k < last_static:
+                    # reverse arc k + 1 of a static pair is in the row of the
+                    # head of k (a split reverse arc sorts first) while open
+                    if e == k and cap[k + 1] == bottleneck:
                         insort(self._own_row(to[k]), k + 1)
-                    else:
+                    elif e != k and not cap[k + 1]:
                         self._own_row(to[k]).remove(k + 1)
             value += bottleneck
         return value
@@ -529,25 +531,14 @@ def local_connectivity(view, u: int, v: int) -> int:
 
 
 def vertex_connectivity(view) -> int:
-    """Connectivity of the view: 0 if disconnected, n-1 if complete,
-    else the min over a standard candidate family of pair connectivities."""
+    """Connectivity of the view: n-1 if complete, else the min over a
+    standard candidate family of pair connectivities.  A disconnected
+    view reads 0: some non-neighbour of the minimum-degree vertex lies
+    in another component, or that vertex is isolated."""
     verts = view.vertices()
     nv = len(verts)
     if nv < 2:
         raise ValueError("connectivity needs at least two vertices")
-    # connectivity check by BFS
-    seen = {verts[0]}
-    queue = [verts[0]]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for w, _ in view.neighbors(x):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) < nv:
-        return 0
     degs = {v: view.degree(v) for v in verts}
     if all(d == nv - 1 for d in degs.values()):
         return nv - 1

@@ -189,9 +189,15 @@ def outside_neighbors(g: CayleyGraph, v: int) -> tuple[int, int, int]:
     if g.family is not Family.WHEEL:
         raise WrongFamily("outside-neighbor triple is defined for the wheel family")
     g.check_rank(v)
-    by_gen = {gi: w for w, gi in g.adj[v]}
     plus, minus, star = g.outside_gens
-    return (by_gen[plus], by_gen[minus], by_gen[star])
+    for w, gi in g.adj[v]:
+        if gi == plus:
+            vp = w
+        elif gi == minus:
+            vm = w
+        elif gi == star:
+            vs = w
+    return (vp, vm, vs)
 
 
 def _check_copy_ids(g: CayleyGraph, copies) -> frozenset[int]:

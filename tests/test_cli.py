@@ -320,3 +320,27 @@ def test_structure_and_verify_under_optimize(tmp_path):
     done = _child(["-O", "-m", "tripaths.cli", "verify", str(cert)], timeout=120)
     assert done.returncode == EXIT_OK, done.stderr
     assert "status     : ok" in done.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "4", "--output"],
+    ["structure", "--n", "4", "--random", "--certificate"],
+    ["pi3", "--n", "4", "--samples", "3", "--report"],
+    ["lemmas", "--n", "4", "--report"],
+], ids=lambda args: args[0])
+def test_unwritable_output_is_a_usage_error(args, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    assert main(args + [str(target)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and str(target) in err
+
+
+@pytest.mark.parametrize("args", [
+    ["structure", "--n", "4", "--random"],
+    ["pi3", "--n", "4", "--samples", "3"],
+    ["lemmas", "--n", "4"],
+], ids=lambda args: args[0])
+def test_missing_outdir_is_a_usage_error(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TRIPATHS_OUTDIR", str(tmp_path / "missing"))
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot write output")

@@ -303,10 +303,12 @@ def _flowing_edges(net) -> set:
     return {k for k in range(2 * net.vertex_count, net.arc_count, 2) if cap[k + 1] > 0}
 
 
-def _assert_vin_rows(net) -> None:
+def _assert_rows(net) -> None:
     """Each vin row: its split arc, the reverse arcs of the edges into it
-    that carry flow in ascending order, then its terminal arcs."""
-    to = net.to
+    that carry flow in ascending order, then its terminal arcs.  Each vout
+    row starts with its split reverse arc exactly while the split arc
+    carries flow, and lists it nowhere else."""
+    to, cap = net.to, net.cap
     reverse = {}
     for k in sorted(_flowing_edges(net)):
         reverse.setdefault(to[k], []).append(k + 1)
@@ -316,25 +318,32 @@ def _assert_vin_rows(net) -> None:
     for i in range(net.vertex_count):
         node = 2 * i
         assert list(net.rows[node]) == [node] + reverse.get(node, []) + terminal.get(node, [])
+        vout = list(net.rows[node + 1])
+        carries = cap[node + 1] > 0
+        assert vout.count(node + 1) == carries and (vout[:1] == [node + 1]) == carries
 
 
-def test_vin_rows_list_reverse_arcs_only_while_they_carry_flow(monkeypatch):
-    """Push one unit at a time inside live queries and check the vin rows
-    after every push, through exchange repair and shortfalls."""
-    seen = {"pushes": 0, "cancels": 0, "shortfalls": 0}
+def test_rows_list_reverse_arcs_only_while_they_carry_flow(monkeypatch):
+    """Push one unit at a time inside live queries and check the vin and
+    vout rows after every push, through exchange repair and shortfalls."""
+    seen = {"pushes": 0, "cancels": 0, "split_cancels": 0, "shortfalls": 0}
     push_units = _FlowQuery.max_flow
+
+    def split_flow(net):
+        return {v for v in range(net.vertex_count) if net.cap[2 * v + 1] > 0}
 
     def stepped(self, s, t, limit, counter=None):
         value = 0
         while value < limit:
-            before = _flowing_edges(self.net)
+            before, before_split = _flowing_edges(self.net), split_flow(self.net)
             if not push_units(self, s, t, 1, counter):
                 seen["shortfalls"] += 1
                 break
             value += 1
             seen["pushes"] += 1
             seen["cancels"] += bool(before - _flowing_edges(self.net))
-            _assert_vin_rows(self.net)
+            seen["split_cancels"] += bool(before_split - split_flow(self.net))
+            _assert_rows(self.net)
         return value
 
     monkeypatch.setattr(_FlowQuery, "max_flow", stepped)
@@ -342,7 +351,26 @@ def test_vin_rows_list_reverse_arcs_only_while_they_carry_flow(monkeypatch):
         if key.startswith("n5/") and "/two-phase/" in key:
             fn(*args, **kwargs)
     _raising_query(full_view(build(5, Family.WHEEL)))
-    assert seen["cancels"] > 0 and seen["shortfalls"] > 0, seen
+    # the unique shortest path 0-1-2-3-9 blocks both longer strands, so
+    # the second push cancels it and leaves vertex 2 without flow
+    strands = AdjacencyView({0: [1, 4], 1: [2, 5], 2: [3], 3: [9], 4: [6], 6: [8], 8: [3],
+                             5: [7], 7: [10], 10: [9]})
+    assert _paths(max_internally_disjoint_paths(strands, 0, 9)) == [
+        [0, 1, 5, 7, 10, 9], [0, 4, 6, 8, 3, 9]]
+    assert seen["cancels"] > 0 and seen["split_cancels"] > 0 and seen["shortfalls"] > 0, seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 1001, 2**40 + 3])
+def test_seeded_rows_follow_random_shuffle(seed):
+    """The order a seed gives a row is ``random.Random(seed).shuffle`` of
+    the row, for rows of every length: the centre of a star is the first
+    vertex shuffled, and its leaves' one-arc rows draw nothing."""
+    for leaves in [*range(21), 100]:
+        star = AdjacencyView({0: list(range(1, leaves + 1))})
+        expected = list(_network(star).rows[1])
+        random.Random(seed).shuffle(expected)
+        with _FlowQuery(star, order_seed=seed) as q:
+            assert list(q.net.rows[q.vout(0)]) == expected, leaves
 
 
 def test_interleaved_graphs_do_not_share_state():

@@ -149,6 +149,18 @@ def test_connectivity_wheel():
     assert vertex_connectivity(full_view(build(4, Family.WHEEL))) == 6
 
 
+@pytest.mark.parametrize("view", [
+    AdjacencyView({0: [1], 2: [3]}),
+    AdjacencyView({0: [1, 2], 1: [2], 5: []}),
+    AdjacencyView({7: [], 8: []}),
+    AdjacencyView({0: [1, 2, 3], 1: [2, 3], 2: [3], 10: [11, 12], 11: [12]}),
+    AdjacencyView({0: [1], 1: [2], 20: [21, 22, 23], 21: [22, 23], 22: [23]}),
+    AdjacencyView({0: [1], 1: [2], 2: [3], 3: [4], 4: [5], 5: [0]}).without({0, 3}),
+])
+def test_connectivity_of_a_disconnected_view_is_zero(view):
+    assert vertex_connectivity(view) == 0
+
+
 def test_max_internally_disjoint_paths_hits_degree():
     g = build(4, Family.WHEEL)
     view = full_view(g)
