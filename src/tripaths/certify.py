@@ -146,6 +146,8 @@ def load_text(text: str) -> Certificate:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CertificateError("not valid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise SchemaError("certificate must be a JSON object")
     unknown = set(payload) - _TOP_KEYS
@@ -203,8 +205,12 @@ def load_text(text: str) -> Certificate:
 
 
 def load(path: str) -> Certificate:
-    with open(path) as fh:
-        return load_text(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CertificateError(f"not UTF-8 text: {exc}") from exc
+    return load_text(text)
 
 
 def _structure_from(cert: Certificate) -> TripodStructure:

@@ -3,7 +3,11 @@
 Terminals in one copy route through the copy plus neighbor copies;
 terminals split two/one harvest copy paths and fan from the lone vertex;
 terminals in three copies match slice vertices across copies and thread
-the remaining demand through the untouched copies.  Each route returns its
+the remaining demand through the untouched copies.  A terminal's doors are
+its outside neighbors there; it has at least one, as its three outside
+neighbors lie in three copies other than its own.  "Chat" paths join c's
+doors one to one to the ends the plan names: doors of a or b, each with
+its owner, and at most one bridge vertex.  Each route returns its
 outcome as data, ``(structure, case_id, roles, aux)`` or None, and
 ``build_structure`` records the one CaseTrace.  A route that fails or misses
 the standard bundle counts falls back to the generic solver on the whole
@@ -498,9 +502,8 @@ def _two_copies(g, tri, seed):
                 legs.append(("bc", c, w))
 
         targets = [t for _tag, _v, t in legs]
-        if len(set(targets)) != len(targets):
-            continue
         try:
+            # k_fan raises ValueError on a repeated target
             fanfam = k_fan(outside, b, targets, len(targets), order_seed=oseed)
         except (InsufficientConnectivity, ValueError):
             continue
@@ -536,20 +539,20 @@ def _slice_pool(g, i_from, j_to, reserved):
     return out
 
 
-def _extra_or_direct(root: int, target: int, far: int, root_role: str,
-                     tag: str, plan: dict) -> None:
+def _extra_or_direct(root: int, target: int, far: int, tag: str, plan: dict) -> None:
     """Fan leg root->target followed by the edge target->far, degrading to
     the direct root-far edge when the target is the root terminal itself."""
     if target == root:
         plan["directs"].append((tag, Path((min(root, far), max(root, far)))))
     else:
-        plan["extras"].append((root_role, target, far, tag))
+        plan["extras"].append((root, target, far, tag))
 
 
 def _three_copies(g, tri, seed):
     n, d = g.n, g.n // 2
     outs = {v: outside_neighbors(g, v) for v in tri}
     term_copies = {copy_of(g, v) for v in tri}
+    # at most two of a terminal's three outside copies hold terminals: h >= 1
     doors = {v: [w for w in outs[v] if copy_of(g, w) not in term_copies]
              for v in tri}
     h = {v: len(doors[v]) for v in tri}
@@ -577,55 +580,50 @@ def _three_copies(g, tri, seed):
             b, c = sorted(v for v in tri if v != a)
         else:
             a, b, c = tri
-        plan = _plan_3_3(g, a, b, c, doors, d)
+        plan = _plan_3_3(a, b, c, doors, d)
         case_id = CASE_3_3
 
-    if plan is None:
-        return None
     chat_copies = frozenset(range(1, n + 1)) - term_copies
     for attempt in range(3):
         oseed = None if attempt == 0 else mix_seed(seed, 3, attempt)
-        built = _execute_three(g, (a, b, c), chat_copies, outs, plan, oseed)
+        built = _execute_three(g, (a, b, c), chat_copies, plan, oseed)
         if built is not None:
             return built, case_id, (a, b, c), plan["aux"]
     return None
 
 
 def _plan_3_1(g, a, b, c, t_c, doors, d):
-    plan = {
-        "xsizes": [2 * d - 2, 2 * d - 2, 2 * d - 1],
-        "extras": [], "directs": [],
-        "chat_x": sorted(doors[c]), "chat_y": [], "y_owner": {},
-        "needs": {"ac": 1, "bc": 1}, "bridge": None,
-        "aux": {"t_c": t_c},
-    }
-    _extra_or_direct(a, t_c, c, "a", "ac", plan)
     pick = next(((ya, yb) for ya in sorted(doors[a]) for yb in sorted(doors[b])
                  if ya != yb), None)
     if pick is not None:
         ya, yb = pick
-        plan["chat_y"] = [ya, yb]
-        plan["y_owner"] = {ya: a, yb: b}
+        plan = {
+            "xsizes": [2 * d - 2, 2 * d - 2, 2 * d - 1],
+            "extras": [], "directs": [],
+            "chat_x": sorted(doors[c]), "y_owner": {ya: a, yb: b}, "bridge": None,
+            "aux": {"t_c": t_c},
+        }
+        _extra_or_direct(a, t_c, c, "ac", plan)
         return plan
-    # both fans share one sole outer door: leave via a bridge vertex
+    # both fans share one sole outer door w, so h[a] = h[b] = 1 and a and b
+    # each have an outside neighbor in c's copy: leave via a bridge vertex
     w = doors[a][0]
-    bplan = {
+    plan = {
         "xsizes": [2 * d - 2, 2 * d - 3, 2 * d - 2],
         "extras": [], "directs": [],
-        "chat_x": sorted(doors[c]), "chat_y": [w], "y_owner": {w: b},
-        "needs": {"bc": 1}, "bridge": ("a", "ac"),
+        "chat_x": sorted(doors[c]), "y_owner": {w: b}, "bridge": (a, "ac"),
         "aux": {"t_c": t_c, "shared_door": w},
     }
-    _extra_or_direct(a, t_c, c, "a", "ac", bplan)
-    alpha_c = next((v for v in outside_neighbors(g, a)
-                    if v == c or copy_of(g, v) == copy_of(g, c)), None)
-    beta_c = next((v for v in outside_neighbors(g, b)
-                   if v == c or copy_of(g, v) == copy_of(g, c)), None)
-    if alpha_c is None or beta_c is None or (alpha_c == beta_c and alpha_c != c):
-        return bplan
-    _extra_or_direct(c, alpha_c, a, "c", "ac", bplan)
-    _extra_or_direct(c, beta_c, b, "c", "bc", bplan)
-    return bplan
+    _extra_or_direct(a, t_c, c, "ac", plan)
+    alpha_c = next(v for v in outside_neighbors(g, a)
+                   if v == c or copy_of(g, v) == copy_of(g, c))
+    beta_c = next(v for v in outside_neighbors(g, b)
+                  if v == c or copy_of(g, v) == copy_of(g, c))
+    if alpha_c == beta_c and alpha_c != c:
+        return plan
+    _extra_or_direct(c, alpha_c, a, "ac", plan)
+    _extra_or_direct(c, beta_c, b, "bc", plan)
+    return plan
 
 
 def _plan_3_2(g, a, b, c, outs, doors, d):
@@ -639,55 +637,47 @@ def _plan_3_2(g, a, b, c, outs, doors, d):
     plan = {
         "xsizes": [2 * d - 3, 2 * d - 2, 2 * d - 2],
         "extras": [], "directs": [],
-        "chat_x": [gamma0], "chat_y": [alpha0], "y_owner": {alpha0: a},
-        "needs": {"ac": 1}, "bridge": None,
+        "chat_x": [gamma0], "y_owner": {alpha0: a}, "bridge": None,
         "aux": {"alpha0": alpha0, "gamma0": gamma0},
     }
     if beta_a == gamma_a and beta_a != a:
         # one shared helper next to both b and c: spend it on the a-c side
         plan["xsizes"][0] = 2 * d - 2
-        plan["extras"].append(("a", gamma_a, c, "ac"))
+        plan["extras"].append((a, gamma_a, c, "ac"))
         plan["aux"]["shared_helper"] = beta_a
     else:
-        _extra_or_direct(a, beta_a, b, "a", "ab", plan)
-        _extra_or_direct(a, gamma_a, c, "a", "ac", plan)
+        _extra_or_direct(a, beta_a, b, "ab", plan)
+        _extra_or_direct(a, gamma_a, c, "ac", plan)
     if gamma_b == b and beta_c == c:
         # b and c adjacent: both helper legs collapse onto one edge
         plan["directs"].append(("bc", Path((min(b, c), max(b, c)))))
         plan["xsizes"][2] = 2 * d - 1
     else:
-        _extra_or_direct(b, gamma_b, c, "b", "bc", plan)
-        _extra_or_direct(c, beta_c, b, "c", "bc", plan)
+        _extra_or_direct(b, gamma_b, c, "bc", plan)
+        _extra_or_direct(c, beta_c, b, "bc", plan)
     return plan
 
 
-def _plan_3_3(g, a, b, c, doors, d):
+def _plan_3_3(a, b, c, doors, d):
+    # b and c have h = 3, so two doors of b differ from alpha0
     alpha0 = sorted(doors[a])[0]
-    ybs = [v for v in sorted(doors[b]) if v != alpha0][:2]
-    if len(ybs) < 2:
-        return None
+    yb1, yb2 = [v for v in sorted(doors[b]) if v != alpha0][:2]
     return {
         "xsizes": [2 * d - 2, 2 * d - 1, 2 * d - 2],
         "extras": [], "directs": [],
-        "chat_x": sorted(doors[c]),
-        "chat_y": [alpha0] + ybs,
-        "y_owner": {alpha0: a, ybs[0]: b, ybs[1]: b},
-        "needs": {"ac": 1, "bc": 2}, "bridge": None,
-        "aux": {"alpha0": alpha0},
+        "chat_x": sorted(doors[c]), "y_owner": {alpha0: a, yb1: b, yb2: b},
+        "bridge": None, "aux": {"alpha0": alpha0},
     }
 
 
-def _execute_three(g, roles, chat_copies, outs, plan, oseed):
+def _execute_three(g, roles, chat_copies, plan, oseed):
     a, b, c = roles
-    role_v = dict(zip("abc", roles))
     ia, ib, ic = copy_of(g, a), copy_of(g, b), copy_of(g, c)
     x1, x2, x3 = plan["xsizes"]
     ends = {"ab": (a, b), "ac": (a, c), "bc": (b, c)}
-
-    reserved = {a, b, c}
-    for _root, target, _far, _tag in plan["extras"]:
-        reserved.add(target)
-    reserved |= set(plan["chat_x"]) | set(plan["chat_y"])
+    chat_y = list(plan["y_owner"])
+    reserved = {a, b, c} | set(plan["chat_x"]) | set(chat_y)
+    reserved.update(target for _root, target, _far, _tag in plan["extras"])
 
     w1 = _slice_pool(g, ia, ib, reserved)
     w2 = _slice_pool(g, ia, ic, reserved)
@@ -698,45 +688,33 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
                + [(w, ws, "ac") for w, ws in w2[:x2]]
                + [(w, ws, "bc") for w, ws in w3[:x3]])
 
-    chat_y = list(plan["chat_y"])
     bridge = None
     if plan["bridge"] is not None:
-        root_role, btag = plan["bridge"]
-        root = role_v[root_role]
+        root, btag = plan["bridge"]
         used_from = {w for w, _ws, _t in matches} | reserved
-        u = None
         for v in g.copy_members[copy_of(g, root)]:
             if v in used_from:
                 continue
             v_star = outside_neighbors(g, v)[2]
-            if g.copy_id[v_star] not in chat_copies:
-                continue
-            if v_star in set(plan["chat_x"]) | set(chat_y) | reserved:
-                continue
-            u = (v, v_star)
-            break
-        if u is None:
+            if g.copy_id[v_star] in chat_copies and v_star not in reserved:
+                bridge = (root, v, v_star, btag)
+                chat_y.append(v_star)
+                break
+        if bridge is None:
             return None
-        bridge = (root, u[0], u[1], btag)
-        chat_y.append(u[1])
 
     fan_targets: dict[int, list[int]] = {a: [], b: [], c: []}
     for w, ws, tag in matches:
         left, right = ends[tag]
         fan_targets[left].append(w)
         fan_targets[right].append(ws)
-    for root_role, target, _far, _tag in plan["extras"]:
-        fan_targets[role_v[root_role]].append(target)
+    for root, target, _far, _tag in plan["extras"]:
+        fan_targets[root].append(target)
     if bridge is not None:
         fan_targets[bridge[0]].append(bridge[1])
 
     fans: dict[int, dict[int, Path]] = {}
-    for term in (a, b, c):
-        tgts = fan_targets[term]
-        if not tgts:
-            continue
-        if len(set(tgts)) != len(tgts):
-            return None
+    for term, tgts in fan_targets.items():
         try:
             fam = k_fan(copy_union(g, {copy_of(g, term)}), term, tgts,
                         len(tgts), order_seed=oseed)
@@ -744,55 +722,27 @@ def _execute_three(g, roles, chat_copies, outs, plan, oseed):
             return None
         fans[term] = {p.vertices[-1]: p for p in fam.paths}
 
-    chat_paths: list[Path] = []
-    if plan["chat_x"]:
-        try:
-            fam = disjoint_set_paths(copy_union(g, chat_copies),
-                                     plan["chat_x"], chat_y,
-                                     len(plan["chat_x"]), order_seed=oseed)
-        except (InsufficientConnectivity, ValueError):
-            return None
-        chat_paths = list(fam.paths)
+    try:
+        fam = disjoint_set_paths(copy_union(g, chat_copies), plan["chat_x"], chat_y,
+                                 len(plan["chat_x"]), order_seed=oseed)
+    except (InsufficientConnectivity, ValueError):
+        return None
+    # len(chat_x) == len(chat_y), so every chat end closes exactly one path
+    chat = {p.vertices[-1]: p for p in fam.paths}
 
     tagged: list[tuple[str, Path]] = list(plan["directs"])
     for w, ws, tag in matches:
         left, right = ends[tag]
         tagged.append((tag, _cat(fans[left][w], fans[right][ws].reverse())))
-    for root_role, target, far, tag in plan["extras"]:
-        tagged.append((tag, _cat(fans[role_v[root_role]][target], (far,))))
-
+    for root, target, far, tag in plan["extras"]:
+        tagged.append((tag, _cat(fans[root][target], (far,))))
     if bridge is not None:
         root, u, u_star, btag = bridge
-        bp = next((p for p in chat_paths if p.vertices[-1] == u_star), None)
-        if bp is None:
-            return None
-        chat_paths.remove(bp)
-        tagged.append((btag, _cat(fans[root][u], bp.reverse(), (c,))))
-
-    if chat_paths:
-        options = []
-        for p in chat_paths:
-            y = p.vertices[-1]
-            forced = plan["y_owner"].get(y)
-            if forced is not None:
-                owners = [forced]
-            else:
-                owners = [t for t in (a, b) if y in outs[t]]
-            if not owners:
-                return None
-            options.append(owners)
-        assign = None
-        for combo in itertools.product(*options):
-            if Counter("ac" if owner == a else "bc" for owner in combo) == plan["needs"]:
-                assign = combo
-                break
-        if assign is None:
-            return None
-        for p, owner in zip(chat_paths, assign):
-            tag = "ac" if owner == a else "bc"
-            tagged.append((tag, _cat((owner,), p.reverse(), (c,))))
-    elif plan["needs"]:
-        return None
+        tagged.append((btag, _cat(fans[root][u], chat.pop(u_star).reverse(), (c,))))
+    for y, p in chat.items():
+        # the plan reserved each other end as a door of its owner
+        owner = plan["y_owner"][y]
+        tagged.append(("ac" if owner == a else "bc", _cat((owner,), p.reverse(), (c,))))
 
     structure = TripodStructure.from_tagged(roles, tagged)
     if structure.counts() != standard_target(g.n).as_tuple():

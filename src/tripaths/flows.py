@@ -153,9 +153,11 @@ class _FlowQuery:
         if net.busy:
             raise RuntimeError("flow queries on one network cannot nest")
         self.source, self.sink = net.source, net.sink
-        self.saved: dict[int, int] = {}  # arc -> capacity before the query
+        # arc -> capacity before the query; a reverse arc starts every query
+        # at 0 and edits touch even arcs only, so even arc k carries flow
+        # cap[k + 1] of its start capacity cap[k] + cap[k + 1]
+        self.saved: dict[int, int] = {}
         self.saved_rows: dict[int, array] = {}
-        self.init: dict[int, int] = {}  # augmented even arc -> capacity at query start
         net.busy = True
         try:
             self.template = self._template(view.allowed, removed)
@@ -276,7 +278,7 @@ class _FlowQuery:
 
     def max_flow(self, s: int, t: int, limit: int, counter: StepCounter | None = None) -> int:
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
-        template, saved, init = self.template, self.saved, self.init
+        template, saved = self.template, self.saved
         last_static = self.net.arc_count
         value = 0
         while value < limit:
@@ -310,10 +312,9 @@ class _FlowQuery:
                 node = to[e ^ 1]
             for e in path:
                 k = e & -2
-                if k not in init:
-                    init[k] = cap[k]
+                if k + 1 not in saved:
+                    saved[k + 1] = cap[k + 1]
                     saved.setdefault(k, cap[k])
-                    saved.setdefault(k + 1, cap[k + 1])
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck
                 if k < last_static:
@@ -337,7 +338,7 @@ class _FlowQuery:
         Only arcs the augmentations touched can carry flow.
         """
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
-        remaining = {k: c - cap[k] for k, c in self.init.items() if c > cap[k]}
+        remaining = {k: cap[k + 1] for k in self.saved if not k & 1 and cap[k + 1]}
         tails: dict[int, list[int]] = {}
         for k in remaining:
             tails.setdefault(to[k ^ 1], []).append(k)
@@ -384,7 +385,7 @@ class _FlowQuery:
         for node in queue:
             for e in rows[node]:
                 w = to[e]
-                if e & 1 or w in reach or tpl[w] != -1 or self.init.get(e, cap[e]) == 0:
+                if e & 1 or w in reach or tpl[w] != -1 or cap[e] + cap[e + 1] == 0:
                     continue
                 u, x = self._vertex(node), self._vertex(w)
                 if u is not None and x is not None and u == x:

@@ -250,6 +250,17 @@ def test_verify_missing_file(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data", [
+    ("[" * 100000 + "]" * 100000).encode(),
+    b"\xff\xfe{}",
+], ids=["nested-100000-deep", "not-utf8"])
+def test_verify_unreadable_json_is_a_usage_error(data, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["verify", str(bad)]) == EXIT_USAGE
+    assert "certificate rejected" in capsys.readouterr().err
+
+
 def test_structure_certificate_roundtrips_through_verify(tmp_path, capsys):
     cert_path = tmp_path / "n5.json"
     assert main(["structure", "--n", "5", "--random", "--seed", "9",

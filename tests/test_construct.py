@@ -1,5 +1,6 @@
 """Case machine: routes, traces, and structural guarantees per terminal layout."""
 
+import itertools
 import random
 import sys
 
@@ -20,7 +21,7 @@ from tripaths.construct import (
     build_structure,
 )
 from tripaths.errors import DuplicateVertices, WrongFamily
-from tripaths.graphs import build, full_view
+from tripaths.graphs import build, full_view, outside_neighbors
 from tripaths.pairing import formula_value, pair_structure, pi3_lower, sample_triples
 from tripaths.perms import Family, parse_permutation, rank
 from tripaths.tripod import standard_target
@@ -221,3 +222,57 @@ def test_each_structure_is_checked_once(case_id, g, omega, monkeypatch):
     assert trace.case_id == case_id
     assert len(omega_set) == (6 * g.n - 9) // 4
     assert len(calls) == 1, calls
+
+
+class _Planned(Exception):
+    pass
+
+
+def _raise_plan(g, roles, chat_copies, plan, oseed):
+    raise _Planned(roles, plan)
+
+
+def _check_plan(g, outs, tri, roles, plan):
+    """The plan invariants the three-copy executor relies on."""
+    a, b, c = roles
+    cid = g.copy_id
+    term_copies = {cid[v] for v in tri}
+    doors = {v: [w for w in outs[v] if cid[w] not in term_copies] for v in tri}
+    assert sorted(roles) == list(tri)
+    assert all(doors[v] for v in tri), (tri, doors)
+    # one chat path closes at each end: owned doors plus the bridge end
+    ends = len(plan["y_owner"]) + (plan["bridge"] is not None)
+    assert ends == len(plan["chat_x"]) and plan["chat_x"] == sorted(doors[c])[:ends]
+    for y, owner in plan["y_owner"].items():
+        assert owner in (a, b) and y in doors[owner], (tri, y, owner)
+    if plan["bridge"] is not None:
+        assert plan["bridge"] == (a, "ac")
+        assert doors[a] == doors[b] == [plan["aux"]["shared_door"]]
+        for v in (a, b):
+            assert any(w == c or cid[w] == cid[c] for w in outs[v]), (tri, v)
+    return plan["bridge"] is not None
+
+
+def _bridged_plans(g, triples):
+    """Check the plan of every triple, stopping before any flow runs;
+    returns how many plans leave through a bridge."""
+    outs = [outside_neighbors(g, v) for v in range(len(g.copy_id))]
+    bridged = 0
+    for tri in triples:
+        try:
+            tripaths.construct._three_copies(g, tri, 0)
+        except _Planned as planned:
+            bridged += _check_plan(g, outs, tri, *planned.args)
+        else:
+            raise AssertionError(f"no plan for {tri}")
+    return bridged
+
+
+def test_three_copy_plans_name_an_owner_for_every_chat_end(monkeypatch):
+    monkeypatch.setattr(tripaths.construct, "_execute_three", _raise_plan)
+    by_copy = G5.copy_members
+    every_n5 = (tuple(sorted(t)) for ks in itertools.combinations(sorted(by_copy), 3)
+                for t in itertools.product(*(by_copy[k] for k in ks)))
+    sampled_n7 = [t for t in sample_triples(G7, 300, 1) if len({G7.copy_id[v] for v in t}) == 3]
+    assert len(sampled_n7) == 100
+    assert _bridged_plans(G5, every_n5) + _bridged_plans(G7, sampled_n7) > 0

@@ -6,13 +6,37 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tripaths"
 
 
-def test_no_assert_statements_in_the_package():
-    # gates that guard certificates must hold under python -O, which strips asserts
+def _trees():
     paths = sorted(SRC.glob("*.py"))
     assert paths, SRC
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+
+def test_no_assert_statements_in_the_package():
+    # gates that guard certificates must hold under python -O, which strips asserts
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == [], found
+
+
+def _reraises(handler: ast.ExceptHandler) -> bool:
+    """A bare ``raise``, or a raise of the caught exception, in the handler."""
+    return any(isinstance(node, ast.Raise) and (
+        node.exc is None or (isinstance(node.exc, ast.Name) and node.exc.id == handler.name))
+        for stmt in handler.body for node in ast.walk(stmt))
+
+
+def test_no_bare_except_and_base_exception_handlers_reraise():
+    # a bare except or except BaseException also catches KeyboardInterrupt
+    # and SystemExit, so it must hand them on
     found = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Assert):
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            catches_base = any(isinstance(k, ast.Name) and k.id == "BaseException"
+                               for k in kinds)
+            if node.type is None or (catches_base and not _reraises(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], found
