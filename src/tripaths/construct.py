@@ -36,7 +36,6 @@ from .flows import (
 )
 from .graphs import (
     CayleyGraph,
-    copy_of,
     copy_union,
     cross_edges,
     delete_copies,
@@ -120,7 +119,7 @@ def build_structure(g: CayleyGraph, omega, seed: int = 0):
     if g.n % 2 == 0:
         got = _case_even(g, tri, seed, target)
     else:
-        copies = [copy_of(g, v) for v in tri]
+        copies = [g.copy_id[v] for v in tri]
         distinct = len(set(copies))
         if distinct == 1:
             got = _same_copy(g, tri, seed)
@@ -178,7 +177,7 @@ def _detect_cyclic_triple(g, tri):
 
 def _same_copy(g, tri, seed):
     d = g.n // 2
-    K = copy_of(g, tri[0])
+    K = g.copy_id[tri[0]]
     rot = _detect_cyclic_triple(g, tri)
     if rot is not None:
         got = _route_cyclic(g, K, rot, seed)
@@ -349,7 +348,7 @@ def _route_cyclic(g, K, rot, seed):
     tally = Counter(tag for _u, _v, tag in regions)
     tagged_cross = []
     for u, v, tag in regions:
-        inner = shortest_path(copy_union(g, {copy_of(g, u)}), u, v)
+        inner = shortest_path(copy_union(g, {g.copy_id[u]}), u, v)
         tagged_cross.append((tag, _cat((owner_of[u],), inner, (owner_of[v],))))
     return _finish_cyclic(g, K, (A, B, C), j, tally, tagged_cross, seed,
                           regime=f"paired-j{j}")
@@ -387,13 +386,13 @@ def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed):
     aP, aM, aS = outs[A]
     bP, bM, bS = outs[B]
     cP, cM, cS = outs[C]
-    copy_minus = copy_of(g, aM)
-    copy_star = copy_of(g, aS)
+    copy_minus = g.copy_id[aM]
+    copy_star = g.copy_id[aS]
     minus_set = {aM, bM, cM}
     star_set = {aS, bS, cS}
     vm = copy_union(g, {copy_minus})
     vs = copy_union(g, {copy_star})
-    plus_copies = {copy_of(g, aP), copy_of(g, bP), copy_of(g, cP)}
+    plus_copies = {g.copy_id[aP], g.copy_id[bP], g.copy_id[cP]}
     tried = 0
     for u, w in cross_edges(g, copy_minus, copy_star):
         if u in minus_set or w in star_set:
@@ -452,7 +451,7 @@ def _two_copies(g, tri, seed):
     d = g.n // 2
     by_copy: dict[int, list[int]] = {}
     for v in tri:
-        by_copy.setdefault(copy_of(g, v), []).append(v)
+        by_copy.setdefault(g.copy_id[v], []).append(v)
     K = next(cc for cc, vs in by_copy.items() if len(vs) == 2)
     a, c = sorted(by_copy[K])
     b = next(v for cc, vs in by_copy.items() if len(vs) == 1 for v in vs)
@@ -551,9 +550,9 @@ def _extra_or_direct(root: int, target: int, far: int, tag: str, plan: dict) -> 
 def _three_copies(g, tri, seed):
     n, d = g.n, g.n // 2
     outs = {v: outside_neighbors(g, v) for v in tri}
-    term_copies = {copy_of(g, v) for v in tri}
+    term_copies = {g.copy_id[v] for v in tri}
     # at most two of a terminal's three outside copies hold terminals: h >= 1
-    doors = {v: [w for w in outs[v] if copy_of(g, w) not in term_copies]
+    doors = {v: [w for w in outs[v] if g.copy_id[w] not in term_copies]
              for v in tri}
     h = {v: len(doors[v]) for v in tri}
     twos = sorted(v for v in tri if h[v] == 2)
@@ -561,11 +560,11 @@ def _three_copies(g, tri, seed):
 
     if twos:
         c = twos[0]
-        t_c = next(w for w in outs[c] if copy_of(g, w) in term_copies)
+        t_c = next(w for w in outs[c] if g.copy_id[w] in term_copies)
         if t_c in tri:
             a = t_c
         else:
-            a = next(v for v in tri if v != c and copy_of(g, v) == copy_of(g, t_c))
+            a = next(v for v in tri if v != c and g.copy_id[v] == g.copy_id[t_c])
         b = next(v for v in tri if v not in (a, c))
         plan = _plan_3_1(g, a, b, c, t_c, doors, d)
         case_id = CASE_3_1
@@ -616,9 +615,9 @@ def _plan_3_1(g, a, b, c, t_c, doors, d):
     }
     _extra_or_direct(a, t_c, c, "ac", plan)
     alpha_c = next(v for v in outside_neighbors(g, a)
-                   if v == c or copy_of(g, v) == copy_of(g, c))
+                   if v == c or g.copy_id[v] == g.copy_id[c])
     beta_c = next(v for v in outside_neighbors(g, b)
-                  if v == c or copy_of(g, v) == copy_of(g, c))
+                  if v == c or g.copy_id[v] == g.copy_id[c])
     if alpha_c == beta_c and alpha_c != c:
         return plan
     _extra_or_direct(c, alpha_c, a, "ac", plan)
@@ -627,11 +626,11 @@ def _plan_3_1(g, a, b, c, t_c, doors, d):
 
 
 def _plan_3_2(g, a, b, c, outs, doors, d):
-    ia, ib, ic = copy_of(g, a), copy_of(g, b), copy_of(g, c)
-    beta_a = next(v for v in outs[b] if v == a or copy_of(g, v) == ia)
-    gamma_a = next(v for v in outs[c] if v == a or copy_of(g, v) == ia)
-    gamma_b = next(v for v in outs[c] if v == b or copy_of(g, v) == ib)
-    beta_c = next(v for v in outs[b] if v == c or copy_of(g, v) == ic)
+    ia, ib, ic = g.copy_id[a], g.copy_id[b], g.copy_id[c]
+    beta_a = next(v for v in outs[b] if v == a or g.copy_id[v] == ia)
+    gamma_a = next(v for v in outs[c] if v == a or g.copy_id[v] == ia)
+    gamma_b = next(v for v in outs[c] if v == b or g.copy_id[v] == ib)
+    beta_c = next(v for v in outs[b] if v == c or g.copy_id[v] == ic)
     alpha0 = sorted(doors[a])[0]
     gamma0 = doors[c][0]
     plan = {
@@ -672,7 +671,7 @@ def _plan_3_3(a, b, c, doors, d):
 
 def _execute_three(g, roles, chat_copies, plan, oseed):
     a, b, c = roles
-    ia, ib, ic = copy_of(g, a), copy_of(g, b), copy_of(g, c)
+    ia, ib, ic = g.copy_id[a], g.copy_id[b], g.copy_id[c]
     x1, x2, x3 = plan["xsizes"]
     ends = {"ab": (a, b), "ac": (a, c), "bc": (b, c)}
     chat_y = list(plan["y_owner"])
@@ -692,7 +691,7 @@ def _execute_three(g, roles, chat_copies, plan, oseed):
     if plan["bridge"] is not None:
         root, btag = plan["bridge"]
         used_from = {w for w, _ws, _t in matches} | reserved
-        for v in g.copy_members[copy_of(g, root)]:
+        for v in g.copy_members[g.copy_id[root]]:
             if v in used_from:
                 continue
             v_star = outside_neighbors(g, v)[2]
@@ -716,7 +715,7 @@ def _execute_three(g, roles, chat_copies, plan, oseed):
     fans: dict[int, dict[int, Path]] = {}
     for term, tgts in fan_targets.items():
         try:
-            fam = k_fan(copy_union(g, {copy_of(g, term)}), term, tgts,
+            fam = k_fan(copy_union(g, {g.copy_id[term]}), term, tgts,
                         len(tgts), order_seed=oseed)
         except (InsufficientConnectivity, ValueError):
             return None

@@ -22,15 +22,21 @@ paired ``e`` / ``e ^ 1`` in flat ``array``s.  A query
   it ends, also when it raises.
 
 Augmentation is Edmonds-Karp: BFS shortest paths with every row scanned
-in a fixed order, so results are deterministic.  A row lists the reverse
-arc of a static pair only while the pair carries flow, since only then
-has it capacity: an augmentation inserts it in order when its capacity
-leaves 0 and removes it when the capacity returns to 0.  So ``vin(v)``
-scans its split arc, the reverse arcs of flow-carrying edges in ascending
-rank and its terminal arcs; ``vout(v)`` its split reverse arc while v
-carries flow, its forward arcs in adjacency order and its terminal arcs.
-An order seed reshuffles the forward arcs for randomized restarts, with
-the swaps ``random.Random(seed).shuffle`` would make, drawn inline.
+in a fixed order, so results are deterministic.  Every arc joins a
+``vin`` node to a ``vout`` node, the super source or the super sink, so
+the network is bipartite and scanning one side finds only nodes of the
+other.  So the BFS expands each ``vin`` node the moment it finds it and
+queues only the other side: both sides are still found in plain FIFO
+order, each node by the same arc, and every augmenting path is the one a
+plain BFS finds.  A row lists the reverse arc of a static pair only
+while the pair carries flow, since only then has it capacity: an
+augmentation inserts it in order when its capacity leaves 0 and removes
+it when the capacity returns to 0.  So ``vin(v)`` scans its split arc,
+the reverse arcs of flow-carrying edges in ascending rank and its
+terminal arcs; ``vout(v)`` its split reverse arc while v carries flow,
+its forward arcs in adjacency order and its terminal arcs.  An order
+seed reshuffles the forward arcs for randomized restarts, with the swaps
+``random.Random(seed).shuffle`` would make, drawn inline.
 """
 
 from __future__ import annotations
@@ -178,6 +184,9 @@ class _FlowQuery:
     def vout(self, v: int) -> int:
         return 2 * v + 1
 
+    def _is_vin(self, node: int) -> bool:
+        return node < self.source and not node & 1
+
     def _template(self, allowed, removed) -> list[int]:
         """BFS ``parent`` start: -1 for nodes the query may enter."""
         net = self.net
@@ -230,10 +239,8 @@ class _FlowQuery:
             self._own_row(2 * v + 1)[:] = array("i", arcs)
 
     def _set_cap(self, e: int, c: int) -> None:
-        cap = self.net.cap
-        if e not in self.saved:
-            self.saved[e] = cap[e]
-        cap[e] = c
+        self.saved.setdefault(e, self.net.cap[e])
+        self.net.cap[e] = c
 
     def _own_row(self, node: int) -> array:
         """The row of `node` as a copy this query may change in place; the
@@ -259,13 +266,14 @@ class _FlowQuery:
         net.busy = False
 
     def add_arc(self, tail: int, head: int, c: int) -> None:
-        """Terminal arc for this query only, scanned last from its tail."""
+        """Terminal arc for this query only, scanned last from its tail; one
+        end must be a ``vin`` node and the other not."""
+        if self._is_vin(tail) == self._is_vin(head):
+            raise ValueError(f"arc {tail} -> {head} must join a vin node to the other side")
         net = self.net
         e = len(net.to)
-        net.to.append(head)
-        net.to.append(tail)
-        net.cap.append(c)
-        net.cap.append(0)
+        net.to.extend((head, tail))
+        net.cap.extend((c, 0))
         self._own_row(tail).append(e)
         self._own_row(head).append(e + 1)
 
@@ -277,6 +285,8 @@ class _FlowQuery:
                 self._set_cap(e, 0)
 
     def max_flow(self, s: int, t: int, limit: int, counter: StepCounter | None = None) -> int:
+        if self._is_vin(s):
+            raise ValueError(f"flow from vin node {s}: the BFS starts on the other side")
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
         template, saved = self.template, self.saved
         last_static = self.net.arc_count
@@ -285,25 +295,11 @@ class _FlowQuery:
             if counter is not None:
                 counter.add()
             parent = template[:]
-            parent[s] = -2
-            queue = [s]
-            push = queue.append
-            for u in queue:
-                for e in rows[u]:
-                    w = to[e]
-                    if parent[w] == -1 and cap[e] > 0:
-                        parent[w] = e
-                        if w == t:
-                            break
-                        push(w)
-                else:
-                    continue
-                break
+            _bfs(rows, to, cap, parent, s, t)
             if parent[t] < 0:
                 break
             bottleneck = limit - value
-            path = []
-            node = t
+            path, node = [], t
             while node != s:
                 e = parent[node]
                 path.append(e)
@@ -372,20 +368,16 @@ class _FlowQuery:
         Crossing split arcs name their vertex; crossing edge arcs name
         whichever endpoint is not an uncapped terminal.
         """
-        rows, to, cap, tpl = self.net.rows, self.net.to, self.net.cap, self.template
-        reach = {source}
-        queue = [source]
-        for node in queue:
-            for e in rows[node]:
-                w = to[e]
-                if cap[e] > 0 and tpl[w] == -1 and w not in reach:
-                    reach.add(w)
-                    queue.append(w)
+        rows, to, cap = self.net.rows, self.net.to, self.net.cap
+        parent = self.template[:]
+        _bfs(rows, to, cap, parent, source, -1)
         cut: set[int] = set()
-        for node in queue:
+        for node, p in enumerate(parent):
+            if p < 0 and node != source:
+                continue
             for e in rows[node]:
                 w = to[e]
-                if e & 1 or w in reach or tpl[w] != -1 or cap[e] + cap[e + 1] == 0:
+                if e & 1 or parent[w] != -1 or cap[e] + cap[e + 1] == 0:
                     continue
                 u, x = self._vertex(node), self._vertex(w)
                 if u is not None and x is not None and u == x:
@@ -397,6 +389,38 @@ class _FlowQuery:
                 elif x is not None:
                     cut.add(x)
         return tuple(sorted(cut))
+
+
+def _bfs(rows, to, cap, parent, s: int, t: int) -> None:
+    """BFS from the non-``vin`` node s until it finds t (-1: to exhaustion),
+    setting ``parent`` (a copy of the query template) to the arc that found
+    each node; a one-arc ``vin`` row is its split arc h -> h + 1."""
+    parent[s] = -2
+    queue = [s]
+    push = queue.append
+    for u in queue:
+        for e in rows[u]:
+            h = to[e]
+            if parent[h] != -1 or cap[e] <= 0:
+                continue
+            parent[h] = e
+            if h == t:
+                return
+            row = rows[h]
+            if len(row) == 1:
+                if cap[h] > 0 and parent[h + 1] == -1:
+                    parent[h + 1] = h
+                    if h + 1 == t:
+                        return
+                    push(h + 1)
+                continue
+            for f in row:
+                w = to[f]
+                if parent[w] == -1 and cap[f] > 0:
+                    parent[w] = f
+                    if w == t:
+                        return
+                    push(w)
 
 
 def _require(view, vertices) -> None:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -22,7 +23,13 @@ from tripaths.construct import (
 )
 from tripaths.errors import DuplicateVertices, WrongFamily
 from tripaths.graphs import build, full_view, outside_neighbors
-from tripaths.pairing import formula_value, pair_structure, pi3_lower, sample_triples
+from tripaths.pairing import (
+    LowerBoundReport,
+    formula_value,
+    pair_structure,
+    pi3_lower,
+    sample_triples,
+)
 from tripaths.perms import Family, parse_permutation, rank
 from tripaths.tripod import standard_target
 from tripaths.verification import check_tripod
@@ -185,6 +192,26 @@ def test_n7_sample_needs_no_fallback():
     assert report.value == formula_value(7) == 8
     assert report.failures == [] and report.fallback_count == 0
     assert {CASE_1_1, CASE_2, CASE_3_1} <= set(report.case_counts), report.case_counts
+
+
+@pytest.mark.slow
+def test_n8_sample_needs_no_fallback():
+    """30 sampled n = 8 triples, one ``pi3_lower`` call each (a call seeds
+    every triple from the triple itself, so the calls add up to one call
+    over all 30); prints the worst per-triple time."""
+    g8 = build(8, Family.WHEEL)
+    report = LowerBoundReport(value=0, evaluated=0)
+    times = []
+    for tri in sample_triples(g8, 30, 1):
+        t0 = time.perf_counter()
+        report.merge(pi3_lower(g8, [tri], seed=1))
+        times.append((time.perf_counter() - t0, tri))
+    worst_s, worst = max(times)
+    print(f"n = 8: slowest triple {worst} took {worst_s:.2f} s, "
+          f"all 30 took {sum(t for t, _ in times):.1f} s")
+    assert report.evaluated == 30
+    assert report.value == formula_value(8) == 9
+    assert report.failures == [] and report.fallback_count == 0
 
 
 # one triple per case route: Even at n = 4, the odd routes at n = 5, and

@@ -16,7 +16,10 @@ from dataclasses import asdict
 from pathlib import Path as FilePath
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripaths import flows
 from tripaths.errors import InsufficientConnectivity, RankOutOfRange
 from tripaths.flows import (
     _FlowQuery,
@@ -284,17 +287,147 @@ def test_queries_leave_the_shared_network_clean():
     assert _query_a(full_view(build(5, Family.WHEEL))) == first
 
 
+def _net_bytes(net):
+    return net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows]
+
+
 def test_queries_restore_the_shared_arrays():
     g = build(5, Family.WHEEL)
     view = full_view(g)
     _query_a(view)
     net = _network(view)
-    before = (net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows])
+    before = _net_bytes(net)
     _raising_query(view)
     _query_b(view.without({5, 6}))
     _call(_two_phase, view, (0, 50, 100), StructureTarget(3, 3, 3), "b", 7, None)
     assert not net.busy
-    assert (net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows]) == before
+    assert _net_bytes(net) == before
+
+
+def _vin_to_vin(q):
+    q.add_arc(q.vin(1), q.vin(2), 1)
+
+
+def _sink_from_vout(q):
+    q.add_arc(q.vout(1), q.sink, 1)
+
+
+def _source_to_sink(q):
+    q.add_arc(q.source, q.sink, 1)
+
+
+def _flow_from_vin(q):
+    q.add_arc(q.source, q.vin(4), 1)
+    q.max_flow(q.vin(3), q.sink, 1)
+
+
+@pytest.mark.parametrize("misuse", [_vin_to_vin, _sink_from_vout, _source_to_sink,
+                                    _flow_from_vin], ids=lambda fn: fn.__name__[1:])
+def test_arcs_and_flows_that_skip_the_vin_side_are_rejected(misuse):
+    """The BFS expands vin nodes on discovery, which needs every arc to
+    join a vin node to the other side and the search to start off it."""
+    view = full_view(build(5, Family.WHEEL))
+    first = _query_a(view)
+    net = _network(view)
+    before = _net_bytes(net)
+    with pytest.raises(ValueError, match="vin"):
+        with _FlowQuery(view, order_seed=3, entry_blocked=(0,), no_split=(7,)) as q:
+            misuse(q)
+    assert not net.busy and _net_bytes(net) == before
+    assert _query_a(view) == first
+    _raising_query(view)
+    assert _query_a(full_view(build(5, Family.WHEEL))) == first
+
+
+def _plain_bfs(rows, to, cap, parent, s, t):
+    """Textbook FIFO BFS over every node of the split network."""
+    parent[s] = -2
+    queue = [s]
+    for u in queue:
+        for e in rows[u]:
+            w = to[e]
+            if parent[w] == -1 and cap[e] > 0:
+                parent[w] = e
+                if w == t:
+                    return
+                queue.append(w)
+
+
+def _path_arcs(parent, to, s, t):
+    if parent[t] < 0:
+        return None
+    arcs, node = [], t
+    while node != s:
+        arcs.append(parent[node])
+        node = to[parent[node] ^ 1]
+    return arcs
+
+
+G5 = build(5, Family.WHEEL)
+
+
+@st.composite
+def _flow_cases(draw):
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 12))
+        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * k))
+        adjacency = {v: [] for v in range(k)}
+        for a, b in edges:
+            adjacency[a].append(b)
+        view = AdjacencyView(adjacency)
+    else:
+        copies = draw(st.sets(st.integers(1, 5), min_size=1, max_size=4))
+        view = draw(st.sampled_from([full_view(G5), spanning_intra_view(G5),
+                                     copy_union(G5, copies), delete_copies(G5, copies)]))
+    verts = view.vertices()
+    pick = st.sampled_from(verts)
+    some = st.lists(pick, max_size=4, unique=True)
+    edits = {name: draw(some) for name in
+             ("entry_blocked", "exit_blocked", "no_split", "uncapped", "removed")}
+    edits["order_seed"] = draw(st.one_of(st.none(), st.integers(0, 2**32)))
+    u, v, a = draw(pick), draw(pick), draw(pick)
+    nbrs = [w for w, _ in view.neighbors(a)]
+    dropped = (a, draw(st.sampled_from(nbrs))) if nbrs and draw(st.booleans()) else None
+    sources, sinks = draw(some), draw(some)
+    return (view, edits, dropped, sources, sinks, draw(st.booleans()), u,
+            draw(st.booleans()), v, draw(st.integers(1, 6)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=_flow_cases())
+def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
+    """Every BFS of a query, augmentations and the witness cut's reach
+    alike, must find what a plain FIFO BFS over the same residual finds:
+    the same augmenting path, or, run to exhaustion, the same parents."""
+    view, edits, dropped, sources, sinks, from_source, u, to_sink, v, limit = case
+    kernel = flows._bfs
+    runs = []
+
+    def checked(rows, to, cap, parent, s, t):
+        plain = parent[:]
+        kernel(rows, to, cap, parent, s, t)
+        _plain_bfs(rows, to, cap, plain, s, t)
+        if t == -1:
+            assert parent == plain
+        else:
+            assert _path_arcs(parent, to, s, t) == _path_arcs(plain, to, s, t)
+        runs.append(t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_bfs", checked)
+        with _FlowQuery(view, **edits) as q:
+            for x in sources:
+                q.add_arc(q.source, q.vin(x), 1)
+            for y in sinks:
+                q.add_arc(q.vin(y), q.sink, 1)
+            if dropped is not None:
+                q.drop_edge(*dropped)
+            s = q.source if from_source else q.vout(u)
+            t = q.sink if to_sink else q.vin(v)
+            q.max_flow(s, t, limit)
+            q.witness_cut(s, set())
+    assert runs and runs[-1] == -1
 
 
 def _flowing_edges(net) -> set:
