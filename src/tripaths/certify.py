@@ -11,7 +11,7 @@ from .construct import CaseTrace
 from .errors import CertificateError, SchemaError, VersionMismatch
 from .flows import Path
 from .graphs import build, full_view
-from .pairing import OmegaPathSet, formula_value, pairing_capacity
+from .pairing import OmegaPathSet, formula_value, pairing_capacity, pi3_upper
 from .perms import MAX_DEGREE, parse_family, parse_permutation, permutation_text, rank
 from .tripod import TripodStructure, standard_target
 from .verification import check_omega_path_set, check_tripod
@@ -268,11 +268,15 @@ def verify_certificate(cert: Certificate) -> tuple[str, list]:
         add(name, ok, detail, hard)
 
     if cert.pi3 is not None:
-        add("pi3-formula", cert.pi3.get("formula") == formula_value(g.n),
-            f"recorded {cert.pi3.get('formula')}")
-        lower, upper = cert.pi3.get("lower"), cert.pi3.get("upper")
-        if lower is not None and upper is not None:
-            add("pi3-bounds-ordered", lower <= upper, f"{lower} > {upper}")
+        # every pi3 field is derived again: lower from the Omega paths
+        # just re-checked, r and upper from the rebuilt graph
+        bound = pi3_upper(g)
+        derived = {"formula": formula_value(g.n), "lower": len(omega_paths),
+                   "r": bound.r, "upper": bound.value}
+        for key, value in derived.items():
+            claim = cert.pi3.get(key)
+            add(f"pi3-{key}", type(claim) is int and claim == value,
+                f"recorded {claim!r}, derived {value}")
 
     recorded = all(row.get("pass") for row in cert.checks)
     add("recorded-checks-clean", recorded)

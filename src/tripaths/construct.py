@@ -524,18 +524,24 @@ def _two_copies(g, tri, seed):
 
 # ----------------------------------------------------------- three copies
 
+def _star_pairs(g, copy):
+    """(w, w*) for every member w of a copy, ascending.  The star image is
+    read straight off the adjacency row: ``build_structure`` admits only
+    the wheel family and copy members are in range, so the checks of
+    ``outside_neighbors`` would repeat to no purpose."""
+    star = g.outside_gens[2]
+    for w in g.copy_members[copy]:
+        for ws, gi in g.adj[w]:
+            if gi == star:
+                yield w, ws
+                break
+
+
 def _slice_pool(g, i_from, j_to, reserved):
     """Vertices w of copy i_from whose star image lands in copy j_to with
     both ends clear of reserved vertices; returns (w, w*) pairs ascending."""
-    out = []
-    for w in g.copy_members[i_from]:
-        if w in reserved:
-            continue
-        ws = outside_neighbors(g, w)[2]
-        if g.copy_id[ws] != j_to or ws in reserved:
-            continue
-        out.append((w, ws))
-    return out
+    return [(w, ws) for w, ws in _star_pairs(g, i_from)
+            if w not in reserved and g.copy_id[ws] == j_to and ws not in reserved]
 
 
 def _extra_or_direct(root: int, target: int, far: int, tag: str, plan: dict) -> None:
@@ -691,10 +697,9 @@ def _execute_three(g, roles, chat_copies, plan, oseed):
     if plan["bridge"] is not None:
         root, btag = plan["bridge"]
         used_from = {w for w, _ws, _t in matches} | reserved
-        for v in g.copy_members[g.copy_id[root]]:
+        for v, v_star in _star_pairs(g, g.copy_id[root]):
             if v in used_from:
                 continue
-            v_star = outside_neighbors(g, v)[2]
             if g.copy_id[v_star] in chat_copies and v_star not in reserved:
                 bridge = (root, v, v_star, btag)
                 chat_y.append(v_star)

@@ -37,6 +37,38 @@ terminal arcs; ``vout(v)`` its split reverse arc while v carries flow,
 its forward arcs in adjacency order and its terminal arcs.  An order
 seed reshuffles the forward arcs for randomized restarts, with the swaps
 ``random.Random(seed).shuffle`` would make, drawn inline.
+
+On views of at least ``_TWO_ENDED_VERTICES`` vertices ``max_flow`` finds
+the same augmenting path from both ends (``_two_ended``).  The FIFO path
+is the shortest s-t path whose sequence of row positions is
+lexicographically least: the parent chain of every node is the least
+shortest path to it, and FIFO order on a level is the order of those
+sequences.  So the search alternates level steps on the side with the
+smaller frontier.  Forward steps keep FIFO parents, as ``_bfs`` does;
+backward steps keep only distances to t, reading the arcs into a node as
+the partners of the arcs out of it (``_SplitNetwork.back_arcs`` keeps
+the reverse arcs a ``vin`` row lists only while they carry flow).  Before
+the first meet every meet closes a shortest path.  A forward step's
+first meet is the path's node on that level, since it is found in FIFO
+order; after a backward step the meet the FIFO search finds first is
+chosen by comparing parent chains where they merge.  From the meet the
+path takes, row by row, the first arc that steps one closer to t, which
+is the least continuation.  Per call, with the flows of ``pi3_lower`` on
+``sample_triples(g, N, 1)`` (N = 600, 60, 30 at n = 5, 6, 7; best of 3
+runs, Python 3.11 on a shared 2-vCPU host), one-ended -> two-ended:
+
+    view vertices   views                         ms per max_flow
+    11-24           one copy at n = 5             0.073 -> 0.103
+    48              two copies at n = 5           0.044 -> 0.061
+    96              n = 5 minus a copy            0.167 -> 0.185
+    678-720         n = 6 spanning, n = 7 copy    2.05  -> 1.12
+    2880            four copies at n = 7          2.76  -> 1.06
+    4320            n = 7 minus a copy            14.5  -> 4.09
+
+No sweep runs a flow on views of 97 to 677 vertices.  Random queries,
+set-up included, ran 1.0-1.15x faster two-ended on CW_5 (120 vertices)
+and on two copies of CW_6 (240); the threshold sits between the sizes
+where the one-ended search wins and those where the two-ended one does.
 """
 
 from __future__ import annotations
@@ -45,11 +77,14 @@ import random
 from array import array
 from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InsufficientConnectivity, RankOutOfRange
 
 _INF = 1 << 30
 _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
+# views of at least this many vertices find augmenting paths from both ends
+_TWO_ENDED_VERTICES = 200
 
 
 @dataclass(frozen=True)
@@ -96,7 +131,8 @@ class CutResult:
 class _SplitNetwork:
     """Static split network of one graph under one generator mask.
 
-    ``nbrs[v]`` lists the neighbours of vertex v in ascending order.
+    ``nbrs[v]`` lists the neighbours of vertex v in ascending order, and
+    w is a neighbour of v exactly when v is one of w.
     Arc 2v is the split arc of vertex v, the edge arcs follow vertex by
     vertex in adjacency order, and every arc starts at its unit
     capacity (0 for the reverse arc of a pair).  The super source and
@@ -106,6 +142,8 @@ class _SplitNetwork:
     ``vin(v)`` only its split arc: every reverse arc, the split reverse
     arc included, starts at capacity 0, and ``_FlowQuery.max_flow`` lists
     one in the row of its tail only while its pair carries flow.
+    ``back_arcs[back_first[v]:back_first[v + 1]]`` lists the reverse
+    edge arcs out of ``vin(v)`` whether or not they carry flow.
     """
 
     def __init__(self, nbrs):
@@ -116,6 +154,13 @@ class _SplitNetwork:
         for i in range(nv):
             to[2 * i] = 2 * i + 1
             to[2 * i + 1] = 2 * i
+        # back_arcs groups the reverse arc of every edge arc by the vin
+        # node it leaves, in flat arrays, which stay small; the graph is
+        # undirected, so vin(w) has one such arc per neighbour of w
+        starts = array("i", [0])
+        starts.extend(accumulate(map(len, nbrs)))
+        slot = starts[:]
+        back = array("i", [0]) * starts[nv]
         rows = []
         for i, ws in enumerate(nbrs):
             first = len(to)
@@ -124,9 +169,14 @@ class _SplitNetwork:
             for w in ws:
                 to.append(2 * w)
                 to.append(2 * i + 1)
+                back[slot[w]] = len(to) - 1
+                slot[w] += 1
         self.to = to
         self.cap = array("i", [1, 0]) * (len(to) // 2)
         self.arc_count = len(to)
+        if slot[:-1] != starts[1:]:
+            raise ValueError("adjacency rows must be symmetric")
+        self.back_arcs, self.back_first = back, starts
         rows += [array("i"), array("i")]
         self.rows = rows
         self.open_template = [-1] * len(rows)
@@ -165,6 +215,7 @@ class _FlowQuery:
         self.saved: dict[int, int] = {}
         self.saved_rows: dict[int, array] = {}
         net.busy = True
+        self.two_ended = view.vertex_count >= _TWO_ENDED_VERTICES
         try:
             self.template = self._template(view.allowed, removed)
             self._edit(entry_blocked, exit_blocked, no_split, uncapped, order_seed)
@@ -266,10 +317,11 @@ class _FlowQuery:
         net.busy = False
 
     def add_arc(self, tail: int, head: int, c: int) -> None:
-        """Terminal arc for this query only, scanned last from its tail; one
-        end must be a ``vin`` node and the other not."""
-        if self._is_vin(tail) == self._is_vin(head):
-            raise ValueError(f"arc {tail} -> {head} must join a vin node to the other side")
+        """Terminal arc for this query only, scanned last from its tail; it
+        joins a ``vin`` node to the super source or sink, so a ``vout``
+        node takes flow in through its split arc alone."""
+        if self._is_vin(tail) == self._is_vin(head) or max(tail, head) < self.source:
+            raise ValueError(f"arc {tail} -> {head} must join a vin node to the source or sink")
         net = self.net
         e = len(net.to)
         net.to.extend((head, tail))
@@ -287,25 +339,27 @@ class _FlowQuery:
     def max_flow(self, s: int, t: int, limit: int, counter: StepCounter | None = None) -> int:
         if self._is_vin(s):
             raise ValueError(f"flow from vin node {s}: the BFS starts on the other side")
-        rows, to, cap = self.net.rows, self.net.to, self.net.cap
+        if not (self._is_vin(t) or t == self.sink):
+            raise ValueError(f"flow to node {t}: it must be a vin node or the super sink")
+        net = self.net
+        rows, to, cap = net.rows, net.to, net.cap
         template, saved = self.template, self.saved
-        last_static = self.net.arc_count
+        last_static = net.arc_count
         value = 0
         while value < limit:
             if counter is not None:
                 counter.add()
-            parent = template[:]
-            _bfs(rows, to, cap, parent, s, t)
-            if parent[t] < 0:
-                break
-            bottleneck = limit - value
-            path, node = [], t
-            while node != s:
-                e = parent[node]
-                path.append(e)
-                if cap[e] < bottleneck:
-                    bottleneck = cap[e]
-                node = to[e ^ 1]
+            if self.two_ended:
+                path = _two_ended(net, template, s, t)
+                if path is None:
+                    break
+            else:
+                parent = template[:]
+                _bfs(rows, to, cap, parent, s, t)
+                if parent[t] < 0:
+                    break
+                path = _chain(parent, to, s, t, [])
+            bottleneck = min(limit - value, min(cap[e] for e in path))
             for e in path:
                 k = e & -2
                 if k + 1 not in saved:
@@ -421,6 +475,136 @@ def _bfs(rows, to, cap, parent, s: int, t: int) -> None:
                     if w == t:
                         return
                     push(w)
+
+
+def _chain(parent, to, s: int, node: int, path: list[int]) -> list[int]:
+    """`path` extended by the ``parent`` arcs from `node` back to s."""
+    while node != s:
+        e = parent[node]
+        path.append(e)
+        node = to[e ^ 1]
+    return path
+
+
+def _two_ended(net, template, s: int, t: int) -> list[int] | None:
+    """The augmenting path ``_bfs`` finds from s to t (a ``vin`` node or
+    the super sink), as its arcs from t back to s, or None; found by
+    level steps from both ends, each step on the end with the smaller
+    frontier.
+
+    A forward step takes the next two levels of the FIFO search from s,
+    with its parents.  A backward step takes the next two levels of
+    distances to t: from each ``vin`` node it reads the arcs into it
+    (the partners of ``back_arcs`` and of its row) and expands each
+    ``vout`` node on discovery through its split arc and, while the
+    vertex carries flow, the partners of its row.  The start s is never
+    expanded backward: reaching it is a meet.
+    """
+    rows, to, cap = net.rows, net.to, net.cap
+    back, first, source = net.back_arcs, net.back_first, net.source
+    if template[t] != -1:
+        return None
+    parent, dist = template[:], template[:]
+    parent[s] = -2
+    dist[t] = 0
+    fwd, bwd, depth = [s], [t], 0
+    if t == net.sink:
+        bwd, depth = [], 1
+        for f in rows[t]:
+            z = to[f]
+            if dist[z] == -1 and cap[f ^ 1] > 0:
+                dist[z] = 1
+                bwd.append(z)
+    while fwd and bwd:
+        if len(fwd) <= len(bwd):
+            # no meet so far, so every meet here is a shortest path; the
+            # first is a vin node, found in FIFO order (a later vout node's
+            # parent would have met first)
+            nxt = []
+            push = nxt.append
+            for u in fwd:
+                for e in rows[u]:
+                    h = to[e]
+                    if parent[h] != -1 or cap[e] <= 0:
+                        continue
+                    parent[h] = e
+                    if dist[h] != -1:
+                        return _join(rows, to, cap, parent, dist, s, h, t)
+                    row = rows[h]
+                    if len(row) == 1:
+                        if cap[h] > 0 and parent[h + 1] == -1:
+                            parent[h + 1] = h
+                            push(h + 1)
+                        continue
+                    for f in row:
+                        w = to[f]
+                        if parent[w] == -1 and cap[f] > 0:
+                            parent[w] = f
+                            push(w)
+            fwd = nxt
+        else:
+            # meets lie in the forward frontier, one step from this
+            # frontier; once one is found only that level is finished
+            nxt, meets = [], []
+            push = nxt.append
+            near, far = depth + 1, depth + 2
+            for x in bwd:
+                v = x >> 1
+                for arcs in (back[first[v]:first[v + 1]], rows[x]):
+                    for f in arcs:
+                        y = to[f]
+                        if dist[y] != -1 or cap[f ^ 1] <= 0:
+                            continue
+                        dist[y] = near
+                        if parent[y] != -1:
+                            meets.append(y)
+                        if meets:
+                            continue
+                        if y < source:
+                            if cap[y - 1] > 0 and dist[y - 1] == -1:
+                                dist[y - 1] = far
+                                push(y - 1)
+                            if cap[y] <= 0:
+                                continue
+                        for g in rows[y]:
+                            z = to[g]
+                            if dist[z] == -1 and cap[g ^ 1] > 0:
+                                dist[z] = far
+                                push(z)
+            if meets:
+                return _join(rows, to, cap, parent, dist, s, _fifo_first(rows, to, parent, meets), t)
+            bwd, depth = nxt, far
+    return None
+
+
+def _fifo_first(rows, to, parent, nodes) -> int:
+    """The one of `nodes`, all on one forward level, that a FIFO search
+    finds first: where two parent chains merge, the earlier arc in the
+    row of the merge node leads to the earlier node."""
+    best = nodes[0]
+    for y in nodes[1:]:
+        a, b = best, y
+        while a != b:
+            ea, eb = parent[a], parent[b]
+            a, b = to[ea ^ 1], to[eb ^ 1]
+        row = rows[a]
+        if row.index(eb) < row.index(ea):
+            best = y
+    return best
+
+
+def _join(rows, to, cap, parent, dist, s: int, m: int, t: int) -> list[int]:
+    """The FIFO path through the meet m, from t back to s: the parents
+    back to s, and from m the first arc of each row that takes one step
+    closer to t, which is the FIFO path's continuation from m."""
+    path, x = [], m
+    while x != t:
+        want = dist[x] - 1
+        e = next(e for e in rows[x] if cap[e] > 0 and dist[to[e]] == want)
+        path.append(e)
+        x = to[e]
+    path.reverse()
+    return _chain(parent, to, s, m, path)
 
 
 def _require(view, vertices) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 from ._util import mix_seed
@@ -119,24 +120,30 @@ def max_triple_common_neighbors(g: CayleyGraph) -> tuple[int, tuple[int, int, in
     answer at 3, so the scan exits early on a witness of that size.
     """
     best, witness = 0, None
-    nbr = [frozenset(w for w, _ in g.adj[v]) for v in range(g.vertex_count)]
+
+    @cache
+    def nbr(v: int) -> frozenset[int]:
+        # built on first use: the scan usually stops within the first
+        # vertex's neighbourhood, long before it has seen every vertex
+        return frozenset(w for w, _ in g.adj[v])
+
     for u in range(g.vertex_count):
         two_away = set()
-        for w1 in nbr[u]:
-            two_away.update(nbr[w1])
+        for w1 in nbr(u):
+            two_away.update(nbr(w1))
         for v in sorted(two_away):
-            if v <= u or v in nbr[u]:
+            if v <= u or v in nbr(u):
                 continue
-            cn = nbr[u] & nbr[v]
+            cn = nbr(u) & nbr(v)
             if len(cn) <= best:
                 continue
             cands = set()
             for m in cn:
-                cands.update(nbr[m])
+                cands.update(nbr(m))
             for t in sorted(cands):
                 if t in (u, v):
                     continue
-                k = len(cn & nbr[t])
+                k = len(cn & nbr(t))
                 if k > best:
                     best, witness = k, (u, v, t)
                     if best >= 3:
@@ -145,7 +152,13 @@ def max_triple_common_neighbors(g: CayleyGraph) -> tuple[int, tuple[int, int, in
 
 
 def pi3_upper(g: CayleyGraph) -> UpperBoundReport:
-    """Degree/packing upper bound from the maximum shared-neighbor count."""
+    """Degree/packing upper bound from the maximum shared-neighbor count.
+
+    Let the triple have degree k and r common neighbours.  A path through
+    all three uses at least 4 of the 3k edges at the triple, and a common
+    neighbour lies on at most one path and spends at most 2 of its 3
+    edges there, so at most floor((3k - r) / 4) paths exist.
+    """
     if g.family is Family.WHEEL:
         k = 2 * g.n - 2
     else:

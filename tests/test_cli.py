@@ -219,6 +219,22 @@ def test_verify_claim_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("claims", [
+    {"upper": 99}, {"lower": 0}, {"r": 0}, {"lower": 4, "upper": 4},
+], ids=["upper-99", "lower-0", "r-0", "lower-and-upper-4"])
+def test_verify_rederives_every_pi3_claim(claims, tmp_path, capsys):
+    """lower is the number of Omega paths re-checked, r and upper come
+    from the rebuilt graph: a recorded value that differs is a mismatch."""
+    doc = json.loads((GOLDEN / "certificate-n5.json").read_text())
+    doc["pi3"].update(claims)
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps(doc))
+    assert main(["verify", str(off)]) == EXIT_MISMATCH
+    failed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if " FAIL" in line}
+    assert failed == {f"pi3-{key}" for key in claims}
+
+
 def test_verify_wrong_schema(tmp_path, capsys):
     doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
     doc["extra_field"] = True

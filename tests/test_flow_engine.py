@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path as FilePath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripaths import flows
@@ -288,7 +288,8 @@ def test_queries_leave_the_shared_network_clean():
 
 
 def _net_bytes(net):
-    return net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows]
+    return (net.cap.tobytes(), net.to.tobytes(), [row.tobytes() for row in net.rows],
+            net.back_arcs.tobytes(), net.back_first.tobytes())
 
 
 def test_queries_restore_the_shared_arrays():
@@ -316,16 +317,29 @@ def _source_to_sink(q):
     q.add_arc(q.source, q.sink, 1)
 
 
+def _vin_to_vout(q):
+    q.add_arc(q.vin(1), q.vout(2), 1)
+
+
 def _flow_from_vin(q):
     q.add_arc(q.source, q.vin(4), 1)
     q.max_flow(q.vin(3), q.sink, 1)
 
 
+def _flow_to_vout(q):
+    q.add_arc(q.source, q.vin(4), 1)
+    q.max_flow(q.source, q.vout(3), 1)
+
+
 @pytest.mark.parametrize("misuse", [_vin_to_vin, _sink_from_vout, _source_to_sink,
-                                    _flow_from_vin], ids=lambda fn: fn.__name__[1:])
+                                    _vin_to_vout, _flow_from_vin, _flow_to_vout],
+                         ids=lambda fn: fn.__name__[1:])
 def test_arcs_and_flows_that_skip_the_vin_side_are_rejected(misuse):
     """The BFS expands vin nodes on discovery, which needs every arc to
-    join a vin node to the other side and the search to start off it."""
+    join a vin node to the other side and the search to start off it.
+    The search from t reads the arcs into a vout node from its split arc
+    and its row, which needs terminal arcs to end at the source or sink,
+    and t to be a vin node or the sink."""
     view = full_view(build(5, Family.WHEEL))
     first = _query_a(view)
     net = _network(view)
@@ -364,11 +378,13 @@ def _path_arcs(parent, to, s, t):
 
 
 G5 = build(5, Family.WHEEL)
+G6 = build(6, Family.WHEEL)
 
 
 @st.composite
 def _flow_cases(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["adjacency", "cw5", "cw6"]))
+    if kind == "adjacency":
         k = draw(st.integers(2, 12))
         pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
         edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * k))
@@ -376,10 +392,14 @@ def _flow_cases(draw):
         for a, b in edges:
             adjacency[a].append(b)
         view = AdjacencyView(adjacency)
-    else:
+    elif kind == "cw5":
         copies = draw(st.sets(st.integers(1, 5), min_size=1, max_size=4))
         view = draw(st.sampled_from([full_view(G5), spanning_intra_view(G5),
                                      copy_union(G5, copies), delete_copies(G5, copies)]))
+    else:
+        # unions of two or three copies: 240 or 360 vertices, so max_flow
+        # searches from both ends
+        view = copy_union(G6, draw(st.sets(st.integers(1, 6), min_size=2, max_size=3)))
     verts = view.vertices()
     pick = st.sampled_from(verts)
     some = st.lists(pick, max_size=4, unique=True)
@@ -394,28 +414,59 @@ def _flow_cases(draw):
             draw(st.booleans()), v, draw(st.integers(1, 6)))
 
 
+# The shortest strand 0-1-2-3-9 carries the first unit; the second must
+# cancel its edge 2-3.  The leaves of 0 widen the search from 0, so the
+# search from 9 walks back through 10, 7 and 5 to vertex 1, which carries
+# flow, and on only through the reverse arc of its edge 1-2.
+_CANCEL_FROM_T = (
+    AdjacencyView({0: [1, 4, *range(20, 30)], 1: [2, 5], 2: [3], 3: [9], 4: [6], 6: [8],
+                   8: [3], 5: [7], 7: [10], 10: [9]}),
+    {"entry_blocked": [0], "exit_blocked": [9], "no_split": [], "uncapped": [0, 9],
+     "removed": [], "order_seed": None},
+    None, [], [], False, 0, False, 9, 2)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(case=_flow_cases())
+@example(case=_CANCEL_FROM_T)
 def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
-    """Every BFS of a query, augmentations and the witness cut's reach
+    """Every search of a query, augmentations and the witness cut's reach
     alike, must find what a plain FIFO BFS over the same residual finds:
-    the same augmenting path, or, run to exhaustion, the same parents."""
+    the same augmenting path, or, run to exhaustion, the same parents.
+    The two-ended search runs on the residual of every augmentation,
+    whichever search the view's size picks for it."""
     view, edits, dropped, sources, sinks, from_source, u, to_sink, v, limit = case
-    kernel = flows._bfs
+    net = _network(view)
+    kernel, two_ended = flows._bfs, flows._two_ended
     runs = []
 
+    def plain_arcs(template, s, t):
+        plain = template[:]
+        _plain_bfs(net.rows, net.to, net.cap, plain, s, t)
+        return _path_arcs(plain, net.to, s, t)
+
     def checked(rows, to, cap, parent, s, t):
-        plain = parent[:]
+        template = parent[:]
         kernel(rows, to, cap, parent, s, t)
-        _plain_bfs(rows, to, cap, plain, s, t)
         if t == -1:
+            plain = template[:]
+            _plain_bfs(rows, to, cap, plain, s, t)
             assert parent == plain
         else:
-            assert _path_arcs(parent, to, s, t) == _path_arcs(plain, to, s, t)
-        runs.append(t)
+            arcs = plain_arcs(template, s, t)
+            assert _path_arcs(parent, to, s, t) == arcs
+            assert two_ended(net, template, s, t) == arcs
+        runs.append(("bfs", t))
+
+    def checked_two_ended(net_, template, s, t):
+        arcs = two_ended(net_, template, s, t)
+        assert arcs == plain_arcs(template, s, t)
+        runs.append(("two-ended", t))
+        return arcs
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flows, "_bfs", checked)
+        mp.setattr(flows, "_two_ended", checked_two_ended)
         with _FlowQuery(view, **edits) as q:
             for x in sources:
                 q.add_arc(q.source, q.vin(x), 1)
@@ -427,7 +478,9 @@ def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
             t = q.sink if to_sink else q.vin(v)
             q.max_flow(s, t, limit)
             q.witness_cut(s, set())
-    assert runs and runs[-1] == -1
+    large = view.vertex_count >= flows._TWO_ENDED_VERTICES
+    assert {kind for kind, _ in runs[:-1]} == {"two-ended" if large else "bfs"}
+    assert runs[-1] == ("bfs", -1)
 
 
 def _flowing_edges(net) -> set:

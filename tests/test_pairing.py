@@ -131,12 +131,19 @@ def test_upper_bound_values():
 
 
 def test_max_triple_common_neighbors_witness():
-    g = build(4, Family.WHEEL)
-    r, witness = max_triple_common_neighbors(g)
-    assert r == 3
-    nbr = [set(w for w, _ in g.adj[v]) for v in range(24)]
-    u, v, w = witness
-    assert len(nbr[u] & nbr[v] & nbr[w]) == 3
+    """The witness, read straight from ``g.adj``: three pairwise
+    non-adjacent vertices of degree k = 2n - 2 with r = 3 common
+    neighbours, so the bound floor((3k - r) / 4) is the formula."""
+    for n in (4, 5, 6, 7):
+        g = build(n, Family.WHEEL)
+        r, witness = max_triple_common_neighbors(g)
+        assert r == 3
+        nbr = {v: {w for w, _ in g.adj[v]} for v in witness}
+        u, v, w = witness
+        assert v not in nbr[u] and w not in nbr[u] and w not in nbr[v]
+        assert len(nbr[u] & nbr[v] & nbr[w]) == 3
+        assert {len(ws) for ws in nbr.values()} == {2 * n - 2}
+        assert (3 * (2 * n - 2) - r) // 4 == pi3_upper(g).value == formula_value(n)
 
 
 def test_sample_triples_stratified():

@@ -1,4 +1,5 @@
-"""Pinned construction results: structure digests at n = 4..7.
+"""Pinned construction results: structure digests at n = 4..7, and of
+one slow triple at n = 8.
 
 ``tests/pinned/structures.json`` holds, for each n, the sha256 of what
 ``build_structure`` and ``pair_structure`` give on
@@ -14,6 +15,8 @@ import json
 import time
 from pathlib import Path as FilePath
 
+import pytest
+
 from tripaths._util import mix_seed
 from tripaths.certify import _jsonable
 from tripaths.construct import build_structure
@@ -22,35 +25,36 @@ from tripaths.pairing import pair_structure, sample_triples
 from tripaths.perms import Family
 
 PINNED = FilePath(__file__).parent / "pinned" / "structures.json"
+PINNED_N8 = FilePath(__file__).parent / "pinned" / "structures_n8.json"
 SAMPLES = {4: 60, 5: 120, 6: 45, 7: 12}
 BUDGET_S = 3.0
 
 
-def _records(n: int, count: int) -> list:
-    g = build(n, Family.WHEEL)
-    view = full_view(g)
-    out = []
-    for tri in sample_triples(g, count, 1):
-        structure, trace = build_structure(g, tri, seed=mix_seed(1, *tri))
-        omega_set = pair_structure(view, structure)
-        out.append({
-            "omega": list(tri),
-            "case": _jsonable({"case_id": trace.case_id, "roles": trace.roles,
-                               "copies": trace.copies, "auxiliary": trace.auxiliary,
-                               "fallback": trace.fallback, "seed": trace.seed}),
-            "bundles": [[list(p.vertices) for p in bundle] for bundle in
-                        (structure.bundle_ab, structure.bundle_ac, structure.bundle_bc)],
-            "omega_paths": [list(p.vertices) for p in omega_set.paths],
-        })
-    return out
+def _record(g, tri, seed: int) -> dict:
+    structure, trace = build_structure(g, tri, seed=seed)
+    omega_set = pair_structure(full_view(g), structure)
+    return {
+        "omega": list(tri),
+        "case": _jsonable({"case_id": trace.case_id, "roles": trace.roles,
+                           "copies": trace.copies, "auxiliary": trace.auxiliary,
+                           "fallback": trace.fallback, "seed": trace.seed}),
+        "bundles": [[list(p.vertices) for p in bundle] for bundle in
+                    (structure.bundle_ab, structure.bundle_ac, structure.bundle_bc)],
+        "omega_paths": [list(p.vertices) for p in omega_set.paths],
+    }
+
+
+def _digest(records: list) -> str:
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def structure_digests() -> dict:
     digests = {}
     for n, count in SAMPLES.items():
-        text = json.dumps(_records(n, count), sort_keys=True, separators=(",", ":"))
-        digests[f"n{n}"] = {"triples": count,
-                            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        g = build(n, Family.WHEEL)
+        records = [_record(g, tri, mix_seed(1, *tri)) for tri in sample_triples(g, count, 1)]
+        digests[f"n{n}"] = {"triples": count, "sha256": _digest(records)}
     return digests
 
 
@@ -60,3 +64,16 @@ def test_structure_digests_are_pinned():
     elapsed = time.perf_counter() - start
     assert got == json.loads(PINNED.read_text())
     assert elapsed <= BUDGET_S, f"digest sweep took {elapsed:.2f} s"
+
+
+@pytest.mark.slow
+def test_n8_slow_triple_is_pinned():
+    """An n = 8 triple that spends most of its flow queries in exchange
+    repair; ``tests/pinned/structures_n8.json`` holds the digest of its
+    one record, in the format above, and the test prints its time."""
+    pin = json.loads(PINNED_N8.read_text())
+    g = build(8, Family.WHEEL)
+    start = time.perf_counter()
+    record = _record(g, tuple(pin["omega"]), pin["seed"])
+    print(f"n = 8 triple {tuple(pin['omega'])} took {time.perf_counter() - start:.2f} s")
+    assert _digest([record]) == pin["sha256"]
