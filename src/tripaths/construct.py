@@ -726,10 +726,13 @@ def _execute_three(g, roles, chat_copies, plan, oseed):
             return None
         fans[term] = {p.vertices[-1]: p for p in fam.paths}
 
+    # no ValueError to catch: chat_x is c's doors (one per copy) or
+    # [gamma0], chat_y the distinct y_owner keys plus a bridge end kept out
+    # of them, and each plan gives c as many doors as chat ends
     try:
         fam = disjoint_set_paths(copy_union(g, chat_copies), plan["chat_x"], chat_y,
                                  len(plan["chat_x"]), order_seed=oseed)
-    except (InsufficientConnectivity, ValueError):
+    except InsufficientConnectivity:
         return None
     # len(chat_x) == len(chat_y), so every chat end closes exactly one path
     chat = {p.vertices[-1]: p for p in fam.paths}

@@ -303,3 +303,35 @@ def test_three_copy_plans_name_an_owner_for_every_chat_end(monkeypatch):
     sampled_n7 = [t for t in sample_triples(G7, 300, 1) if len({G7.copy_id[v] for v in t}) == 3]
     assert len(sampled_n7) == 100
     assert _bridged_plans(G5, every_n5) + _bridged_plans(G7, sampled_n7) > 0
+
+
+def test_chat_flows_get_distinct_ends_one_per_door(monkeypatch):
+    """``_execute_three`` lets only InsufficientConnectivity out of its
+    chat flow end in a miss: ``disjoint_set_paths`` raises ValueError on
+    a repeated terminal or on more paths than terminals, and every chat
+    flow gets distinct doors and distinct ends, one end per door."""
+    module = tripaths.construct
+    execute, flow = module._execute_three, module.disjoint_set_paths
+    inside, seen = [], set()
+
+    def executed(g, *args):
+        inside.append(g.n)
+        try:
+            return execute(g, *args)
+        finally:
+            inside.pop()
+
+    def checked(view, xs, ys, k, order_seed=None):
+        if inside:
+            assert len(set(xs)) == len(xs) == k == len(ys) == len(set(ys)), (xs, ys, k)
+            seen.add((inside[-1], k))
+        return flow(view, xs, ys, k, order_seed=order_seed)
+
+    monkeypatch.setattr(module, "_execute_three", executed)
+    monkeypatch.setattr(module, "disjoint_set_paths", checked)
+    for g, count in ((G5, 600), (G7, 60)):
+        for tri in sample_triples(g, count, 1):
+            if len({g.copy_id[v] for v in tri}) == 3:
+                build_structure(g, tri, seed=1)
+    build_structure(G7, (957, 1108, 3678), seed=1)  # OddCase3_3: three chat ends
+    assert seen == {(5, 1), (5, 2), (7, 2), (7, 3)}, seen

@@ -266,12 +266,12 @@ def _query_b(view):
     return _call(disjoint_set_paths, view, [1, 2, 3], [50, 60, 70], 3)
 
 
-def _raising_query(view):
+def _raising_query(view, order_seed=None):
     """A fan from 0 that keeps one neighbour of 0 and needs two paths."""
     nbrs = [w for w, _ in view.neighbors(0)]
     starved = view.without(nbrs[1:])
     targets = [t for t in starved.vertices() if t != 0 and t not in nbrs][-2:]
-    out = _call(k_fan, starved, 0, targets, 2)
+    out = _call(k_fan, starved, 0, targets, 2, order_seed=order_seed)
     assert "error" in out
     return out
 
@@ -303,6 +303,25 @@ def test_queries_restore_the_shared_arrays():
     _call(_two_phase, view, (0, 50, 100), StructureTarget(3, 3, 3), "b", 7, None)
     assert not net.busy
     assert _net_bytes(net) == before
+    # seeded queries on large views read rows through an overlay, which
+    # the query drops on exit: after a result, a shortfall and an error
+    large = full_view(G6)
+    net = _network(large)
+    rows, before = net.rows, _net_bytes(net)
+    for query in (_query_a, lambda v: _raising_query(v, order_seed=3), _misused_after_a_push):
+        query(large)
+        assert net.rows is rows and not net.busy
+        assert _net_bytes(net) == before
+
+
+def _misused_after_a_push(view):
+    with pytest.raises(ValueError, match="vin"):
+        with _FlowQuery(view, order_seed=11, entry_blocked=(0,), no_split=(7,)) as q:
+            assert type(q.net.rows) is flows._SeededRows
+            q.add_arc(q.source, q.vin(0), 1)
+            q.add_arc(q.vin(7), q.sink, 1)
+            assert q.max_flow(q.source, q.sink, 1) == 1
+            q.max_flow(q.vin(3), q.sink, 1)
 
 
 def _vin_to_vin(q):
@@ -379,6 +398,7 @@ def _path_arcs(parent, to, s, t):
 
 G5 = build(5, Family.WHEEL)
 G6 = build(6, Family.WHEEL)
+G7 = build(7, Family.WHEEL)
 
 
 @st.composite
@@ -546,19 +566,73 @@ def test_rows_list_reverse_arcs_only_while_they_carry_flow(monkeypatch):
     assert seen["cancels"] > 0 and seen["split_cancels"] > 0 and seen["shortfalls"] > 0, seen
 
 
+def _eager_rows(static, to, template, stuck, seed):
+    """Every row of a network as the seeded order gives it: one
+    ``random.Random(seed).shuffle`` of the in-view forward arcs of each
+    in-view vertex but the stuck ones, in ascending order; any other row
+    as it is in `static`, the network's rows before the query."""
+    rng = random.Random(seed)
+    rows = [list(row) for row in static]
+    for v in range(len(rows) // 2 - 1):
+        if template[2 * v] == -1 and v not in stuck:
+            rows[2 * v + 1] = [e for e in rows[2 * v + 1] if template[to[e]] == -1]
+            rng.shuffle(rows[2 * v + 1])
+    return rows
+
+
 @pytest.mark.parametrize("seed", [0, 1, 5, 1001, 2**40 + 3])
 def test_seeded_rows_follow_random_shuffle(seed):
     """The order a seed gives a row is ``random.Random(seed).shuffle`` of
     the row, for rows of every length: the centre of a star is the first
-    vertex shuffled, and its leaves' one-arc rows draw nothing."""
-    for leaves in [*range(21), 100]:
+    vertex shuffled, and its leaves' one-arc rows draw nothing.  Stars of
+    200 leaves and more are large views, whose rows are shuffled on first
+    read; from 256 arcs on, a draw takes more than the top byte of its
+    word.  Two centres sharing 260 leaves put a long row after draws, and
+    rows that draw after long ones."""
+    for leaves in [*range(21), 100, 200, 255, 256, 257, 300, 400]:
         star = AdjacencyView({0: list(range(1, leaves + 1))})
         expected = list(_network(star).rows[1])
         random.Random(seed).shuffle(expected)
         with _FlowQuery(star, order_seed=seed) as q:
             assert list(q.net.rows[q.vout(0)]) == expected, leaves
+    for leaves in (3, 260):
+        view = AdjacencyView({0: list(range(2, leaves + 2)), 1: list(range(2, leaves + 2))})
+        net = _network(view)
+        static = list(net.rows)
+        with _FlowQuery(view, order_seed=seed) as q:
+            expected = _eager_rows(static, net.to, q.template, set(), seed)
+            assert [list(net.rows[node]) for node in range(len(static))] == expected, leaves
 
 
+@st.composite
+def _large_seeded_queries(draw):
+    if draw(st.booleans()):
+        view = copy_union(G6, draw(st.sets(st.integers(1, 6), min_size=2, max_size=5)))
+    else:
+        view = delete_copies(G7, {draw(st.integers(1, 7))})
+    some = st.lists(st.sampled_from(view.vertices()), max_size=6, unique=True)
+    return (view, {"exit_blocked": draw(some), "no_split": draw(some), "removed": draw(some),
+                   "order_seed": draw(st.integers(0, 2**64))}, draw(st.integers(0, 2**32)))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(case=_large_seeded_queries())
+def test_large_seeded_rows_match_an_eager_shuffle(case):
+    """A seeded query on a large view hands out each row on first read;
+    read in any order, every row is the one an eager shuffle gives, and
+    the static rows are back when the query ends."""
+    view, edits, read_seed = case
+    net = _network(view)
+    static = net.rows
+    with _FlowQuery(view, **edits) as q:
+        assert type(net.rows) is flows._SeededRows
+        stuck = set(edits["exit_blocked"]) | set(edits["no_split"])
+        nodes = list(range(len(static)))
+        random.Random(read_seed).shuffle(nodes)
+        got = {node: list(net.rows[node]) for node in nodes}
+        expected = _eager_rows(static, net.to, q.template, stuck, edits["order_seed"])
+    assert net.rows is static
+    assert [got[node] for node in range(len(static))] == expected
 def test_interleaved_graphs_do_not_share_state():
     g5, g6, g5_bss = (build(5, Family.WHEEL), build(6, Family.WHEEL),
                       build(5, Family.BUBBLE_SORT_STAR))

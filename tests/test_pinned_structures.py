@@ -1,5 +1,5 @@
-"""Pinned construction results: structure digests at n = 4..7, and of
-one slow triple at n = 8.
+"""Pinned construction results: structure digests at n = 4..7, of a
+larger n = 7 sample, and of one slow triple at n = 8.
 
 ``tests/pinned/structures.json`` holds, for each n, the sha256 of what
 ``build_structure`` and ``pair_structure`` give on
@@ -21,10 +21,11 @@ from tripaths._util import mix_seed
 from tripaths.certify import _jsonable
 from tripaths.construct import build_structure
 from tripaths.graphs import build, full_view
-from tripaths.pairing import pair_structure, sample_triples
+from tripaths.pairing import formula_value, pair_structure, sample_triples
 from tripaths.perms import Family
 
 PINNED = FilePath(__file__).parent / "pinned" / "structures.json"
+PINNED_N7 = FilePath(__file__).parent / "pinned" / "structures_n7_sample.json"
 PINNED_N8 = FilePath(__file__).parent / "pinned" / "structures_n8.json"
 SAMPLES = {4: 60, 5: 120, 6: 45, 7: 12}
 BUDGET_S = 3.0
@@ -49,11 +50,16 @@ def _digest(records: list) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _sample_records(g, count: int) -> list:
+    """Records of ``sample_triples(g, count, 1)``, each seeded as
+    ``pi3_lower(g, triples, seed=1)`` seeds it."""
+    return [_record(g, tri, mix_seed(1, *tri)) for tri in sample_triples(g, count, 1)]
+
+
 def structure_digests() -> dict:
     digests = {}
     for n, count in SAMPLES.items():
-        g = build(n, Family.WHEEL)
-        records = [_record(g, tri, mix_seed(1, *tri)) for tri in sample_triples(g, count, 1)]
+        records = _sample_records(build(n, Family.WHEEL), count)
         digests[f"n{n}"] = {"triples": count, "sha256": _digest(records)}
     return digests
 
@@ -64,6 +70,21 @@ def test_structure_digests_are_pinned():
     elapsed = time.perf_counter() - start
     assert got == json.loads(PINNED.read_text())
     assert elapsed <= BUDGET_S, f"digest sweep took {elapsed:.2f} s"
+
+
+@pytest.mark.slow
+def test_n7_sample_needs_no_fallback_and_is_pinned():
+    """240 sampled n = 7 triples, the seeded minus-copy flows of the odd
+    routes among them: no triple fails or falls back, each pairs into
+    formula_value(7) paths, and ``tests/pinned/structures_n7_sample.json``
+    holds the digest of their records; the test prints its time."""
+    pin = json.loads(PINNED_N7.read_text())
+    start = time.perf_counter()
+    records = _sample_records(build(7, Family.WHEEL), pin["triples"])
+    print(f"n = 7: {pin['triples']} triples took {time.perf_counter() - start:.1f} s")
+    assert [r["omega"] for r in records if r["case"]["fallback"]] == []
+    assert {len(r["omega_paths"]) for r in records} == {formula_value(7)}
+    assert _digest(records) == pin["sha256"]
 
 
 @pytest.mark.slow
