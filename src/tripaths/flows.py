@@ -89,7 +89,6 @@ from __future__ import annotations
 import functools
 import random
 import re
-import sys
 from array import array
 from bisect import insort
 from collections import Counter
@@ -103,8 +102,6 @@ _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
 # views of at least this many vertices find augmenting paths from both ends
 _TWO_ENDED_VERTICES = 200
 _DRAW_WORDS = 4096  # MT words a lazy seeded order draws at a time
-# the rejections of one draw; possessive where the re module has it
-_REJECTED = b"*+" if sys.version_info >= (3, 11) else b"*"
 
 
 @dataclass(frozen=True)
@@ -306,12 +303,7 @@ class _FlowQuery:
             if tpl[2 * v] != -1 or v in stuck:
                 continue
             arcs = [e for e in rows[2 * v + 1] if tpl[to[e]] == -1]
-            for i in range(len(arcs) - 1, 0, -1):
-                k = (i + 1).bit_length()
-                j = getrandbits(k)
-                while j > i:
-                    j = getrandbits(k)
-                arcs[i], arcs[j] = arcs[j], arcs[i]
+            _fisher_yates(arcs, getrandbits)
             self._own_row(2 * v + 1)[:] = array("i", arcs)
 
     def _set_cap(self, e: int, c: int) -> None:
@@ -499,8 +491,7 @@ def _row_draws(length: int) -> re.Pattern:
     parts = []
     for i in range(length - 1, 0, -1):
         bound = (i + 1) << (8 - (i + 1).bit_length())
-        parts.append(b"[\\x00-\\xff]" if bound == 256 else
-                     b"[\\x%02x-\\xff]%s[\\x00-\\x%02x]" % (bound, _REJECTED, bound - 1))
+        parts.append(b"[\\x%02x-\\xff]*[\\x00-\\x%02x]" % (bound, bound - 1))
     return re.compile(b"".join(parts))
 
 
