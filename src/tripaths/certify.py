@@ -187,6 +187,9 @@ def load_text(text: str) -> Certificate:
     if pi3 is not None and not (isinstance(pi3, dict) and all(
             pi3.get(k) is None or type(pi3[k]) is int for k in ("lower", "upper"))):
         raise SchemaError("pi3 must be null or an object with integer bounds")
+    solver = _need(payload, "solver")
+    if not isinstance(solver, dict):
+        raise SchemaError("solver must be an object")
     checks = _need(payload, "checks")
     if not isinstance(checks, list) or not all(isinstance(r, dict) for r in checks):
         raise SchemaError("checks must be a list of objects")
@@ -199,7 +202,7 @@ def load_text(text: str) -> Certificate:
         bundles=bundles,
         omega_paths=_paths(_need(payload, "omega_paths"), "omega_paths"),
         pi3=pi3,
-        solver=_need(payload, "solver"),
+        solver=solver,
         checks=checks,
     )
 
@@ -220,6 +223,14 @@ def _structure_from(cert: Certificate) -> TripodStructure:
         tuple(Path(tuple(vs)) for vs in cert.bundles["ac"]),
         tuple(Path(tuple(vs)) for vs in cert.bundles["bc"]),
     )
+
+
+def _exact(claim, value) -> bool:
+    """JSON equality that tells booleans and floats from integers."""
+    if isinstance(value, dict):
+        return (isinstance(claim, dict) and claim.keys() == value.keys()
+                and all(_exact(claim[k], v) for k, v in value.items()))
+    return type(claim) is type(value) and claim == value
 
 
 def verify_certificate(cert: Certificate) -> tuple[str, list]:
@@ -267,6 +278,21 @@ def verify_certificate(cert: Certificate) -> tuple[str, list]:
     for name, ok, detail, hard in _structure_checks(g, structure, omega_paths):
         add(name, ok, detail, hard)
 
+    def claim(name, recorded, derived):
+        # nothing derived (None) matches no record
+        add(name, derived is not None and _exact(recorded, derived),
+            f"recorded {recorded!r}, derived {derived!r}")
+
+    # the case names the terminals a, b, c in omega order and the copy each
+    # lies in; the solver repeats the build seed
+    roles = dict(zip("abc", cert.omega_ranks))
+    claim("case-roles", cert.case["roles"], roles)
+    claim("case-copies", cert.case["copies"],
+          {r: g.copy_id[v] for r, v in roles.items()}
+          if all(v < g.vertex_count for v in cert.omega_ranks) else None)
+    seed = cert.case["seed"]
+    claim("solver-seed", cert.solver.get("seed"), seed if type(seed) is int else None)
+
     if cert.pi3 is not None:
         # every pi3 field is derived again: lower from the Omega paths
         # just re-checked, r and upper from the rebuilt graph
@@ -274,9 +300,7 @@ def verify_certificate(cert: Certificate) -> tuple[str, list]:
         derived = {"formula": formula_value(g.n), "lower": len(omega_paths),
                    "r": bound.r, "upper": bound.value}
         for key, value in derived.items():
-            claim = cert.pi3.get(key)
-            add(f"pi3-{key}", type(claim) is int and claim == value,
-                f"recorded {claim!r}, derived {value}")
+            claim(f"pi3-{key}", cert.pi3.get(key), value)
 
     recorded = all(row.get("pass") for row in cert.checks)
     add("recorded-checks-clean", recorded)

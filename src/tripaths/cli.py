@@ -11,7 +11,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import certify
 from .construct import build_structure
@@ -223,6 +222,10 @@ def _cmd_pi3(args, argv) -> int:
     expected = formula_value(g.n)
 
     if args.jobs > 1:
+        # imported here, so commands that start no pool never load
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # contiguous chunks merged in order report what a serial run does
         size = -(-len(triples) // args.jobs)
         chunks = [triples[i:i + size] for i in range(0, len(triples), size)]

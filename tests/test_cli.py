@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, file outputs."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -154,7 +155,7 @@ class _InlinePool:
 
 
 def test_pi3_jobs_never_exceed_the_chunks_or_cpus(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(tripaths.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(tripaths.cli, "_WORKER_GRAPH", None)
     monkeypatch.setattr(_InlinePool, "asked", [])
     args = ["pi3", "--n", "5", "--samples", "3", "--seed", "2"]
@@ -169,7 +170,7 @@ def test_pi3_jobs_never_exceed_the_chunks_or_cpus(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_pi3_jobs_below_one_is_a_usage_error(jobs, capsys, monkeypatch):
-    monkeypatch.setattr(tripaths.cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "asked", [])
     assert main(["pi3", "--n", "5", "--samples", "3", "--jobs", jobs]) == EXIT_USAGE
     assert "--jobs must be at least 1" in capsys.readouterr().err
@@ -235,6 +236,25 @@ def test_verify_rederives_every_pi3_claim(claims, tmp_path, capsys):
     assert failed == {f"pi3-{key}" for key in claims}
 
 
+@pytest.mark.parametrize("field, mutate", [
+    ("case-copies", lambda doc: doc["case"]["copies"].update(a=1)),
+    ("case-roles", lambda doc: doc["case"].update(roles={"a": 1, "b": 2, "c": 3})),
+    ("solver-seed", lambda doc: doc["solver"].update(seed=7)),
+], ids=["copies-a-1", "roles-1-2-3", "solver-seed-7"])
+def test_verify_rederives_the_case_and_solver_claims(field, mutate, tmp_path, capsys):
+    """roles are the omega ranks in order, copies the copy of each role,
+    and the solver seed is the case seed: a record that differs is a
+    mismatch."""
+    doc = json.loads((GOLDEN / "certificate-n5.json").read_text())
+    mutate(doc)
+    off = tmp_path / "off.json"
+    off.write_text(json.dumps(doc))
+    assert main(["verify", str(off)]) == EXIT_MISMATCH
+    failed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if " FAIL" in line}
+    assert failed == {field}
+
+
 def test_verify_wrong_schema(tmp_path, capsys):
     doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
     doc["extra_field"] = True
@@ -251,7 +271,9 @@ def test_verify_wrong_schema(tmp_path, capsys):
     lambda doc: doc.__setitem__("n", 100),
     lambda doc: doc.__setitem__("n", 3),
     lambda doc: doc.__setitem__("family", "hexagon"),
-], ids=["string-vertex", "pi3-list", "checks-ints", "n-100", "n-3", "family-hexagon"])
+    lambda doc: doc.__setitem__("solver", 5),
+], ids=["string-vertex", "pi3-list", "checks-ints", "n-100", "n-3", "family-hexagon",
+        "solver-5"])
 def test_verify_ill_typed_certificate_is_a_usage_error(mutate, tmp_path, capsys):
     doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
     mutate(doc)
@@ -319,12 +341,21 @@ def _child(args, timeout):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def test_verify_runs_without_scipy():
+def test_verify_runs_without_scipy(tmp_path):
+    # neither the MILP oracle's scipy nor the pi3 --jobs process pool
+    # belongs in a structure-then-verify round trip
+    cert = str(tmp_path / "n5.json")
     script = (
         "import sys, tripaths, tripaths.cli\n"
-        f"code = tripaths.cli.main(['verify', {str(GOLDEN / 'certificate-n5.json')!r}])\n"
+        f"code = tripaths.cli.main(['structure', '--n', '5', '--random', "
+        f"'--certificate', {cert!r}])\n"
         "assert code == 0, code\n"
+        f"for path in ({cert!r}, {str(GOLDEN / 'certificate-n5.json')!r}):\n"
+        "    code = tripaths.cli.main(['verify', path])\n"
+        "    assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
+        "    assert name not in sys.modules, name + ' was imported'\n"
     )
     done = _child(["-c", script], timeout=120)
     assert done.returncode == 0, done.stderr

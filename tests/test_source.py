@@ -40,3 +40,36 @@ def test_no_bare_except_and_base_exception_handlers_reraise():
             if node.type is None or (catches_base and not _reraises(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], found
+
+
+_HEAVY = frozenset({"concurrent", "multiprocessing", "numpy", "scipy"})
+
+
+def _import_time_imports(tree):
+    """Import statements that run when the module is imported: all of
+    them outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_heavy_imports_stay_out_of_module_level():
+    # gen, structure, verify, lemmas and serial pi3 start no process pool
+    # and solve no MILP, so only the oracle may load these on import
+    found = []
+    for path, tree in _trees():
+        if path.name == "oracle.py":
+            continue
+        for node in _import_time_imports(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module] if node.level == 0 and node.module else []
+            if any(name.split(".")[0] in _HEAVY for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found
