@@ -7,7 +7,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .construct import CaseTrace
+from .construct import (
+    CASE_1_1,
+    CASE_1_2_1,
+    CASE_1_2_2,
+    CASE_2,
+    CASE_3_1,
+    CASE_3_2,
+    CASE_3_3,
+    CASE_EVEN,
+    CASE_FALLBACK,
+    CaseTrace,
+)
 from .errors import CertificateError, SchemaError, VersionMismatch
 from .flows import Path
 from .graphs import build, full_view
@@ -17,6 +28,10 @@ from .tripod import TripodStructure, standard_target
 from .verification import check_omega_path_set, check_tripod
 
 SCHEMA_VERSION = 1
+_RANKING = "lehmer-lex"
+# the cases an odd n allows, by how many copies hold the terminals
+_ODD_CASES = {1: (CASE_1_1, CASE_1_2_1, CASE_1_2_2), 2: (CASE_2,),
+              3: (CASE_3_1, CASE_3_2, CASE_3_3)}
 
 _TOP_KEYS = frozenset({
     "schema_version", "n", "family", "omega_ranks", "omega_perms",
@@ -95,7 +110,7 @@ def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
         },
         omega_paths=[list(p.vertices) for p in omega_set.paths],
         pi3=_jsonable(pi3) if pi3 is not None else None,
-        solver={"ranking": "lehmer-lex", "seed": trace.seed},
+        solver={"ranking": _RANKING, "seed": trace.seed},
         checks=rows,
     )
 
@@ -233,6 +248,19 @@ def _exact(claim, value) -> bool:
     return type(claim) is type(value) and claim == value
 
 
+def _case_fits(case_id, n: int, spread: int | None) -> bool:
+    """Whether a recorded case name can describe terminals spread over
+    that many copies: the generic fallback fits any layout, Even exactly
+    the even n, and each odd case its own number of copies."""
+    if type(case_id) is not str or spread is None:
+        return False
+    if case_id == CASE_FALLBACK:
+        return True
+    if n % 2 == 0:
+        return case_id == CASE_EVEN
+    return case_id in _ODD_CASES.get(spread, ())
+
+
 def verify_certificate(cert: Certificate) -> tuple[str, list]:
     """Re-check a certificate from scratch.
 
@@ -283,15 +311,23 @@ def verify_certificate(cert: Certificate) -> tuple[str, list]:
         add(name, derived is not None and _exact(recorded, derived),
             f"recorded {recorded!r}, derived {derived!r}")
 
-    # the case names the terminals a, b, c in omega order and the copy each
-    # lies in; the solver repeats the build seed
+    # the case names the terminals a, b, c in omega order, the copy each
+    # lies in, and a route that fits how they spread over the copies; it
+    # is a fallback exactly when that route is the generic solver.  The
+    # solver repeats the build seed and names the one ranking there is.
     roles = dict(zip("abc", cert.omega_ranks))
+    in_range = all(v < g.vertex_count for v in cert.omega_ranks)
     claim("case-roles", cert.case["roles"], roles)
     claim("case-copies", cert.case["copies"],
-          {r: g.copy_id[v] for r, v in roles.items()}
-          if all(v < g.vertex_count for v in cert.omega_ranks) else None)
+          {r: g.copy_id[v] for r, v in roles.items()} if in_range else None)
+    case_id = cert.case["case_id"]
+    spread = len({g.copy_id[v] for v in cert.omega_ranks}) if in_range else None
+    add("case-id", _case_fits(case_id, g.n, spread),
+        f"recorded {case_id!r} for terminals in {spread} copies at n={g.n}")
+    claim("case-fallback", cert.case["fallback"], case_id == CASE_FALLBACK)
     seed = cert.case["seed"]
     claim("solver-seed", cert.solver.get("seed"), seed if type(seed) is int else None)
+    claim("solver-ranking", cert.solver.get("ranking"), _RANKING)
 
     if cert.pi3 is not None:
         # every pi3 field is derived again: lower from the Omega paths

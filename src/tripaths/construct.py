@@ -126,7 +126,7 @@ def build_structure(g: CayleyGraph, omega, seed: int = 0):
         elif distinct == 2:
             got = _two_copies(g, tri, seed)
         else:
-            got = _three_copies(g, tri, seed)
+            got = _three_copies(g, tri)
     if got is None or got[0].counts() != target.as_tuple():
         got = _fallback(g, tri, seed, target)
     structure, case_id, roles, aux = got
@@ -303,7 +303,9 @@ def _finish_1_2_1(g, K, roles, ab, ac, bc, picked, primes, idx, order_seed):
 def _outside_detours(g, K, roles, detour, order_seed):
     """Four tagged paths outside copy K from C (its three outside neighbors,
     plus one through its copy neighbor ``detour``) to the first two outside
-    neighbors of A and B; None when the ends collide or no linkage exists."""
+    neighbors of A and B; None when no linkage exists.  The eight ends
+    differ: the detour is a fourth member of copy K, and copy-mates have
+    pairwise distinct outside neighbors (``tests/test_construct.py``)."""
     A, B, C = roles
     a_out = outside_neighbors(g, A)
     b_out = outside_neighbors(g, B)
@@ -311,8 +313,6 @@ def _outside_detours(g, K, roles, detour, order_seed):
     d_plus = outside_neighbors(g, detour)[0]
     X = [c_out[0], c_out[1], c_out[2], d_plus]
     Y = [a_out[0], a_out[1], b_out[0], b_out[1]]
-    if len(set(X) | set(Y)) != 8:
-        return None
     outside = delete_copies(g, {K})
     try:
         fam = disjoint_set_paths(outside, X, Y, 4, order_seed=order_seed)
@@ -393,6 +393,9 @@ def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed):
     vm = copy_union(g, {copy_minus})
     vs = copy_union(g, {copy_star})
     plus_copies = {g.copy_id[aP], g.copy_id[bP], g.copy_id[cP]}
+    plus_path = shortest_path(copy_union(g, plus_copies), aP, cP)
+    if plus_path is None:
+        return None
     tried = 0
     for u, w in cross_edges(g, copy_minus, copy_star):
         if u in minus_set or w in star_set:
@@ -431,9 +434,6 @@ def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed):
             (_tag(roles, cm_owner, C), _cat((cm_owner,), to_cm, (C,))),
             (_tag(roles, A, as_owner), _cat((A,), from_as, (as_owner,))),
         ]
-        plus_path = shortest_path(copy_union(g, plus_copies), aP, cP)
-        if plus_path is None:
-            continue
         tagged_cross.append(("ac", _cat((A,), plus_path, (C,))))
         tally = Counter(tag for tag, _p in tagged_cross)
         if tally != {"ab": 1, "ac": 2, "bc": 1}:
@@ -464,7 +464,8 @@ def _two_copies(g, tri, seed):
         fam = max_internally_disjoint_paths(cview, a, c, order_seed=oseed)
         paths = list(fam.paths)
         if len(paths) < 4 * d - 3:
-            continue
+            # a max-flow value: another path order cannot raise it
+            return None
         chosen, keep = [], []
         for p in paths:
             if p.length >= 3 and len(chosen) < need:
@@ -553,7 +554,7 @@ def _extra_or_direct(root: int, target: int, far: int, tag: str, plan: dict) -> 
         plan["extras"].append((root, target, far, tag))
 
 
-def _three_copies(g, tri, seed):
+def _three_copies(g, tri):
     n, d = g.n, g.n // 2
     outs = {v: outside_neighbors(g, v) for v in tri}
     term_copies = {g.copy_id[v] for v in tri}
@@ -588,13 +589,12 @@ def _three_copies(g, tri, seed):
         plan = _plan_3_3(a, b, c, doors, d)
         case_id = CASE_3_3
 
+    # one attempt: every miss is deterministic or a max-flow value, seed or not
     chat_copies = frozenset(range(1, n + 1)) - term_copies
-    for attempt in range(3):
-        oseed = None if attempt == 0 else mix_seed(seed, 3, attempt)
-        built = _execute_three(g, (a, b, c), chat_copies, plan, oseed)
-        if built is not None:
-            return built, case_id, (a, b, c), plan["aux"]
-    return None
+    built = _execute_three(g, (a, b, c), chat_copies, plan)
+    if built is None:
+        return None
+    return built, case_id, (a, b, c), plan["aux"]
 
 
 def _plan_3_1(g, a, b, c, t_c, doors, d):
@@ -675,7 +675,7 @@ def _plan_3_3(a, b, c, doors, d):
     }
 
 
-def _execute_three(g, roles, chat_copies, plan, oseed):
+def _execute_three(g, roles, chat_copies, plan):
     a, b, c = roles
     ia, ib, ic = g.copy_id[a], g.copy_id[b], g.copy_id[c]
     x1, x2, x3 = plan["xsizes"]
@@ -717,12 +717,12 @@ def _execute_three(g, roles, chat_copies, plan, oseed):
     if bridge is not None:
         fan_targets[bridge[0]].append(bridge[1])
 
+    # no ValueError to catch: fan targets are distinct and never the reserved root
     fans: dict[int, dict[int, Path]] = {}
     for term, tgts in fan_targets.items():
         try:
-            fam = k_fan(copy_union(g, {g.copy_id[term]}), term, tgts,
-                        len(tgts), order_seed=oseed)
-        except (InsufficientConnectivity, ValueError):
+            fam = k_fan(copy_union(g, {g.copy_id[term]}), term, tgts, len(tgts))
+        except InsufficientConnectivity:
             return None
         fans[term] = {p.vertices[-1]: p for p in fam.paths}
 
@@ -731,7 +731,7 @@ def _execute_three(g, roles, chat_copies, plan, oseed):
     # of them, and each plan gives c as many doors as chat ends
     try:
         fam = disjoint_set_paths(copy_union(g, chat_copies), plan["chat_x"], chat_y,
-                                 len(plan["chat_x"]), order_seed=oseed)
+                                 len(plan["chat_x"]))
     except InsufficientConnectivity:
         return None
     # len(chat_x) == len(chat_y), so every chat end closes exactly one path
@@ -750,8 +750,5 @@ def _execute_three(g, roles, chat_copies, plan, oseed):
         # the plan reserved each other end as a door of its owner
         owner = plan["y_owner"][y]
         tagged.append(("ac" if owner == a else "bc", _cat((owner,), p.reverse(), (c,))))
-
-    structure = TripodStructure.from_tagged(roles, tagged)
-    if structure.counts() != standard_target(g.n).as_tuple():
-        return None
-    return structure
+    # each plan's tally is standard_target(n) exactly (tests/test_construct.py)
+    return TripodStructure.from_tagged(roles, tagged)

@@ -12,6 +12,7 @@ import pytest
 
 import tripaths
 import tripaths.cli
+import tripaths.construct
 from tripaths.cli import (
     EXIT_CONSTRUCTION,
     EXIT_MISMATCH,
@@ -240,11 +241,21 @@ def test_verify_rederives_every_pi3_claim(claims, tmp_path, capsys):
     ("case-copies", lambda doc: doc["case"]["copies"].update(a=1)),
     ("case-roles", lambda doc: doc["case"].update(roles={"a": 1, "b": 2, "c": 3})),
     ("solver-seed", lambda doc: doc["solver"].update(seed=7)),
-], ids=["copies-a-1", "roles-1-2-3", "solver-seed-7"])
+    ("case-fallback", lambda doc: doc["case"].update(fallback=True)),
+    ("case-id", lambda doc: doc["case"].update(case_id="Even")),
+    ("case-id", lambda doc: doc["case"].update(case_id="NoSuchCase")),
+    ("case-id", lambda doc: doc["case"].update(case_id="OddCase2")),
+    ("case-id", lambda doc: doc["case"].update(case_id=["OddCase1_2_2"])),
+    ("case-id", lambda doc: doc["case"].update(case_id={"OddCase1_2_2": 1})),
+    ("solver-ranking", lambda doc: doc["solver"].update(ranking="colex")),
+], ids=["copies-a-1", "roles-1-2-3", "solver-seed-7", "fallback-true", "case-even",
+        "case-unknown", "case-two-copies", "case-list", "case-object", "ranking-colex"])
 def test_verify_rederives_the_case_and_solver_claims(field, mutate, tmp_path, capsys):
     """roles are the omega ranks in order, copies the copy of each role,
-    and the solver seed is the case seed: a record that differs is a
-    mismatch."""
+    the case id a route that fits how the terminals spread over the copies
+    (the n = 5 golden's lie in one copy), fallback true exactly for the
+    generic route, and the solver seed is the case seed and its ranking
+    lehmer-lex: a record that differs is a mismatch."""
     doc = json.loads((GOLDEN / "certificate-n5.json").read_text())
     mutate(doc)
     off = tmp_path / "off.json"
@@ -253,6 +264,38 @@ def test_verify_rederives_the_case_and_solver_claims(field, mutate, tmp_path, ca
     failed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
               if " FAIL" in line}
     assert failed == {field}
+
+
+def _fallback_certificate(tmp_path, monkeypatch, capsys):
+    """An n = 5 certificate built with every odd route stubbed to give up;
+    its three terminals share one copy."""
+    for route in ("_same_copy", "_two_copies", "_three_copies"):
+        monkeypatch.setattr(tripaths.construct, route, lambda *args: None)
+    path = tmp_path / "fallback.json"
+    assert main(["structure", "--n", "5", "--random", "--seed", "3",
+                 "--certificate", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert len(set(doc["case"]["copies"].values())) == 1
+    return doc
+
+
+@pytest.mark.parametrize("edit, failed", [
+    ({}, set()),
+    ({"fallback": False}, {"case-fallback"}),
+    ({"case_id": "OddCase2"}, {"case-id", "case-fallback"}),
+    ({"case_id": "Even", "fallback": False}, {"case-id"}),
+], ids=["as-built", "fallback-false", "odd-case-2", "even"])
+def test_verify_checks_the_case_of_a_fallback_certificate(edit, failed, tmp_path,
+                                                           monkeypatch, capsys):
+    doc = _fallback_certificate(tmp_path, monkeypatch, capsys)
+    assert doc["case"]["case_id"] == "FallbackGeneric" and doc["case"]["fallback"] is True
+    doc["case"].update(edit)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == (EXIT_MISMATCH if failed else EXIT_OK)
+    assert {line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if " FAIL" in line} == failed
 
 
 def test_verify_wrong_schema(tmp_path, capsys):

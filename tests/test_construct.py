@@ -1,9 +1,12 @@
 """Case machine: routes, traces, and structural guarantees per terminal layout."""
 
+import ast
 import itertools
+import pathlib
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -21,7 +24,8 @@ from tripaths.construct import (
     CASE_FALLBACK,
     build_structure,
 )
-from tripaths.errors import DuplicateVertices, WrongFamily
+from tripaths.errors import DuplicateVertices, InsufficientConnectivity, WrongFamily
+from tripaths.flows import PathFamily
 from tripaths.graphs import build, full_view, outside_neighbors
 from tripaths.pairing import (
     LowerBoundReport,
@@ -31,7 +35,7 @@ from tripaths.pairing import (
     sample_triples,
 )
 from tripaths.perms import Family, parse_permutation, rank
-from tripaths.tripod import standard_target
+from tripaths.tripod import TripodFailure, standard_target
 from tripaths.verification import check_tripod
 
 G4 = build(4, Family.WHEEL)
@@ -255,12 +259,15 @@ class _Planned(Exception):
     pass
 
 
-def _raise_plan(g, roles, chat_copies, plan, oseed):
+def _raise_plan(g, roles, chat_copies, plan):
     raise _Planned(roles, plan)
 
 
 def _check_plan(g, outs, tri, roles, plan):
-    """The plan invariants the three-copy executor relies on."""
+    """The plan invariants the three-copy executor relies on, among them
+    the tally that lets it skip a bundle count check: slice matches,
+    extras and directs by tag, one chat path per owned end (ac where a
+    owns it, bc otherwise) and the bridge hit standard_target(n)."""
     a, b, c = roles
     cid = g.copy_id
     term_copies = {cid[v] for v in tri}
@@ -272,6 +279,13 @@ def _check_plan(g, outs, tri, roles, plan):
     assert ends == len(plan["chat_x"]) and plan["chat_x"] == sorted(doors[c])[:ends]
     for y, owner in plan["y_owner"].items():
         assert owner in (a, b) and y in doors[owner], (tri, y, owner)
+    tally = Counter(dict(zip(("ab", "ac", "bc"), plan["xsizes"])))
+    tally.update(tag for _root, _target, _far, tag in plan["extras"])
+    tally.update(tag for tag, _path in plan["directs"])
+    tally.update("ac" if owner == a else "bc" for owner in plan["y_owner"].values())
+    if plan["bridge"] is not None:
+        tally[plan["bridge"][1]] += 1
+    assert (tally["ab"], tally["ac"], tally["bc"]) == standard_target(g.n).as_tuple(), tri
     if plan["bridge"] is not None:
         assert plan["bridge"] == (a, "ac")
         assert doors[a] == doors[b] == [plan["aux"]["shared_door"]]
@@ -287,7 +301,7 @@ def _bridged_plans(g, triples):
     bridged = 0
     for tri in triples:
         try:
-            tripaths.construct._three_copies(g, tri, 0)
+            tripaths.construct._three_copies(g, tri)
         except _Planned as planned:
             bridged += _check_plan(g, outs, tri, *planned.args)
         else:
@@ -307,14 +321,17 @@ def test_three_copy_plans_name_an_owner_for_every_chat_end(monkeypatch):
 
 def test_chat_flows_get_distinct_ends_one_per_door(monkeypatch):
     """``_execute_three`` lets only InsufficientConnectivity out of its
-    chat flow end in a miss: ``disjoint_set_paths`` raises ValueError on
-    a repeated terminal or on more paths than terminals, and every chat
-    flow gets distinct doors and distinct ends, one end per door."""
+    fan and chat flows end in a miss: ``k_fan`` raises ValueError on a
+    repeated target or a root among its targets, ``disjoint_set_paths``
+    on a repeated terminal or on more paths than terminals.  Every fan
+    gets distinct targets other than its root, and every chat flow gets
+    distinct doors and distinct ends, one end per door."""
     module = tripaths.construct
-    execute, flow = module._execute_three, module.disjoint_set_paths
-    inside, seen = [], set()
+    execute, flow, fan = module._execute_three, module.disjoint_set_paths, module.k_fan
+    inside, seen, runs, fans = [], set(), [], []
 
     def executed(g, *args):
+        runs.append(g.n)
         inside.append(g.n)
         try:
             return execute(g, *args)
@@ -327,11 +344,123 @@ def test_chat_flows_get_distinct_ends_one_per_door(monkeypatch):
             seen.add((inside[-1], k))
         return flow(view, xs, ys, k, order_seed=order_seed)
 
+    def fanned(view, x, targets, k, order_seed=None):
+        if inside:
+            assert len(set(targets)) == len(targets) == k, (x, targets)
+            assert x not in targets, (x, targets)
+            fans.append(x)
+        return fan(view, x, targets, k, order_seed=order_seed)
+
     monkeypatch.setattr(module, "_execute_three", executed)
     monkeypatch.setattr(module, "disjoint_set_paths", checked)
+    monkeypatch.setattr(module, "k_fan", fanned)
     for g, count in ((G5, 600), (G7, 60)):
         for tri in sample_triples(g, count, 1):
             if len({g.copy_id[v] for v in tri}) == 3:
                 build_structure(g, tri, seed=1)
+    build_structure(G5, BRIDGED_N5, seed=1)
     build_structure(G7, (957, 1108, 3678), seed=1)  # OddCase3_3: three chat ends
     assert seen == {(5, 1), (5, 2), (7, 2), (7, 3)}, seen
+    assert len(fans) == 3 * len(runs) > 0  # one fan per terminal
+
+
+def test_copy_mates_have_distinct_outside_neighbors():
+    """``_outside_detours`` needs no check that its eight ends differ:
+    they are outside neighbors of four members of one copy, and the
+    3 (n-1)! outside neighbors of a copy's members are pairwise distinct
+    (u s = v t with s != t puts v(n) = u(j) != u(n), so v is no copy-mate)."""
+    for n in range(4, 9):
+        g = G4 if n == 4 else G5 if n == 5 else G7 if n == 7 else build(n, Family.WHEEL)
+        outside = set(g.outside_gens)
+        for copy, members in g.copy_members.items():
+            outs = [w for v in members for w, gi in g.adj[v] if gi in outside]
+            assert len(outs) == len(set(outs)) == 3 * len(members), (n, copy)
+            assert not set(outs) & set(members), (n, copy)
+
+
+def _return_none_lines():
+    """Line number and text of every ``return None`` in construct.py."""
+    path = pathlib.Path(tripaths.construct.__file__)
+    lines = path.read_text().splitlines()
+    return {node.lineno: lines[node.lineno - 1].strip()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+            and node.value.value is None}
+
+
+def _construct_lines_run(run):
+    """Lines of construct.py that run(), traced, executes."""
+    path = tripaths.construct.__file__
+    hit = set()
+
+    def in_frame(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return in_frame
+
+    def on_call(frame, event, arg):
+        return in_frame if frame.f_code.co_filename == path else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return hit
+
+
+def _falls_short(*args, **kwargs):
+    raise InsufficientConnectivity("forced shortfall")
+
+
+def _solves_only_the_whole_graph(view, *args):
+    if view.allowed is None and view.allowed_gens is None:
+        return REAL_SOLVE(view, *args)
+    return TripodFailure("forced failure", 0, 0)
+
+
+def _no_star_images_in_chat_copies(g, copy):
+    held = {g.copy_id[v] for v in BRIDGED_N5}
+    return [(w, ws) for w, ws in REAL_STAR_PAIRS(g, copy) if g.copy_id[ws] in held]
+
+
+REAL_SOLVE = tripaths.construct.solve_tripod
+REAL_STAR_PAIRS = tripaths.construct._star_pairs
+BRIDGED_N5 = (15, 33, 46)  # OddCase3_1 whose plan leaves through a bridge
+BRIDGED_N7 = (0, 1584, 2280)  # test_bridged_rotation_regime_n7's triple
+
+# (name in tripaths.construct, stand-in, graph, triple, what gives up):
+# each stand-in makes the triple's route give up, so it must fall back
+FORCED_MISSES = [
+    ("solve_tripod", _solves_only_the_whole_graph, G4, (0, 3, 4), "Even"),
+    ("solve_tripod", _solves_only_the_whole_graph, G5, (57, 83, 105), "rotation, bases"),
+    ("disjoint_set_paths", _falls_short, G5, (25, 44, 110), "OddCase1_1 detours"),
+    ("disjoint_set_paths", _falls_short, G5, (13, 22, 92), "OddCase1_2_1 detours"),
+    ("disjoint_set_paths", _falls_short, G7, BRIDGED_N7, "every cross edge"),
+    ("shortest_path", lambda *args, **kwargs: None, G7, BRIDGED_N7, "plus path"),
+    ("max_internally_disjoint_paths", lambda *args, **kwargs: PathFamily(()),
+     G5, (40, 89, 97), "OddCase2 harvest"),
+    ("k_fan", _falls_short, G5, (40, 89, 97), "OddCase2 fan, every attempt"),
+    ("_slice_pool", lambda *args: [], G5, (26, 65, 92), "OddCase3_1 pools"),
+    ("k_fan", _falls_short, G5, (26, 65, 92), "OddCase3_1 fans"),
+    ("disjoint_set_paths", _falls_short, G5, (26, 65, 92), "OddCase3_1 chat"),
+    ("_star_pairs", _no_star_images_in_chat_copies, G5, BRIDGED_N5, "bridge"),
+]
+
+
+def test_every_return_none_in_construct_runs(monkeypatch):
+    """Every ``return None`` in construct.py runs, and a triple whose route
+    gives up still ends in a valid structure: each stand-in forces a miss,
+    the triple falls back, and a trace of all the runs must reach every
+    ``return None`` line, so a bail-out that cannot fire fails here."""
+    def forced():
+        for name, stand_in, g, omega, what in FORCED_MISSES:
+            with monkeypatch.context() as patched:
+                patched.setattr(tripaths.construct, name, stand_in)
+                _, trace = _check(g, omega)
+            assert trace.case_id == CASE_FALLBACK and trace.fallback, what
+
+    hit = _construct_lines_run(forced)
+    missed = {no: text for no, text in _return_none_lines().items() if no not in hit}
+    assert missed == {}

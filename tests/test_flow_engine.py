@@ -633,6 +633,8 @@ def test_large_seeded_rows_match_an_eager_shuffle(case):
         expected = _eager_rows(static, net.to, q.template, stuck, edits["order_seed"])
     assert net.rows is static
     assert [got[node] for node in range(len(static))] == expected
+
+
 def test_interleaved_graphs_do_not_share_state():
     g5, g6, g5_bss = (build(5, Family.WHEEL), build(6, Family.WHEEL),
                       build(5, Family.BUBBLE_SORT_STAR))
