@@ -13,12 +13,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import (
-    DuplicateVertices,
-    OracleScaleExceeded,
-    RankOutOfRange,
-    TripathsError,
-)
+from .errors import OracleScaleExceeded, TripathsError
+from .tripod import _check_terminals
 
 MILP_VERTEX_LIMIT = 40
 
@@ -132,11 +128,7 @@ def exact_pi(view, omega) -> int:
         raise OracleScaleExceeded(
             f"exact oracle capped at {MILP_VERTEX_LIMIT} vertices, "
             f"got {view.vertex_count}")
-    if len(set(omega)) != 3:
-        raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
-    for v in omega:
-        if not view.contains(v):
-            raise RankOutOfRange(f"terminal {v} is not in the view")
+    _check_terminals(view, omega)
     model = _MilpModel(view, omega)
     n_arcs = model.n_arc_vars
     # variables: arcs, then m_ab m_ac m_bc, then mu_a mu_b mu_c

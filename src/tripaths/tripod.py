@@ -167,17 +167,22 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
     return None
 
 
+def _check_terminals(view, omega) -> None:
+    """Raise unless omega is three distinct vertices of the view."""
+    if len(set(omega)) != 3:
+        raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
+    for v in omega:
+        if not view.contains(v):
+            raise RankOutOfRange(f"terminal {v} is not in the view")
+
+
 def solve_tripod(view, omega, target: StructureTarget, seed: int = 0):
     """Find a tripod structure hitting the target exactly, or report failure.
 
     Returns TripodStructure on success, else TripodFailure; the failure
     is marked certified when an exact argument rules the target out.
     """
-    if len(set(omega)) != 3:
-        raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
-    for v in omega:
-        if not view.contains(v):
-            raise RankOutOfRange(f"terminal {v} is not in the view")
+    _check_terminals(view, omega)
     counter = StepCounter()
     certified = False
     restarts = 0
