@@ -15,8 +15,10 @@ paired ``e`` / ``e ^ 1`` in flat ``array``s.  A query
 
 * the view's vertex set becomes a mask in the BFS ``parent`` template,
   so nodes outside the view are never entered;
-* blocked entries and exits, unsplit and uncapped vertices and a
-  dropped direct edge are capacity edits;
+* four capacity edits: blocked entries (the edge arcs into a vertex
+  close), unsplit vertices (the split arc and the edge arcs out close,
+  so flow that reaches one ends there), uncapped vertices (the split
+  arc takes any flow) and a dropped direct edge;
 * arcs to a super source or sink are appended for the query;
 * an undo log restores every capacity and row the query touched when
   it ends, also when it raises.
@@ -37,7 +39,7 @@ terminal arcs; ``vout(v)`` its split reverse arc while v carries flow,
 its forward arcs in adjacency order and its terminal arcs.
 
 An order seed reshuffles the forward arcs for randomized restarts: the
-in-view ``vout`` rows but those of stuck vertices get, in ascending
+in-view ``vout`` rows but those of unsplit vertices get, in ascending
 order, the swaps ``shuffle`` of one ``random.Random(seed)`` makes in them.
 Small views draw them inline, every row up front.  On the large views
 that search from both ends (below), a search reads only a few percent
@@ -92,6 +94,7 @@ import re
 from array import array
 from bisect import insort
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
@@ -214,15 +217,19 @@ def _network(view) -> _SplitNetwork:
 class _FlowQuery:
     """One flow request on the shared network of a view.
 
-    Creating it applies the query's capacity edits and view mask; use it
-    as a context manager, whose exit undoes every edit, augmentation and
-    terminal arc, and puts back the static rows where a seeded query on a
-    large view read them through a ``_SeededRows`` overlay.  ``removed``
-    vertices are masked out as if the view lacked them.
+    Creating it applies the query's view mask and capacity edits:
+    ``entry_blocked`` vertices take no flow in over an edge, ``no_split``
+    vertices pass none on (flow that reaches one ends there, so a search
+    stops at it), ``uncapped`` vertices pass any amount, and
+    ``drop_edge`` closes one edge arc.  Use it as a context manager,
+    whose exit undoes every edit, augmentation and terminal arc, and puts
+    back the static rows where a seeded query on a large view read them
+    through a ``_SeededRows`` overlay.  ``removed`` vertices are masked
+    out as if the view lacked them.
     """
 
-    def __init__(self, view, order_seed=None, entry_blocked=(), exit_blocked=(),
-                 no_split=(), uncapped=(), removed=()):
+    def __init__(self, view, order_seed=None, entry_blocked=(), no_split=(), uncapped=(),
+                 removed=()):
         self.net = net = _network(view)
         if net.busy:
             raise RuntimeError("flow queries on one network cannot nest")
@@ -236,7 +243,7 @@ class _FlowQuery:
         self.two_ended = view.vertex_count >= _TWO_ENDED_VERTICES
         try:
             self.template = self._template(view.allowed, removed)
-            self._edit(entry_blocked, exit_blocked, no_split, uncapped, order_seed)
+            self._edit(entry_blocked, no_split, uncapped, order_seed)
         except BaseException:
             self._restore()
             raise
@@ -270,13 +277,15 @@ class _FlowQuery:
             tpl[2 * v] = tpl[2 * v + 1] = _OFF_VIEW
         return tpl
 
-    def _edit(self, entry_blocked, exit_blocked, no_split, uncapped, order_seed) -> None:
+    def _edit(self, entry_blocked, no_split, uncapped, order_seed) -> None:
         rows, to = self.net.rows, self.net.to
         for v in uncapped:
-            if v not in no_split:
-                self._set_cap(2 * v, _INF)
-        for v in no_split:
+            self._set_cap(2 * v, _INF)
+        unsplit = set(no_split)
+        for v in unsplit:
             self._set_cap(2 * v, 0)
+            for e in rows[2 * v + 1]:
+                self._set_cap(e, 0)
         for v in entry_blocked:
             # the edge arcs into vin(v) start in its neighbours' vout rows
             head = 2 * v
@@ -284,23 +293,19 @@ class _FlowQuery:
                 for f in rows[to[e] + 1]:
                     if to[f] == head:
                         self._set_cap(f, 0)
-        stuck = set(exit_blocked) | set(no_split)
-        for v in stuck:
-            for e in rows[2 * v + 1]:
-                self._set_cap(e, 0)
         if order_seed is None:
             return
         if self.two_ended:
-            self.net.rows = _SeededRows(self.net, self.template, order_seed, stuck)
+            self.net.rows = _SeededRows(self.net, self.template, order_seed, unsplit)
         else:
-            self._shuffle(random.Random(order_seed).getrandbits, stuck)
+            self._shuffle(random.Random(order_seed).getrandbits, unsplit)
 
-    def _shuffle(self, getrandbits, stuck) -> None:
+    def _shuffle(self, getrandbits, unsplit) -> None:
         """Shuffle the in-view forward arcs of every in-view vertex but the
-        stuck ones, in ascending order, with ``Random.shuffle``'s draws."""
+        unsplit ones, in ascending order, with ``Random.shuffle``'s draws."""
         rows, to, tpl = self.net.rows, self.net.to, self.template
         for v in range(self.net.vertex_count):
-            if tpl[2 * v] != -1 or v in stuck:
+            if tpl[2 * v] != -1 or v in unsplit:
                 continue
             arcs = [e for e in rows[2 * v + 1] if tpl[to[e]] == -1]
             _fisher_yates(arcs, getrandbits)
@@ -505,7 +510,7 @@ class _SeededRows(dict):
     or more draw more than 8 bits, so they are shuffled on the spot.
     """
 
-    def __init__(self, net, tpl, seed, stuck):
+    def __init__(self, net, tpl, seed, unsplit):
         super().__init__()
         self.static, self.to, self.template = net.rows, net.to, tpl
         nv, to, first = net.vertex_count, net.to, net.back_first
@@ -518,7 +523,7 @@ class _SeededRows(dict):
         heads = Counter(chain.from_iterable(
             to[2 * (nv + first[w]):2 * (nv + first[w + 1]):2]
             for w in compress(range(nv), map(counted.__eq__, marks)))).get
-        order = [v for v in compress(range(nv), map((-1).__eq__, marks)) if v not in stuck]
+        order = [v for v in compress(range(nv), map((-1).__eq__, marks)) if v not in unsplit]
         if counted == -1:
             lengths = [heads(2 * v, 0) for v in order]
         else:
@@ -747,7 +752,7 @@ def shortest_path(view, u: int, v: int, avoid=frozenset()) -> Path | None:
     _require(view, (u, v))
     if u == v:
         return Path((u,))
-    with _FlowQuery(view, entry_blocked=(u,), exit_blocked=(v,), uncapped=(u, v),
+    with _FlowQuery(view, entry_blocked=(u,), no_split=(v,), uncapped=(u,),
                     removed=[w for w in avoid if view.contains(w)]) as q:
         q.max_flow(q.vout(u), q.vin(v), 1)
         paths = q.extract_paths(q.vout(u), q.vin(v))
@@ -768,28 +773,39 @@ def max_internally_disjoint_paths(view, u: int, v: int, limit: int | None = None
     _check_pair(view, u, v)
     cap = min(view.degree(u), view.degree(v))
     goal = cap if limit is None else min(limit, cap)
-    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(u,), exit_blocked=(v,),
-                    uncapped=(u, v)) as q:
+    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(u,), no_split=(v,),
+                    uncapped=(u,)) as q:
         q.max_flow(q.vout(u), q.vin(v), goal, counter)
         paths = q.extract_paths(q.vout(u), q.vin(v))
     return PathFamily(tuple(paths))
 
 
-def k_fan(view, x: int, targets, k: int, order_seed: int | None = None) -> PathFamily:
-    """k paths from x to k distinct members of `targets`, pairwise sharing
-    only x and internally avoiding the whole target set."""
-    targets = _distinct(targets, "fan targets")
-    if x in targets:
+def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
+          counter: StepCounter | None = None) -> PathFamily:
+    """k paths from x into `targets`, internally disjoint and internally
+    avoiding the whole target set.  `targets` is a sequence of distinct
+    vertices, each the end of at most one path, or a mapping
+    {target: capacity}: a target of capacity c ends at most c paths, and
+    one of capacity 0 ends none but is still avoided."""
+    if isinstance(targets, Mapping):
+        caps = dict(targets)
+    else:
+        caps = dict.fromkeys(_distinct(targets, "fan targets"), 1)
+    if x in caps:
         raise ValueError(f"fan root {x} cannot be a target")
-    if k > len(targets):
-        raise ValueError(f"fan of {k} paths needs at least {k} targets, got {len(targets)}")
-    _require(view, [x] + targets)
-    ys = sorted(targets)
+    if any(c < 0 for c in caps.values()):
+        raise ValueError(f"fan target capacities must be non-negative, got {caps}")
+    total = sum(caps.values())
+    if k > total:
+        raise ValueError(f"fan of {k} paths needs target capacity {k}, got {total}")
+    _require(view, [x, *caps])
+    ys = sorted(caps)
     with _FlowQuery(view, order_seed=order_seed, entry_blocked=(x,), no_split=ys,
                     uncapped=(x,)) as q:
         for y in ys:
-            q.add_arc(q.vin(y), q.sink, 1)
-        value = q.max_flow(q.vout(x), q.sink, k)
+            if caps[y]:
+                q.add_arc(q.vin(y), q.sink, caps[y])
+        value = q.max_flow(q.vout(x), q.sink, k, counter)
         fam = PathFamily(tuple(q.extract_paths(q.vout(x), q.sink)))
         if value < k:
             raise InsufficientConnectivity(
@@ -813,8 +829,8 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
         return PathFamily(tuple(zero))
     xonly = [v for v in xset if v not in shared]
     yonly = [v for v in yset if v not in shared]
-    with _FlowQuery(view, order_seed=order_seed, entry_blocked=xonly, exit_blocked=yonly,
-                    no_split=yonly, removed=shared) as q:
+    with _FlowQuery(view, order_seed=order_seed, entry_blocked=xonly, no_split=yonly,
+                    removed=shared) as q:
         for x in xonly:
             q.add_arc(q.source, q.vin(x), 1)
         for y in yonly:
@@ -833,7 +849,7 @@ def _pair_flow(view, u: int, v: int, drop_direct: bool,
                want_cut: bool) -> tuple[int, tuple[int, ...] | None]:
     """Flow value from u to v and, if asked, the residual vertex cut."""
     cap = min(view.degree(u), view.degree(v)) + 1
-    with _FlowQuery(view, entry_blocked=(u,), exit_blocked=(v,), uncapped=(u, v)) as q:
+    with _FlowQuery(view, entry_blocked=(u,), no_split=(v,), uncapped=(u,)) as q:
         if drop_direct:
             q.drop_edge(u, v)
         value = q.max_flow(q.vout(u), q.vin(v), cap)

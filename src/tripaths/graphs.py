@@ -113,7 +113,14 @@ class View:
         return len(self.neighbors(v))
 
     def adjacent(self, u: int, v: int) -> bool:
-        return any(w == v for w, _ in self.neighbors(u))
+        if not self.contains(u):
+            raise RankOutOfRange(f"vertex {u!r} is not in the view")
+        # a row names each neighbour once, so the first match decides
+        for w, gi in self.graph.adj[u]:
+            if w == v:
+                return ((self.allowed is None or v in self.allowed)
+                        and (self.allowed_gens is None or gi in self.allowed_gens))
+        return False
 
     def without(self, removed) -> "View":
         removed = frozenset(removed)

@@ -9,6 +9,7 @@ from functools import cache
 from math import comb
 
 from ._util import mix_seed
+from .construct import build_structure
 from .errors import ConstructionFailed, InvalidStructure
 from .flows import Path
 from .graphs import CayleyGraph, full_view
@@ -212,8 +213,6 @@ def pi3_lower(g: CayleyGraph, triples, seed: int = 0) -> LowerBoundReport:
     """Constructive lower bound: build a structure and pair it for every
     triple; the bound is the worst pairing count seen.  Triples whose
     structure cannot be built or is rejected are recorded as failures."""
-    from .construct import build_structure  # local import to avoid a cycle
-
     view = full_view(g)
     report = LowerBoundReport(value=0, evaluated=0)
     best_min = None

@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._util import mix_seed
-from .errors import DuplicateVertices, RankOutOfRange
-from .flows import (
-    Path,
-    StepCounter,
-    _FlowQuery,
-    max_internally_disjoint_paths,
-)
+from .errors import DuplicateVertices, InsufficientConnectivity, RankOutOfRange
+from .flows import Path, StepCounter, k_fan, max_internally_disjoint_paths
 
 
 @dataclass(frozen=True)
@@ -91,37 +86,16 @@ def _phase_plan(omega, target, pivot):
     return (c, (a, target.ac, "ac"), (b, target.bc, "bc"), (a, b, target.ab, "ab"))
 
 
-def _phase_a(view, pivot_v, sink1, k1, sink2, k2, order_seed, counter):
-    """k1+k2 paths from the pivot, split between two capped sinks.
-
-    Returns (paths_to_sink1, paths_to_sink2) or _INFEASIBLE: the flow
-    value is exact, so a shortfall rules the target out entirely.
-    """
-    if k1 + k2 == 0:
-        return [], []
-    sinks = (sink1, sink2)
-    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(pivot_v,),
-                    exit_blocked=sinks, no_split=sinks, uncapped=(pivot_v,)) as q:
-        if k1:
-            q.add_arc(q.vin(sink1), q.sink, k1)
-        if k2:
-            q.add_arc(q.vin(sink2), q.sink, k2)
-        value = q.max_flow(q.vout(pivot_v), q.sink, k1 + k2, counter)
-        if value < k1 + k2:
-            return _INFEASIBLE
-        paths = q.extract_paths(q.vout(pivot_v), q.sink)
-    to1 = [p for p in paths if p.vertices[-1] == sink1]
-    to2 = [p for p in paths if p.vertices[-1] == sink2]
-    return to1, to2
-
-
 def _two_phase(view, omega, target, pivot, order_seed, counter):
     pivot_v, (s1, k1, n1), (s2, k2, n2), (bs, bt, k3, n3) = _phase_plan(omega, target, pivot)
-    res = _phase_a(view, pivot_v, s1, k1, s2, k2, order_seed, counter)
-    if res == _INFEASIBLE:
+    # phase A: a fan of k1 + k2 paths from the pivot, k1 to s1 and k2 to s2
+    try:
+        fan = k_fan(view, pivot_v, {s1: k1, s2: k2}, k1 + k2, order_seed, counter)
+    except InsufficientConnectivity:
+        # the flow value is exact, so a shortfall rules the target out entirely
         return _INFEASIBLE
-    to1, to2 = res
-    phase_a_paths = [(n1, p) for p in to1] + [(n2, p) for p in to2]
+    phase_a_paths = ([(n1, p) for p in fan.paths if p.vertices[-1] == s1]
+                     + [(n2, p) for p in fan.paths if p.vertices[-1] == s2])
 
     def finish(kept, third_paths):
         named = list(kept) + [(n3, p) for p in third_paths]

@@ -424,7 +424,7 @@ def _flow_cases(draw):
     pick = st.sampled_from(verts)
     some = st.lists(pick, max_size=4, unique=True)
     edits = {name: draw(some) for name in
-             ("entry_blocked", "exit_blocked", "no_split", "uncapped", "removed")}
+             ("entry_blocked", "no_split", "uncapped", "removed")}
     edits["order_seed"] = draw(st.one_of(st.none(), st.integers(0, 2**32)))
     u, v, a = draw(pick), draw(pick), draw(pick)
     nbrs = [w for w, _ in view.neighbors(a)]
@@ -441,8 +441,7 @@ def _flow_cases(draw):
 _CANCEL_FROM_T = (
     AdjacencyView({0: [1, 4, *range(20, 30)], 1: [2, 5], 2: [3], 3: [9], 4: [6], 6: [8],
                    8: [3], 5: [7], 7: [10], 10: [9]}),
-    {"entry_blocked": [0], "exit_blocked": [9], "no_split": [], "uncapped": [0, 9],
-     "removed": [], "order_seed": None},
+    {"entry_blocked": [0], "no_split": [9], "uncapped": [0], "removed": [], "order_seed": None},
     None, [], [], False, 0, False, 9, 2)
 
 
@@ -566,15 +565,15 @@ def test_rows_list_reverse_arcs_only_while_they_carry_flow(monkeypatch):
     assert seen["cancels"] > 0 and seen["split_cancels"] > 0 and seen["shortfalls"] > 0, seen
 
 
-def _eager_rows(static, to, template, stuck, seed):
+def _eager_rows(static, to, template, unsplit, seed):
     """Every row of a network as the seeded order gives it: one
     ``random.Random(seed).shuffle`` of the in-view forward arcs of each
-    in-view vertex but the stuck ones, in ascending order; any other row
+    in-view vertex but the unsplit ones, in ascending order; any other row
     as it is in `static`, the network's rows before the query."""
     rng = random.Random(seed)
     rows = [list(row) for row in static]
     for v in range(len(rows) // 2 - 1):
-        if template[2 * v] == -1 and v not in stuck:
+        if template[2 * v] == -1 and v not in unsplit:
             rows[2 * v + 1] = [e for e in rows[2 * v + 1] if template[to[e]] == -1]
             rng.shuffle(rows[2 * v + 1])
     return rows
@@ -611,7 +610,7 @@ def _large_seeded_queries(draw):
     else:
         view = delete_copies(G7, {draw(st.integers(1, 7))})
     some = st.lists(st.sampled_from(view.vertices()), max_size=6, unique=True)
-    return (view, {"exit_blocked": draw(some), "no_split": draw(some), "removed": draw(some),
+    return (view, {"no_split": draw(some), "removed": draw(some),
                    "order_seed": draw(st.integers(0, 2**64))}, draw(st.integers(0, 2**32)))
 
 
@@ -626,11 +625,11 @@ def test_large_seeded_rows_match_an_eager_shuffle(case):
     static = net.rows
     with _FlowQuery(view, **edits) as q:
         assert type(net.rows) is flows._SeededRows
-        stuck = set(edits["exit_blocked"]) | set(edits["no_split"])
         nodes = list(range(len(static)))
         random.Random(read_seed).shuffle(nodes)
         got = {node: list(net.rows[node]) for node in nodes}
-        expected = _eager_rows(static, net.to, q.template, stuck, edits["order_seed"])
+        expected = _eager_rows(static, net.to, q.template, set(edits["no_split"]),
+                               edits["order_seed"])
     assert net.rows is static
     assert [got[node] for node in range(len(static))] == expected
 

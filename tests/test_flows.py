@@ -1,10 +1,11 @@
 """Flow primitives: disjoint path families, fans, cuts, Menger duality."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from tripaths.errors import RankOutOfRange
+from tripaths.errors import InsufficientConnectivity, RankOutOfRange
 from tripaths.flows import (
     _network,
     Path,
@@ -31,6 +32,7 @@ from tripaths.verification import (
     check_fan,
     check_internally_disjoint,
     check_tripod,
+    path_violations,
 )
 
 
@@ -215,6 +217,71 @@ def test_k_fan_source_adjacent_target():
     fam = k_fan(view, 0, targets, 3)
     verdict = check_fan(view, 0, targets, fam, 3)
     assert verdict.ok, verdict.violations
+
+
+def _capacitated_fan_ends(view, x, caps, fam):
+    """Ends of a fan whose targets may end several paths, checked
+    against the fan rule: view paths from x to a target, no target or x
+    inside a path, no interior vertex or edge on two paths."""
+    interiors, edges = [], []
+    for p in fam.paths:
+        assert path_violations(view, p, "p") == []
+        assert p.vertices[0] == x and p.vertices[-1] in caps
+        assert not set(p.interior()) & (set(caps) | {x})
+        interiors += p.interior()
+        edges += p.edges()
+    assert len(interiors) == len(set(interiors)) and len(edges) == len(set(edges))
+    return Counter(p.vertices[-1] for p in fam.paths)
+
+
+# 0 reaches 10 through 1, 2 and 4, and 11 through 4-5 or 3-12; with 12 a
+# target the route 3-12-11 is closed, so 4 decides between 10 and 11
+FAN_VIEW = AdjacencyView({0: [1, 2, 3, 4], 1: [10], 2: [10], 3: [12], 12: [11],
+                          4: [10, 5], 5: [11]})
+
+
+def test_k_fan_capacities_end_exactly_their_paths():
+    caps = {10: 2, 11: 1, 12: 0}
+    fam = k_fan(FAN_VIEW, 0, caps, 3)
+    assert _capacitated_fan_ends(FAN_VIEW, 0, caps, fam) == {10: 2, 11: 1}
+    assert [4, 5, 11] in [list(p.vertices[1:]) for p in fam.paths]
+    # a sequence gives every target capacity 1
+    assert k_fan(FAN_VIEW, 0, [10, 11, 12], 3) == k_fan(FAN_VIEW, 0, {10: 1, 11: 1, 12: 1}, 3)
+    with pytest.raises(ValueError, match="capacity"):
+        k_fan(FAN_VIEW, 0, caps, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        k_fan(FAN_VIEW, 0, {10: 3, 11: -1}, 2)
+
+
+def test_k_fan_capacity_shortfall_names_its_cut():
+    # 10 could end three paths, but 1, 2 and 4 are the only ways out of
+    # 0 that avoid the targets, and each ends one path
+    with pytest.raises(InsufficientConnectivity) as info:
+        k_fan(FAN_VIEW, 0, {10: 3, 11: 1, 12: 0}, 4)
+    assert info.value.witness_cut == (1, 2, 4)
+    assert len(info.value.achieved.paths) == 3
+    # without 12 among the targets, 3-12-11 opens and all four fit
+    fam = k_fan(FAN_VIEW, 0, {10: 3, 11: 1}, 4)
+    assert _capacitated_fan_ends(FAN_VIEW, 0, {10: 3, 11: 1}, fam) == {10: 3, 11: 1}
+
+
+def test_k_fan_capacities_on_a_cw5_copy_union():
+    g = build(5, Family.WHEEL)
+    view = copy_union(g, {1, 2})
+    x = g.copy_members[1][0]
+    far1 = [v for v in g.copy_members[1][10:] if not view.adjacent(x, v)]
+    caps = {far1[0]: 2, far1[5]: 2, g.copy_members[2][7]: 1}
+    for seed in (None, 3):
+        fam = k_fan(view, x, caps, 5, order_seed=seed)
+        assert _capacitated_fan_ends(view, x, caps, fam) == caps
+    with pytest.raises(ValueError, match="capacity 6, got 5"):
+        k_fan(view, x, caps, 6)
+    nbrs = sorted(w for w, _ in view.neighbors(x))
+    starved = view.without(nbrs[2:])
+    with pytest.raises(InsufficientConnectivity) as info:
+        k_fan(starved, x, caps, 3)
+    assert info.value.witness_cut == tuple(nbrs[:2])
+    assert _capacitated_fan_ends(starved, x, caps, info.value.achieved).total() == 2
 
 
 def test_disjoint_set_paths():

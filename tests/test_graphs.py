@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tripaths.errors import SameCopy, WrongFamily
+from tripaths.errors import RankOutOfRange, SameCopy, WrongFamily
 from tripaths.graphs import (
     AdjacencyView,
     View,
@@ -210,3 +210,27 @@ def test_adjacency_view_accepts_the_largest_label():
     view = AdjacencyView({40319: [0]})
     assert view.vertices() == [0, 40319]
     assert view.graph.vertex_count == 40320
+
+
+@pytest.mark.parametrize("view_of", [
+    full_view, spanning_intra_view, lambda g: copy_union(g, {1, 3}),
+    lambda g: delete_copies(g, {2}).without(range(0, 120, 7)),
+])
+def test_adjacent_agrees_with_neighbors(view_of):
+    """A pair is adjacent exactly when v is a neighbour of u in the view:
+    False when v is outside it or is joined to u only by a masked
+    generator; a u outside the view raises."""
+    g = build(5, Family.WHEEL)
+    view = view_of(g)
+    for u in range(g.vertex_count):
+        if not view.contains(u):
+            with pytest.raises(RankOutOfRange):
+                view.adjacent(u, g.adj[u][0][0])
+            continue
+        nbrs = {w for w, _ in view.neighbors(u)}
+        for v in [*range(-1, g.vertex_count + 1), "7"]:
+            assert view.adjacent(u, v) == (v in nbrs)
+    # (2 5) is masked in the spanning view: its edge is gone there alone
+    gi = next(i for i, t in enumerate(g.gens) if (t.i, t.j) == (2, 5))
+    w = next(w for w, i in g.adj[0] if i == gi)
+    assert full_view(g).adjacent(0, w) and not spanning_intra_view(g).adjacent(0, w)

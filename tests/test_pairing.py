@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-import tripaths.construct
+import tripaths.pairing
 from tripaths.construct import build_structure
 from tripaths.errors import InvalidStructure
 from tripaths.flows import Path
@@ -112,7 +112,7 @@ def test_pi3_lower_records_a_rejected_structure_as_a_failure(monkeypatch):
         bad = structure.bundle_ab[:1] + (Path((a, a, b)),)
         return dataclasses.replace(structure, bundle_ab=bad), trace
 
-    monkeypatch.setattr(tripaths.construct, "build_structure", broken)
+    monkeypatch.setattr(tripaths.pairing, "build_structure", broken)
     g = build(4, Family.WHEEL)
     rep = pi3_lower(g, [(0, 3, 4), (1, 5, 9)])
     assert rep.evaluated == 2

@@ -2,8 +2,13 @@
 
 import ast
 import pathlib
+import re
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tripaths"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tripaths"
 
 
 def _trees():
@@ -73,3 +78,38 @@ def test_heavy_imports_stay_out_of_module_level():
             if any(name.split(".")[0] in _HEAVY for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], found
+
+
+def test_only_flows_uses_private_flow_names():
+    # every flow goes through the public flow functions, so the flow
+    # engine (``_FlowQuery`` and its kernels) stays private to flows.py
+    found = []
+    for path, tree in _trees():
+        if path.name == "flows.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module == "flows")
+                    or (node.level == 0 and node.module == "tripaths.flows")):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == [], found
+
+
+def test_test_extra_names_every_module_the_tests_import():
+    # ``pip install -e '.[test]'`` must be enough to collect the suite
+    tomllib = pytest.importorskip("tomllib")
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["optional-dependencies"]["test"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+              for req in extra}
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    missing = sorted(name for name in imported - listed
+                     if name != "tripaths" and name not in sys.stdlib_module_names)
+    assert missing == [], missing
