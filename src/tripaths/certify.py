@@ -5,7 +5,7 @@ without any state from the producing run."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .construct import (
     CASE_1_1,
@@ -33,15 +33,6 @@ _RANKING = "lehmer-lex"
 _ODD_CASES = {1: (CASE_1_1, CASE_1_2_1, CASE_1_2_2), 2: (CASE_2,),
               3: (CASE_3_1, CASE_3_2, CASE_3_3)}
 
-_TOP_KEYS = frozenset({
-    "schema_version", "n", "family", "omega_ranks", "omega_perms",
-    "case", "bundles", "omega_paths", "pi3", "solver", "checks",
-})
-_CASE_KEYS = frozenset({
-    "case_id", "roles", "copies", "auxiliary", "fallback", "seed",
-})
-
-
 @dataclass(frozen=True)
 class Certificate:
     n: int
@@ -57,12 +48,17 @@ class Certificate:
     schema_version: int = SCHEMA_VERSION
 
 
+# a certificate's keys are its fields, and its case keys a trace's
+_TOP_KEYS = frozenset(f.name for f in fields(Certificate))
+_CASE_KEYS = frozenset(f.name for f in fields(CaseTrace))
+
+
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, int, str)) or value is None:
+    if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     return str(value)
 
@@ -74,7 +70,7 @@ def _structure_checks(g, structure: TripodStructure, omega_paths) -> list:
     view = full_view(g)
     target = standard_target(g.n)
     counts = structure.counts()
-    verdict = check_tripod(view, structure, target, exact=True)
+    verdict = check_tripod(view, structure, target)
     om_verdict = check_omega_path_set(view, structure.omega, omega_paths)
     return [
         ("structure-valid", verdict.ok, "; ".join(verdict.violations[:3]), True),
@@ -95,40 +91,21 @@ def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
         family=g.family.value,
         omega_ranks=tuple(structure.omega),
         omega_perms=tuple(g.vertex_text(v) for v in structure.omega),
-        case={
-            "case_id": trace.case_id,
-            "roles": _jsonable(trace.roles),
-            "copies": _jsonable(trace.copies),
-            "auxiliary": _jsonable(trace.auxiliary),
-            "fallback": trace.fallback,
-            "seed": trace.seed,
-        },
+        case=_jsonable(asdict(trace)),
         bundles={
             "ab": [list(p.vertices) for p in structure.bundle_ab],
             "ac": [list(p.vertices) for p in structure.bundle_ac],
             "bc": [list(p.vertices) for p in structure.bundle_bc],
         },
         omega_paths=[list(p.vertices) for p in omega_set.paths],
-        pi3=_jsonable(pi3) if pi3 is not None else None,
+        pi3=_jsonable(pi3),
         solver={"ranking": _RANKING, "seed": trace.seed},
         checks=rows,
     )
 
 
 def emit(cert: Certificate) -> str:
-    payload = {
-        "schema_version": cert.schema_version,
-        "n": cert.n,
-        "family": cert.family,
-        "omega_ranks": list(cert.omega_ranks),
-        "omega_perms": list(cert.omega_perms),
-        "case": _jsonable(cert.case),
-        "bundles": _jsonable(cert.bundles),
-        "omega_paths": _jsonable(cert.omega_paths),
-        "pi3": cert.pi3,
-        "solver": cert.solver,
-        "checks": cert.checks,
-    }
+    payload = _jsonable(asdict(cert))
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

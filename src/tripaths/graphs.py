@@ -85,8 +85,12 @@ class View:
     allowed_gens: frozenset[int] | None = None
 
     def contains(self, v: int) -> bool:
+        # a float equal to a rank would pass the set test and then fail
+        # as a row index, so only ints count as vertices
+        if not isinstance(v, int):
+            return False
         if self.allowed is None:
-            return isinstance(v, int) and 0 <= v < self.graph.vertex_count
+            return 0 <= v < self.graph.vertex_count
         return v in self.allowed
 
     def vertices(self) -> list[int]:
@@ -118,7 +122,8 @@ class View:
         # a row names each neighbour once, so the first match decides
         for w, gi in self.graph.adj[u]:
             if w == v:
-                return ((self.allowed is None or v in self.allowed)
+                return (isinstance(v, int)
+                        and (self.allowed is None or v in self.allowed)
                         and (self.allowed_gens is None or gi in self.allowed_gens))
         return False
 

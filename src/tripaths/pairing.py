@@ -55,7 +55,7 @@ def pair_structure(view, structure: TripodStructure) -> OmegaPathSet:
     raises InvalidStructure rather than reaching a certificate.
     """
     counts = structure.counts()
-    verdict = check_tripod(view, structure, StructureTarget(*counts), exact=True)
+    verdict = check_tripod(view, structure, StructureTarget(*counts))
     if not verdict.ok:
         raise InvalidStructure("; ".join(verdict.violations[:4]))
     mu_a, mu_b, mu_c = optimal_split(*counts)

@@ -103,8 +103,6 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
 
     blocked = {w for _, p in phase_a_paths for w in p.interior()}
     sub = view.without(blocked | {pivot_v})
-    if k3 == 0:
-        return finish(phase_a_paths, [])
     fam = max_internally_disjoint_paths(sub, bs, bt, limit=k3,
                                         order_seed=order_seed, counter=counter)
     if len(fam.paths) >= k3:

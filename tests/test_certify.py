@@ -131,3 +131,15 @@ def test_emit_is_stable_key_sorted():
     assert keys == sorted(keys)
     assert text.endswith("\n")
     assert "  " in text  # indented, human-readable
+
+
+def test_emit_keeps_the_json_numbers_of_a_loaded_certificate():
+    # every field is written back as read: a float stays a number
+    doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
+    doc["case"]["auxiliary"]["weight"] = 0.5
+    doc["pi3"]["r"] = 1.5
+    doc["solver"]["seed"] = 2.0
+    doc["checks"][0]["pass"] = 1.0
+    text = certify.emit(certify.load_text(json.dumps(doc)))
+    assert json.loads(text) == doc
+    assert '"weight": 0.5' in text and '"seed": 2.0' in text

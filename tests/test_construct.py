@@ -45,7 +45,7 @@ G7 = build(7, Family.WHEEL)
 
 def _check(g, omega, seed=0):
     structure, trace = build_structure(g, omega, seed=seed)
-    verdict = check_tripod(full_view(g), structure, standard_target(g.n), exact=True)
+    verdict = check_tripod(full_view(g), structure, standard_target(g.n))
     assert verdict.ok, (omega, verdict.violations)
     assert structure.counts() == standard_target(g.n).as_tuple()
     return structure, trace
@@ -183,7 +183,7 @@ def test_bridged_rotation_regime_n7():
     b = rank(parse_permutation("[3,2,4,1,5,6,7]"))
     c = rank(parse_permutation("[4,2,1,3,5,6,7]"))
     structure, trace = build_structure(G7, (a, b, c), seed=0)
-    verdict = check_tripod(full_view(G7), structure, standard_target(7), exact=True)
+    verdict = check_tripod(full_view(G7), structure, standard_target(7))
     assert verdict.ok, verdict.violations
     assert trace.case_id == CASE_1_2_2
     assert trace.auxiliary["regime"] == "bridged-j3"

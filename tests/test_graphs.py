@@ -6,6 +6,7 @@ import random
 import pytest
 
 from tripaths.errors import RankOutOfRange, SameCopy, WrongFamily
+from tripaths.flows import max_internally_disjoint_paths
 from tripaths.graphs import (
     AdjacencyView,
     View,
@@ -234,3 +235,27 @@ def test_adjacent_agrees_with_neighbors(view_of):
     gi = next(i for i, t in enumerate(g.gens) if (t.i, t.j) == (2, 5))
     w = next(w for w, i in g.adj[0] if i == gi)
     assert full_view(g).adjacent(0, w) and not spanning_intra_view(g).adjacent(0, w)
+
+
+@pytest.mark.parametrize("view_of", [
+    full_view, lambda g: copy_union(g, {1}), lambda g: delete_copies(g, {2}),
+    lambda g: full_view(g).without({0}), lambda g: copy_union(g, {1, 3}).without({1}),
+    lambda g: AdjacencyView({v: [w for w, _ in g.adj[v]] for v in g.copy_members[1]}),
+])
+def test_views_take_int_vertices_only(view_of):
+    """A float equal to a vertex of the view is not a vertex: the view
+    does not contain it, adjacency to it is False, and the flow functions
+    reject it with RankOutOfRange rather than fail indexing with it."""
+    g = build(5, Family.WHEEL)
+    view = view_of(g)
+    u = view.vertices()[1]
+    w = view.neighbors(u)[0][0]
+    x = next(x for x in view.vertices() if x != u and not view.adjacent(u, x))
+    assert view.contains(w) and view.adjacent(u, w)
+    assert not view.contains(float(w)) and not view.adjacent(u, float(w))
+    with pytest.raises(RankOutOfRange):
+        view.neighbors(float(u))
+    with pytest.raises(RankOutOfRange):
+        max_internally_disjoint_paths(view, float(u), x)
+    with pytest.raises(RankOutOfRange):
+        max_internally_disjoint_paths(view, u, float(x))

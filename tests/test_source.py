@@ -96,20 +96,45 @@ def test_only_flows_uses_private_flow_names():
     assert found == [], found
 
 
-def test_test_extra_names_every_module_the_tests_import():
-    # ``pip install -e '.[test]'`` must be enough to collect the suite
+def _project():
     tomllib = pytest.importorskip("tomllib")
-    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())[
-        "project"]["optional-dependencies"]["test"]
-    listed = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
-              for req in extra}
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def _requirement_names(requirements) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def _undeclared_imports(trees, declared) -> list:
+    """Top-level modules the trees import that neither come with Python
+    nor are tripaths or ``declared``."""
     imported = set()
-    for path in sorted((ROOT / "tests").glob("**/*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    missing = sorted(name for name in imported - listed
-                     if name != "tripaths" and name not in sys.stdlib_module_names)
+    return sorted(name for name in imported - declared
+                  if name != "tripaths" and name not in sys.stdlib_module_names)
+
+
+def test_test_extra_names_every_module_the_tests_import():
+    # ``pip install -e '.[test]'`` must be enough to collect the suite
+    listed = _requirement_names(_project()["optional-dependencies"]["test"])
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "tests").glob("**/*.py"))]
+    missing = _undeclared_imports(trees, listed)
+    assert missing == [], missing
+
+
+def test_project_names_every_module_the_package_imports():
+    # each import of the package comes with Python or with an install of
+    # the project: its dependencies or one of its extras
+    project = _project()
+    declared = _requirement_names(project["dependencies"])
+    for requirements in project["optional-dependencies"].values():
+        declared |= _requirement_names(requirements)
+    missing = _undeclared_imports([tree for _, tree in _trees()], declared)
     assert missing == [], missing

@@ -1,5 +1,6 @@
 """Tripod solving and the exact pairing oracle on small instances."""
 
+import itertools
 import random
 
 import pytest
@@ -11,9 +12,15 @@ from tripaths.errors import (
     RankOutOfRange,
     TripathsError,
 )
-from tripaths.graphs import AdjacencyView, build, full_view, spanning_intra_view
+from tripaths.graphs import (
+    AdjacencyView,
+    build,
+    common_neighbors,
+    full_view,
+    spanning_intra_view,
+)
 from tripaths.oracle import exact_pi
-from tripaths.pairing import pairing_capacity
+from tripaths.pairing import pairing_capacity, pi3_upper, sample_triples
 from tripaths.perms import Family
 from tripaths.tripod import (
     StructureTarget,
@@ -41,7 +48,7 @@ def test_solve_on_bss4():
         omega = tuple(rng.sample(range(24), 3))
         res = solve_tripod(view, omega, target)
         assert not isinstance(res, TripodFailure), omega
-        verdict = check_tripod(view, res, target, exact=True)
+        verdict = check_tripod(view, res, target)
         assert verdict.ok, (omega, verdict.violations)
 
 
@@ -54,7 +61,7 @@ def test_solve_inside_spanning_subgraph_n4():
         omega = tuple(rng.sample(range(24), 3))
         res = solve_tripod(view, omega, target)
         assert not isinstance(res, TripodFailure), omega
-        verdict = check_tripod(view, res, target, exact=True)
+        verdict = check_tripod(view, res, target)
         assert verdict.ok, (omega, verdict.violations)
 
 
@@ -71,6 +78,23 @@ def test_bad_inputs_raise_typed_errors():
         solve_tripod(spanning_intra_view(g).without({4}), (0, 3, 4), target)
     with pytest.raises(ValueError):
         pairing_capacity(2, -1, 2)
+
+
+@pytest.mark.parametrize("target", [(0, 2, 2), (2, 0, 2), (2, 2, 0), (0, 3, 3)])
+def test_solve_targets_with_a_zero_bundle(target):
+    # a zero bundle is the third bundle for one pivot: its flow asks for
+    # no path and the structure keeps that bundle empty
+    g = build(4, Family.WHEEL)
+    view = full_view(g)
+    target = StructureTarget(*target)
+    rng = random.Random(7)
+    for _ in range(10):
+        omega = tuple(rng.sample(range(24), 3))
+        res = solve_tripod(view, omega, target)
+        assert not isinstance(res, TripodFailure), omega
+        assert res.counts() == target.as_tuple()
+        verdict = check_tripod(view, res, target)
+        assert verdict.ok, (omega, verdict.violations)
 
 
 def test_target_beyond_connectivity_is_infeasible():
@@ -111,6 +135,21 @@ def test_exact_pi_matches_pairing_on_wheel_witness():
     assert exact_pi(view, (0, 3, 4)) == 3
 
 
+def test_exact_pi_on_sampled_wheel_triples_n4():
+    # over all 2,024 triples at n = 4 the optimum is 4 when omega holds an
+    # edge, and otherwise the degree bound floor((3k - r) / 4) with k = 6
+    # and r common neighbours of the triple
+    g = build(4, Family.WHEEL)
+    view = full_view(g)
+    triples = sample_triples(g, 24, 1) + [pi3_upper(g).witness]
+    for omega in triples:
+        if any(view.adjacent(u, v) for u, v in itertools.combinations(omega, 2)):
+            want = 4
+        else:
+            want = (3 * 6 - len(common_neighbors(g, omega))) // 4
+        assert exact_pi(view, omega) == want, omega
+
+
 def test_exact_pi_scale_cap():
     g = build(5, Family.WHEEL)
     with pytest.raises(OracleScaleExceeded):
@@ -127,7 +166,7 @@ def test_exact_pi_bad_inputs_raise_typed_errors(monkeypatch):
     class Failed:
         status, message = 2, "the problem is infeasible"
 
-    monkeypatch.setattr(oracle._MilpModel, "solve", lambda *args: Failed())
+    monkeypatch.setattr(oracle, "milp", lambda *args, **kwargs: Failed())
     with pytest.raises(TripathsError, match="infeasible"):
         exact_pi(k3, (0, 1, 2))
 

@@ -59,7 +59,7 @@ def _to_second_terminal(path):
 
 
 def _tripod(structure, view=VIEW):
-    return check_tripod(view, structure, TARGET, exact=True)
+    return check_tripod(view, structure, TARGET)
 
 
 def _omega(paths):
@@ -120,6 +120,13 @@ def test_unmutated_structure_passes():
     assert _fan(FAN).violations == ()
     assert _sets(SET_PATHS).violations == ()
     assert _uv(UV_PATHS).violations == ()
+
+
+def test_check_tripod_checks_counts_exactly_only():
+    # counts are checked exactly only; ``exact=True`` is still accepted
+    assert check_tripod(VIEW, STRUCTURE, TARGET, exact=True).ok
+    with pytest.raises(ValueError, match="exact bundle counts only"):
+        check_tripod(VIEW, STRUCTURE, TARGET, exact=False)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
