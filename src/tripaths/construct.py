@@ -527,22 +527,19 @@ def _two_copies(g, tri, seed):
 
 def _star_pairs(g, copy):
     """(w, w*) for every member w of a copy, ascending.  The star image is
-    read straight off the adjacency row: ``build_structure`` admits only
-    the wheel family and copy members are in range, so the checks of
+    read off ``g.star_image``: ``build_structure`` admits only the wheel
+    family and copy members are in range, so the checks of
     ``outside_neighbors`` would repeat to no purpose."""
-    star = g.outside_gens[2]
-    for w in g.copy_members[copy]:
-        for ws, gi in g.adj[w]:
-            if gi == star:
-                yield w, ws
-                break
+    members = g.copy_members[copy]
+    return zip(members, map(g.star_image.__getitem__, members))
 
 
 def _slice_pool(g, i_from, j_to, reserved):
     """Vertices w of copy i_from whose star image lands in copy j_to with
     both ends clear of reserved vertices; returns (w, w*) pairs ascending."""
-    return [(w, ws) for w, ws in _star_pairs(g, i_from)
-            if w not in reserved and g.copy_id[ws] == j_to and ws not in reserved]
+    star, copy_id = g.star_image, g.copy_id
+    return [(w, ws) for w in g.copy_members[i_from]
+            if copy_id[ws := star[w]] == j_to and w not in reserved and ws not in reserved]
 
 
 def _extra_or_direct(root: int, target: int, far: int, tag: str, plan: dict) -> None:

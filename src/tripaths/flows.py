@@ -43,15 +43,32 @@ in-view ``vout`` rows but those of unsplit vertices get, in ascending
 order, the swaps ``shuffle`` of one ``random.Random(seed)`` makes in them.
 Small views draw them inline, every row up front.  On the large views
 that search from both ends (below), a search reads only a few percent
-of the rows, so ``_SeededRows`` shuffles a row when it is first read.  It reads the
-stream once: ``getrandbits(k)`` for k <= 8 is the top k bits of one
-32-bit word, so below 256 arcs the top byte of each word decides a draw,
-and one bytes regex per row length (``_row_draws``) finds where each
-row's draws end.  Seeded ``disjoint_set_paths`` on n = 7 minus a copy
-(the 34 outside-detour calls of ``pi3_lower`` on
-``sample_triples(g, 100, 1)``, best of 3 runs, host as below) took
-29.8-31.2 ms per call with every row shuffled up front, 15.0-16.3 ms
-with rows shuffled on first read.
+of the rows, so ``_SeededRows`` shuffles a row when it is first read.
+Seeded ``disjoint_set_paths`` on n = 7 minus a copy (the 34
+outside-detour calls of ``pi3_lower`` on ``sample_triples(g, 100, 1)``,
+best of 3 runs, host as below) took 29.8-31.2 ms per call with every
+row shuffled up front, 15.0-16.3 ms with rows shuffled on first read.
+
+It still reads the whole stream once, to find where each row's draws
+start: ``getrandbits(k)`` for k <= 8 is the top k bits of one 32-bit
+word, so below 256 arcs the top byte of each word decides a draw, and a
+bytes regex matches the draws of a row.  What depends on the view alone
+is a ``_RowPlan``, built once per vertex mask and kept on the network
+for the ``_ROW_PLANS`` masks used last: the in-view rows in ascending
+order, cut into runs of at most ``_RUN_ROWS`` rows of one length.  A
+query makes one match per run, with a pattern of one group per row
+(``_run_draws``, kept by length and rows, so no view compiles patterns
+of its own), and keeps where each run starts; the first read of a row
+in a run matches the run again, once per query, and the group starts
+are the rows' offsets.  Keeping every run's match instead would hold
+about 880 objects the garbage collector tracks per query.  The 50
+``_SeededRows`` that ``pi3_lower`` makes on n = 7 minus a copy over the
+first 150 of ``sample_triples(g, 600, 1)`` taken a stratum at a time
+(median of the best of 5 runs, 3 runs each, host as below) took
+5.8-9.5 ms each with the in-view arcs counted and one match made per
+row in every query, 3.7-4.1 ms with the plan cached and one match per
+run; their ``disjoint_set_paths`` calls went from 9.7-12.1 to
+7.3-10.0 ms.
 
 On views of at least ``_TWO_ENDED_VERTICES`` vertices ``max_flow`` finds
 the same augmenting path from both ends (``_two_ended``).  The FIFO path
@@ -105,6 +122,8 @@ _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
 # views of at least this many vertices find augmenting paths from both ends
 _TWO_ENDED_VERTICES = 200
 _DRAW_WORDS = 4096  # MT words a lazy seeded order draws at a time
+_RUN_ROWS = 32  # rows of one length a seeded order matches at once
+_ROW_PLANS = 8  # row plans a network keeps, for the vertex masks used last
 
 
 @dataclass(frozen=True)
@@ -164,6 +183,8 @@ class _SplitNetwork:
     one in the row of its tail only while its pair carries flow.
     ``back_arcs[back_first[v]:back_first[v + 1]]`` lists the reverse
     edge arcs out of ``vin(v)`` whether or not they carry flow.
+    ``row_plans`` keeps the ``_RowPlan`` of the vertex masks that seeded
+    queries used last, keyed by the masks' vertex marks.
     """
 
     def __init__(self, nbrs):
@@ -200,6 +221,7 @@ class _SplitNetwork:
         rows += [array("i"), array("i")]
         self.rows = rows
         self.open_template = [-1] * len(rows)
+        self.row_plans: dict[bytes, _RowPlan] = {}
         self.busy = False
 
 
@@ -488,75 +510,148 @@ def _fisher_yates(arcs, bits) -> int:
 
 
 @functools.cache
-def _row_draws(length: int) -> re.Pattern:
-    """Matches the top bytes of the words ``Random.shuffle`` draws for a
-    row of `length` arcs, 2 <= length < 256.  ``getrandbits(k)`` for
+def _run_draws(length: int, count: int) -> re.Pattern:
+    """Matches the top bytes of the words ``Random.shuffle`` draws for
+    `count` rows of `length` arcs each, 2 <= length < 256, with group
+    g + 1 starting where row g draws first.  ``getrandbits(k)`` for
     k <= 8 is the top k bits of one 32-bit word, so the draw for index i
-    is accepted exactly when its top byte is below (i + 1) << (8 - k)."""
-    parts = []
+    is accepted exactly when its top byte is below (i + 1) << (8 - k).
+    Keys are bounded: lengths below 256, counts up to a run's rows."""
+    parts = [b"()"]
     for i in range(length - 1, 0, -1):
         bound = (i + 1) << (8 - (i + 1).bit_length())
         parts.append(b"[\\x%02x-\\xff]*[\\x00-\\x%02x]" % (bound, bound - 1))
-    return re.compile(b"".join(parts))
+    return re.compile(b"".join(parts) * count)
+
+
+class _RowPlan:
+    """The rows a seeded query shuffles on one vertex mask: the in-view
+    ``vout`` rows in ascending order, cut into runs of at most
+    ``_RUN_ROWS`` rows of one in-view arc count (a row of 256 arcs or
+    more is a run of its own).  ``where[v]`` is ``run * _RUN_ROWS + i``
+    for the i-th row of a run, -1 off the view; ``first[r]`` is the
+    first vertex of run r (``first[-1]`` the vertex count), ``length[r]``
+    and ``count[r]`` its arcs per row and rows."""
+
+    __slots__ = ("where", "first", "length", "count")
+
+    def __init__(self, net, marks):
+        nv, to, first = net.vertex_count, net.to, net.back_first
+        # in-view arcs per row, counted from the smaller side: the heads
+        # of in-view rows count in-view neighbours, those of the other
+        # rows the neighbours to take off the degree
+        inside = marks.count(-1)
+        counted = -1 if 2 * inside <= nv else _OFF_VIEW
+        heads = Counter(chain.from_iterable(
+            to[2 * (nv + first[w]):2 * (nv + first[w + 1]):2]
+            for w in compress(range(nv), map(counted.__eq__, marks)))).get
+        where = self.where = array("i", [-1]) * nv
+        self.first, self.length, self.count = array("i"), array("i"), array("i")
+        rows, last = _RUN_ROWS, -1
+        for v in compress(range(nv), map((-1).__eq__, marks)):
+            length = heads(2 * v, 0)
+            if counted != -1:
+                length = first[v + 1] - first[v] - length
+            if length != last or rows == _RUN_ROWS or length > 255:
+                rows, last = 0, length
+                self.first.append(v)
+                self.length.append(length)
+                self.count.append(0)
+            where[v] = (len(self.count) - 1) * _RUN_ROWS + rows
+            rows += 1
+            self.count[-1] = rows
+        self.first.append(nv)
+
+
+def _row_plan(net, tpl) -> _RowPlan:
+    """The row plan of a query template's vertex mask, kept on the network
+    for the ``_ROW_PLANS`` masks used last."""
+    marks = tpl[0:2 * net.vertex_count:2]
+    key = array("b", marks).tobytes()
+    plans = net.row_plans
+    plan = plans.pop(key, None)
+    if plan is None:
+        plan = _RowPlan(net, marks)
+        if len(plans) >= _ROW_PLANS:
+            del plans[next(iter(plans))]
+    plans[key] = plan
+    return plan
 
 
 class _SeededRows(dict):
     """The rows of a seeded query on a large view, each built on first
     read: a pending ``vout`` row gets the swaps ``_FlowQuery._shuffle``
     would give it, decoded from the offset where its draws start, and any
-    other row is the static one.  Creating it records the offsets in one
-    pass over the top bytes of the stream (``getrandbits(32 * W)`` lists
-    W words in stream order, least significant first); rows of 256 arcs
-    or more draw more than 8 bits, so they are shuffled on the spot.
+    other row is the static one.  Creating it finds where each run of the
+    view's ``_RowPlan`` draws first, in one pass over the top bytes of the
+    stream (``getrandbits(32 * W)`` lists W words in stream order, least
+    significant first) with one match of ``_run_draws`` per run; the
+    first read of a row in a run matches the run again (``matched``
+    keeps it for the query) and takes the row's group start.  A run that
+    holds an unsplit vertex goes row by row, as do rows of 0 or 1 arcs,
+    which draw nothing, and rows of 256 arcs or more, which draw more
+    than 8 bits and are shuffled on the spot.
     """
 
     def __init__(self, net, tpl, seed, unsplit):
         super().__init__()
         self.static, self.to, self.template = net.rows, net.to, tpl
-        nv, to, first = net.vertex_count, net.to, net.back_first
-        # in-view arcs per row, counted from the smaller side: the heads
-        # of in-view rows count in-view neighbours, those of the other
-        # rows the neighbours to take off the degree
-        marks = tpl[0:2 * nv:2]
-        inside = marks.count(-1)
-        counted = -1 if 2 * inside <= nv else _OFF_VIEW
-        heads = Counter(chain.from_iterable(
-            to[2 * (nv + first[w]):2 * (nv + first[w + 1]):2]
-            for w in compress(range(nv), map(counted.__eq__, marks)))).get
-        order = [v for v in compress(range(nv), map((-1).__eq__, marks)) if v not in unsplit]
-        if counted == -1:
-            lengths = [heads(2 * v, 0) for v in order]
-        else:
-            lengths = [first[v + 1] - first[v] - heads(2 * v, 0) for v in order]
+        self.plan = plan = _row_plan(net, tpl)
+        where, first = plan.where, plan.first
+        rowwise = {where[v] // _RUN_ROWS for v in unsplit if where[v] >= 0}
         getrandbits = random.Random(seed).getrandbits
-        top, pending, pos = bytearray(), {}, 0
-        for v, length in zip(order, lengths):
-            node = 2 * v + 1
-            if length > 255:
-                # whole words: replay the stream up to this row
-                replay = random.Random(seed)
-                replay.getrandbits(32 * pos)
-                arcs = self._arcs(node)
-                pos += _fisher_yates(arcs, replay.getrandbits)
-                self[node] = array("i", arcs)
-                continue
-            pending[node] = pos
-            if length > 1:
-                draws = _row_draws(length)
+        top = bytearray()
+
+        def match(draws, pos):
+            m = draws.match(top, pos)
+            while m is None:
+                top.extend(getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")[3::4])
                 m = draws.match(top, pos)
-                while m is None:
-                    top += getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")[3::4]
-                    m = draws.match(top, pos)
-                pos = m.end()
-        self.top, self.pending = top, pending
+            return m
+
+        # per run its first offset and pattern, None for a run that goes
+        # row by row; the offset of each pending row of such runs by slot
+        self.run_at, self.draws, self.row_at, pos = array("i"), [], {}, 0
+        for run, (length, count) in enumerate(zip(plan.length, plan.count)):
+            self.run_at.append(pos)
+            if 1 < length < 256 and run not in rowwise:
+                draws = _run_draws(length, count)
+                self.draws.append(draws)
+                pos = match(draws, pos).end()
+                continue
+            self.draws.append(None)
+            for v in range(first[run], first[run + 1]):
+                if where[v] < 0 or v in unsplit:
+                    continue
+                if length > 255:
+                    # whole words: replay the stream up to this row
+                    replay = random.Random(seed)
+                    replay.getrandbits(32 * pos)
+                    arcs = self._arcs(2 * v + 1)
+                    pos += _fisher_yates(arcs, replay.getrandbits)
+                    self[2 * v + 1] = array("i", arcs)
+                    continue
+                self.row_at[where[v]] = pos
+                if length > 1:
+                    pos = match(_run_draws(length, 1), pos).end()
+        self.top, self.limit, self.matched = top, 2 * net.vertex_count, {}
 
     def _arcs(self, node: int) -> list[int]:
         to, tpl = self.to, self.template
         return [e for e in self.static[node] if tpl[to[e]] == -1]
 
     def __missing__(self, node: int) -> array:
-        start = self.pending.get(node)
-        if start is None:
+        slot = self.plan.where[node >> 1] if node & 1 and node < self.limit else -1
+        run, i = divmod(slot, _RUN_ROWS)
+        draws = self.draws[run] if slot >= 0 else None
+        if draws is not None:
+            m = self.matched.get(run)
+            if m is None:
+                m = self.matched[run] = draws.match(self.top, self.run_at[run])
+            start = m.start(i + 1)
+        else:
+            start = self.row_at.get(slot, -1)
+        if start < 0:
             row = self.static[node]
         else:
             arcs = self._arcs(node)

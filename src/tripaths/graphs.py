@@ -34,24 +34,29 @@ class CayleyGraph:
         perms = list(itertools.permutations(range(1, n + 1)))
         index = {p: v for v, p in enumerate(perms)}
         swaps = [(gi, t.i - 1, t.j - 1) for gi, t in enumerate(self.gens)]
-        adj = []
+        # generator indices of (1 n), (n-1 n), (2 n): the outside neighbours
+        gen_of = {(t.i, t.j): gi for gi, t in enumerate(self.gens)}
+        self.outside_gens = tuple(gen_of.get(ij) for ij in ((1, n), (n - 1, n), (2, n)))
+        star = self.outside_gens[2]
+        adj, stars = [], []
         for p in perms:
             row = []
             for gi, i, j in swaps:
                 q = list(p)
                 q[i], q[j] = q[j], q[i]
                 row.append((index[tuple(q)], gi))
+            if star is not None:
+                stars.append(row[star][0])  # row is in generator order until sorted
             row.sort()
             adj.append(tuple(row))
         self.adj = tuple(adj)
+        # v* = the (2 n) image of v by rank; empty without that generator
+        self.star_image = tuple(stars)
         self.copy_id = tuple(p[n - 1] for p in perms)
         members: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
         for v, c in enumerate(self.copy_id):
             members[c].append(v)
         self.copy_members = {c: tuple(vs) for c, vs in members.items()}
-        # generator indices of (1 n), (n-1 n), (2 n): the outside neighbours
-        gen_of = {(t.i, t.j): gi for gi, t in enumerate(self.gens)}
-        self.outside_gens = tuple(gen_of.get(ij) for ij in ((1, n), (n - 1, n), (2, n)))
         # flow networks by generator mask, built by the flow layer on first use
         self.split_networks: dict = {}
 
@@ -224,15 +229,14 @@ def _check_copy_ids(g: CayleyGraph, copies) -> frozenset[int]:
 
 def copy_union(g: CayleyGraph, copies) -> View:
     ids = _check_copy_ids(g, copies)
-    verts = frozenset(v for c in ids for v in g.copy_members[c])
+    verts = frozenset(itertools.chain.from_iterable(g.copy_members[c] for c in ids))
     return View(g, verts, None)
 
 
 def delete_copies(g: CayleyGraph, copies) -> View:
     ids = _check_copy_ids(g, copies)
-    verts = frozenset(
-        v for c in range(1, g.n + 1) if c not in ids for v in g.copy_members[c]
-    )
+    verts = frozenset(itertools.chain.from_iterable(
+        g.copy_members[c] for c in range(1, g.n + 1) if c not in ids))
     if not verts:
         raise ValueError("deleting every copy leaves nothing")
     return View(g, verts, None)

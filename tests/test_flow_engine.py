@@ -12,6 +12,7 @@ flow.
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path as FilePath
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from tripaths import flows
 from tripaths.errors import InsufficientConnectivity, RankOutOfRange
 from tripaths.flows import (
+    _TWO_ENDED_VERTICES,
     _FlowQuery,
     _network,
     disjoint_set_paths,
@@ -603,15 +605,46 @@ def test_seeded_rows_follow_random_shuffle(seed):
             assert [list(net.rows[node]) for node in range(len(static))] == expected, leaves
 
 
+def _mixed_rows_view():
+    """A view of 1,047 vertices whose in-view rows have 0, 1, 2, 4 and 6
+    arcs and 260 or 270 arcs: two hubs, each with its own leaves, placed
+    before and between rings of equal-length rows, with isolated
+    vertices in between."""
+    adjacency = {0: list(range(1, 261)), 400: list(range(401, 671)),
+                 290: [], 291: [], 350: [], 690: [], 1100: []}
+    for first, size, steps in ((300, 40, (1, 2)), (360, 30, (1, 3)), (700, 400, (1,)),
+                               (1110, 40, (1, 2, 3))):
+        for i in range(size):
+            adjacency[first + i] = [first + (i + d) % size for d in steps]
+    view = AdjacencyView(adjacency)
+    assert view.vertex_count >= _TWO_ENDED_VERTICES
+    return view
+
+
+MIXED_ROWS = _mixed_rows_view()
+# the middle of the ring rows 300..331, a run of 32 rows of 4 arcs
+MIXED_MID_RUN = 310
+
+
 @st.composite
 def _large_seeded_queries(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["copies", "minus", "mixed"]))
+    if kind == "copies":
         view = copy_union(G6, draw(st.sets(st.integers(1, 6), min_size=2, max_size=5)))
-    else:
+    elif kind == "minus":
         view = delete_copies(G7, {draw(st.integers(1, 7))})
+    else:
+        view = MIXED_ROWS
     some = st.lists(st.sampled_from(view.vertices()), max_size=6, unique=True)
-    return (view, {"no_split": draw(some), "removed": draw(some),
-                   "order_seed": draw(st.integers(0, 2**64))}, draw(st.integers(0, 2**32)))
+    removed = draw(some)
+    queries = []
+    for _ in range(2):
+        no_split = draw(some)
+        if kind == "mixed" and MIXED_MID_RUN not in removed + no_split:
+            no_split.append(MIXED_MID_RUN)
+        queries.append({"no_split": no_split, "removed": removed,
+                        "order_seed": draw(st.integers(0, 2**64))})
+    return view, queries, draw(st.integers(0, 2**32))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -619,19 +652,72 @@ def _large_seeded_queries(draw):
 def test_large_seeded_rows_match_an_eager_shuffle(case):
     """A seeded query on a large view hands out each row on first read;
     read in any order, every row is the one an eager shuffle gives, and
-    the static rows are back when the query ends."""
-    view, edits, read_seed = case
+    the static rows are back when the query ends.  Two queries on one
+    vertex mask share the mask's row plan, under other seeds and other
+    unsplit vertices."""
+    view, queries, read_seed = case
     net = _network(view)
     static = net.rows
-    with _FlowQuery(view, **edits) as q:
-        assert type(net.rows) is flows._SeededRows
-        nodes = list(range(len(static)))
-        random.Random(read_seed).shuffle(nodes)
-        got = {node: list(net.rows[node]) for node in nodes}
-        expected = _eager_rows(static, net.to, q.template, set(edits["no_split"]),
-                               edits["order_seed"])
-    assert net.rows is static
-    assert [got[node] for node in range(len(static))] == expected
+    plans = []
+    for edits in queries:
+        with _FlowQuery(view, **edits) as q:
+            assert type(net.rows) is flows._SeededRows
+            plans.append(net.rows.plan)
+            nodes = list(range(len(static)))
+            random.Random(read_seed).shuffle(nodes)
+            got = {node: list(net.rows[node]) for node in nodes}
+            expected = _eager_rows(static, net.to, q.template, set(edits["no_split"]),
+                                   edits["order_seed"])
+        assert net.rows is static
+        assert [got[node] for node in range(len(static))] == expected
+    assert plans[0] is plans[1]
+
+
+def test_mixed_rows_view_puts_an_unsplit_vertex_inside_a_run():
+    """The mixed view has the rows it is drawn for: every row length it
+    names, and ``MIXED_MID_RUN`` inside a full run of equal rows."""
+    with _FlowQuery(MIXED_ROWS, order_seed=1, no_split=[MIXED_MID_RUN]) as q:
+        plan = q.net.rows.plan
+        run, i = divmod(plan.where[MIXED_MID_RUN], flows._RUN_ROWS)
+        assert 0 < i < plan.count[run] - 1
+        assert (plan.length[run], plan.count[run]) == (4, flows._RUN_ROWS)
+        assert {0, 1, 2, 4, 6, 260, 270} <= set(plan.length)
+
+
+def test_seeded_row_caches_stay_bounded(monkeypatch):
+    """Seeded queries on many transient views of CW_7 minus a copy keep at
+    most ``_ROW_PLANS`` row plans and compile at most one pattern per
+    (row length, run rows), and a run that holds an unsplit vertex is
+    matched row by row, never as a whole."""
+    real = flows._run_draws
+    real.cache_clear()
+    asked = Counter()
+
+    def counting(length, count):
+        asked[length, count] += 1
+        return real(length, count)
+
+    monkeypatch.setattr(flows, "_run_draws", counting)
+    rng = random.Random(18)
+    net = _network(delete_copies(G7, {1}))
+    for i in range(105):
+        base = delete_copies(G7, {i % 7 + 1})
+        view = base.without(rng.sample(base.vertices(), 3))
+        unsplit = set(rng.sample(view.vertices(), 4))
+        asked.clear()
+        with _FlowQuery(view, order_seed=i, no_split=unsplit) as q:
+            plan = q.net.rows.plan
+        assert len(net.row_plans) <= flows._ROW_PLANS
+        held = Counter(plan.where[v] // flows._RUN_ROWS for v in unsplit)
+        want = Counter()
+        for run, (length, count) in enumerate(zip(plan.length, plan.count)):
+            if run in held:
+                want[length, 1] += count - held[run]
+            else:
+                want[length, count] += 1
+        assert asked == want
+    assert len(net.row_plans) == flows._ROW_PLANS
+    assert real.cache_info().currsize <= G7.degree * flows._RUN_ROWS
 
 
 def test_interleaved_graphs_do_not_share_state():

@@ -95,6 +95,30 @@ def test_outside_neighbors_match_the_permutation_images(n):
             rank(apply_generator(sigma, t)) for t in swaps)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_star_image_is_the_third_outside_neighbor(n):
+    g = build(n, Family.WHEEL)
+    assert len(g.star_image) == g.vertex_count
+    assert all(g.star_image[w] == outside_neighbors(g, w)[2] for w in range(g.vertex_count))
+
+
+def test_star_image_is_empty_without_the_star_generator():
+    assert build(5, Family.BUBBLE_SORT_STAR).star_image == ()
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_copy_views_hold_the_members_of_their_copies(n):
+    """Every set of copies: the union holds exactly their members and the
+    deletion exactly the members of the other copies."""
+    g = build(n, Family.WHEEL)
+    for k in range(1, n + 1):
+        for ids in itertools.combinations(range(1, n + 1), k):
+            kept = frozenset(v for c in ids for v in g.copy_members[c])
+            assert copy_union(g, ids).allowed == kept
+            if k < n:
+                assert delete_copies(g, ids).allowed == frozenset(range(g.vertex_count)) - kept
+
+
 def test_outside_neighbors_wrong_family():
     g = build(4, Family.BUBBLE_SORT_STAR)
     with pytest.raises(WrongFamily):
