@@ -537,9 +537,8 @@ def _star_pairs(g, copy):
 def _slice_pool(g, i_from, j_to, reserved):
     """Vertices w of copy i_from whose star image lands in copy j_to with
     both ends clear of reserved vertices; returns (w, w*) pairs ascending."""
-    star, copy_id = g.star_image, g.copy_id
-    return [(w, ws) for w in g.copy_members[i_from]
-            if copy_id[ws := star[w]] == j_to and w not in reserved and ws not in reserved]
+    return [(w, ws) for w, ws in _star_pairs(g, i_from)
+            if w not in reserved and g.copy_id[ws] == j_to and ws not in reserved]
 
 
 def _extra_or_direct(root: int, target: int, far: int, tag: str, plan: dict) -> None:

@@ -55,7 +55,10 @@ word, so below 256 arcs the top byte of each word decides a draw, and a
 bytes regex matches the draws of a row.  What depends on the view alone
 is a ``_RowPlan``, built once per vertex mask and kept on the network
 for the ``_ROW_PLANS`` masks used last: the in-view rows in ascending
-order, cut into runs of at most ``_RUN_ROWS`` rows of one length.  A
+order, cut into runs of at most ``_RUN_ROWS`` rows of one length.
+``pi3_lower`` on the 600 triples of ``sample_triples(g, 600, 1)`` at
+n = 7, taken a stratum at a time, makes 200 seeded queries on large
+views, all on the 7 masks of CW_7 minus a copy; 193 reuse a plan.  A
 query makes one match per run, with a pattern of one group per row
 (``_run_draws``, kept by length and rows, so no view compiles patterns
 of its own), and keeps where each run starts; the first read of a row
@@ -123,7 +126,11 @@ _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
 _TWO_ENDED_VERTICES = 200
 _DRAW_WORDS = 4096  # MT words a lazy seeded order draws at a time
 _RUN_ROWS = 32  # rows of one length a seeded order matches at once
-_ROW_PLANS = 8  # row plans a network keeps, for the vertex masks used last
+# row plans a network keeps, for the vertex masks used last: the seeded
+# large-view queries of the n = 7 sweep run on the 7 masks of CW_7 minus
+# a copy (one network serves every copy view), and the eighth slot lets
+# one other mask pass without evicting one of them
+_ROW_PLANS = 8
 
 
 @dataclass(frozen=True)
@@ -512,11 +519,13 @@ def _fisher_yates(arcs, bits) -> int:
 @functools.cache
 def _run_draws(length: int, count: int) -> re.Pattern:
     """Matches the top bytes of the words ``Random.shuffle`` draws for
-    `count` rows of `length` arcs each, 2 <= length < 256, with group
-    g + 1 starting where row g draws first.  ``getrandbits(k)`` for
-    k <= 8 is the top k bits of one 32-bit word, so the draw for index i
-    is accepted exactly when its top byte is below (i + 1) << (8 - k).
-    Keys are bounded: lengths below 256, counts up to a run's rows."""
+    `count` rows of `length` arcs each, 0 <= length < 256, with group
+    g + 1 starting where row g draws first (rows of 0 or 1 arcs draw
+    nothing, so their groups all start where the match does).
+    ``getrandbits(k)`` for k <= 8 is the top k bits of one 32-bit word,
+    so the draw for index i is accepted exactly when its top byte is
+    below (i + 1) << (8 - k).  Keys are bounded: lengths below 256,
+    counts up to a run's rows."""
     parts = [b"()"]
     for i in range(length - 1, 0, -1):
         bound = (i + 1) << (8 - (i + 1).bit_length())
@@ -588,9 +597,8 @@ class _SeededRows(dict):
     significant first) with one match of ``_run_draws`` per run; the
     first read of a row in a run matches the run again (``matched``
     keeps it for the query) and takes the row's group start.  A run that
-    holds an unsplit vertex goes row by row, as do rows of 0 or 1 arcs,
-    which draw nothing, and rows of 256 arcs or more, which draw more
-    than 8 bits and are shuffled on the spot.
+    holds an unsplit vertex goes row by row, and a row of 256 arcs or
+    more, which draws more than 8 bits, is shuffled on the spot.
     """
 
     def __init__(self, net, tpl, seed, unsplit):
@@ -603,10 +611,10 @@ class _SeededRows(dict):
         top = bytearray()
 
         def match(draws, pos):
-            m = draws.match(top, pos)
-            while m is None:
+            # re moves a pos past the end back to it, where a pattern of
+            # rows that draw nothing would match: top must reach pos
+            while len(top) < pos or (m := draws.match(top, pos)) is None:
                 top.extend(getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")[3::4])
-                m = draws.match(top, pos)
             return m
 
         # per run its first offset and pattern, None for a run that goes
@@ -614,7 +622,7 @@ class _SeededRows(dict):
         self.run_at, self.draws, self.row_at, pos = array("i"), [], {}, 0
         for run, (length, count) in enumerate(zip(plan.length, plan.count)):
             self.run_at.append(pos)
-            if 1 < length < 256 and run not in rowwise:
+            if length < 256 and run not in rowwise:
                 draws = _run_draws(length, count)
                 self.draws.append(draws)
                 pos = match(draws, pos).end()
@@ -632,8 +640,7 @@ class _SeededRows(dict):
                     self[2 * v + 1] = array("i", arcs)
                     continue
                 self.row_at[where[v]] = pos
-                if length > 1:
-                    pos = match(_run_draws(length, 1), pos).end()
+                pos = match(_run_draws(length, 1), pos).end()
         self.top, self.limit, self.matched = top, 2 * net.vertex_count, {}
 
     def _arcs(self, node: int) -> list[int]:

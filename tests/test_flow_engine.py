@@ -717,7 +717,8 @@ def test_seeded_row_caches_stay_bounded(monkeypatch):
                 want[length, count] += 1
         assert asked == want
     assert len(net.row_plans) == flows._ROW_PLANS
-    assert real.cache_info().currsize <= G7.degree * flows._RUN_ROWS
+    # rows hold 0 to G7.degree in-view arcs, runs 1 to _RUN_ROWS rows
+    assert real.cache_info().currsize <= (G7.degree + 1) * flows._RUN_ROWS
 
 
 def test_interleaved_graphs_do_not_share_state():
