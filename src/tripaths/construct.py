@@ -480,8 +480,8 @@ def _two_copies(g, tri, seed):
         legs: list[tuple[str, int, int]] = []  # tag, copy vertex, fan target
         for p in chosen:
             u_i, v_i = p.vertices[1], p.vertices[-2]
-            star[u_i] = outside_neighbors(g, u_i)[2]
-            star[v_i] = outside_neighbors(g, v_i)[2]
+            star[u_i] = g.star_image[u_i]
+            star[v_i] = g.star_image[v_i]
             if star[u_i] == b:
                 directs.append(("ab", Path((a, u_i, b))))
             else:
@@ -490,7 +490,7 @@ def _two_copies(g, tri, seed):
                 directs.append(("bc", Path((b, v_i, c))))
             else:
                 legs.append(("bc", v_i, star[v_i]))
-        a_star = outside_neighbors(g, a)[2]
+        a_star = g.star_image[a]
         if a_star == b:
             directs.append(("ab", Path((a, b))))
         else:

@@ -44,34 +44,27 @@ order, the swaps ``shuffle`` of one ``random.Random(seed)`` makes in them.
 Small views draw them inline, every row up front.  On the large views
 that search from both ends (below), a search reads only a few percent
 of the rows, so ``_SeededRows`` shuffles a row when it is first read.
-Seeded ``disjoint_set_paths`` on n = 7 minus a copy (the 34
-outside-detour calls of ``pi3_lower`` on ``sample_triples(g, 100, 1)``,
-best of 3 runs, host as below) took 29.8-31.2 ms per call with every
-row shuffled up front, 15.0-16.3 ms with rows shuffled on first read.
 
 It still reads the whole stream once, to find where each row's draws
 start: ``getrandbits(k)`` for k <= 8 is the top k bits of one 32-bit
 word, so below 256 arcs the top byte of each word decides a draw, and a
-bytes regex matches the draws of a row.  What depends on the view alone
+bytes regex matches the draws of a row.  A network with a row of 256
+arcs or more shuffles every row up front on every view; no Cayley graph
+has one (its degree is 2n - 2 at most).  What depends on the view alone
 is a ``_RowPlan``, built once per vertex mask and kept on the network
 for the ``_ROW_PLANS`` masks used last: the in-view rows in ascending
 order, cut into runs of at most ``_RUN_ROWS`` rows of one length.
 ``pi3_lower`` on the 600 triples of ``sample_triples(g, 600, 1)`` at
 n = 7, taken a stratum at a time, makes 200 seeded queries on large
 views, all on the 7 masks of CW_7 minus a copy; 193 reuse a plan.  A
-query makes one match per run, with a pattern of one group per row
-(``_run_draws``, kept by length and rows, so no view compiles patterns
-of its own), and keeps where each run starts; the first read of a row
-in a run matches the run again, once per query, and the group starts
-are the rows' offsets.  Keeping every run's match instead would hold
-about 880 objects the garbage collector tracks per query.  The 50
-``_SeededRows`` that ``pi3_lower`` makes on n = 7 minus a copy over the
-first 150 of ``sample_triples(g, 600, 1)`` taken a stratum at a time
-(median of the best of 5 runs, 3 runs each, host as below) took
-5.8-9.5 ms each with the in-view arcs counted and one match made per
-row in every query, 3.7-4.1 ms with the plan cached and one match per
-run; their ``disjoint_set_paths`` calls went from 9.7-12.1 to
-7.3-10.0 ms.
+query makes one match per run, with a pattern of one group per row that
+draws (``_run_draws``, kept by length and rows, so no view compiles
+patterns of its own): an unsplit row draws nothing, so it is a hole in
+its run and is left static.  The query keeps where each run starts; the
+first read of a row in a run matches the run again, once per query, and
+the group starts are the offsets of the rows around the holes.  Keeping
+every run's match instead would hold about 880 objects the garbage
+collector tracks per query.
 
 On views of at least ``_TWO_ENDED_VERTICES`` vertices ``max_flow`` finds
 the same augmenting path from both ends (``_two_ended``).  The FIFO path
@@ -112,7 +105,7 @@ import functools
 import random
 import re
 from array import array
-from bisect import insort
+from bisect import bisect, insort
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -191,7 +184,9 @@ class _SplitNetwork:
     ``back_arcs[back_first[v]:back_first[v + 1]]`` lists the reverse
     edge arcs out of ``vin(v)`` whether or not they carry flow.
     ``row_plans`` keeps the ``_RowPlan`` of the vertex masks that seeded
-    queries used last, keyed by the masks' vertex marks.
+    queries used last, keyed by the masks' vertex marks, and
+    ``byte_draws`` tells whether every row has fewer than 256 arcs, so
+    that each of its draws is decided by the top byte of one word.
     """
 
     def __init__(self, nbrs):
@@ -227,8 +222,8 @@ class _SplitNetwork:
         self.back_arcs, self.back_first = back, starts
         rows += [array("i"), array("i")]
         self.rows = rows
-        self.open_template = [-1] * len(rows)
         self.row_plans: dict[bytes, _RowPlan] = {}
+        self.byte_draws = max(map(len, nbrs), default=0) < 256
         self.busy = False
 
 
@@ -271,7 +266,7 @@ class _FlowQuery:
         net.busy = True
         self.two_ended = view.vertex_count >= _TWO_ENDED_VERTICES
         try:
-            self.template = self._template(view.allowed, removed)
+            self.marks, self.template = self._template(view.allowed, removed)
             self._edit(entry_blocked, no_split, uncapped, order_seed)
         except BaseException:
             self._restore()
@@ -292,19 +287,21 @@ class _FlowQuery:
     def _is_vin(self, node: int) -> bool:
         return node < self.source and not node & 1
 
-    def _template(self, allowed, removed) -> list[int]:
-        """BFS ``parent`` start: -1 for nodes the query may enter."""
-        net = self.net
+    def _template(self, allowed, removed) -> tuple[list[int], list[int]]:
+        """The vertex marks and the BFS ``parent`` start: -1 for vertices
+        and nodes the query may enter."""
+        nv = self.net.vertex_count
         if allowed is None:
-            tpl = net.open_template[:]
+            marks = [-1] * nv
         else:
-            tpl = [_OFF_VIEW] * len(net.rows)
-            tpl[net.source] = tpl[net.sink] = -1
+            marks = [_OFF_VIEW] * nv
             for v in allowed:
-                tpl[2 * v] = tpl[2 * v + 1] = -1
+                marks[v] = -1
         for v in removed:
-            tpl[2 * v] = tpl[2 * v + 1] = _OFF_VIEW
-        return tpl
+            marks[v] = _OFF_VIEW
+        tpl = [-1] * (2 * nv + 2)
+        tpl[0:2 * nv:2] = tpl[1:2 * nv:2] = marks
+        return marks, tpl
 
     def _edit(self, entry_blocked, no_split, uncapped, order_seed) -> None:
         rows, to = self.net.rows, self.net.to
@@ -324,8 +321,8 @@ class _FlowQuery:
                         self._set_cap(f, 0)
         if order_seed is None:
             return
-        if self.two_ended:
-            self.net.rows = _SeededRows(self.net, self.template, order_seed, unsplit)
+        if self.two_ended and self.net.byte_draws:
+            self.net.rows = _SeededRows(self.net, self.marks, order_seed, unsplit)
         else:
             self._shuffle(random.Random(order_seed).getrandbits, unsplit)
 
@@ -499,21 +496,17 @@ class _FlowQuery:
         return tuple(sorted(cut))
 
 
-def _fisher_yates(arcs, bits) -> int:
+def _fisher_yates(arcs, bits) -> None:
     """Shuffle `arcs` in place with ``Random.shuffle``'s swaps, where
     ``bits(k)`` stands for ``getrandbits(k)``: for i from the last index
     down to 1, draw k = (i + 1).bit_length() bits until they are at most
-    i, then swap arcs i and j.  Returns the number of draws."""
-    drawn = 0
+    i, then swap arcs i and j."""
     for i in range(len(arcs) - 1, 0, -1):
         k = (i + 1).bit_length()
         j = bits(k)
-        drawn += 1
         while j > i:
             j = bits(k)
-            drawn += 1
         arcs[i], arcs[j] = arcs[j], arcs[i]
-    return drawn
 
 
 @functools.cache
@@ -525,7 +518,7 @@ def _run_draws(length: int, count: int) -> re.Pattern:
     ``getrandbits(k)`` for k <= 8 is the top k bits of one 32-bit word,
     so the draw for index i is accepted exactly when its top byte is
     below (i + 1) << (8 - k).  Keys are bounded: lengths below 256,
-    counts up to a run's rows."""
+    counts from 1 to ``_RUN_ROWS``."""
     parts = [b"()"]
     for i in range(length - 1, 0, -1):
         bound = (i + 1) << (8 - (i + 1).bit_length())
@@ -536,13 +529,12 @@ def _run_draws(length: int, count: int) -> re.Pattern:
 class _RowPlan:
     """The rows a seeded query shuffles on one vertex mask: the in-view
     ``vout`` rows in ascending order, cut into runs of at most
-    ``_RUN_ROWS`` rows of one in-view arc count (a row of 256 arcs or
-    more is a run of its own).  ``where[v]`` is ``run * _RUN_ROWS + i``
-    for the i-th row of a run, -1 off the view; ``first[r]`` is the
-    first vertex of run r (``first[-1]`` the vertex count), ``length[r]``
-    and ``count[r]`` its arcs per row and rows."""
+    ``_RUN_ROWS`` rows of one in-view arc count.  ``where[v]`` is
+    ``run * _RUN_ROWS + i`` for the i-th row of a run, -1 off the view;
+    ``length[r]`` and ``count[r]`` are the arcs per row and the rows of
+    run r."""
 
-    __slots__ = ("where", "first", "length", "count")
+    __slots__ = ("where", "length", "count")
 
     def __init__(self, net, marks):
         nv, to, first = net.vertex_count, net.to, net.back_first
@@ -555,27 +547,24 @@ class _RowPlan:
             to[2 * (nv + first[w]):2 * (nv + first[w + 1]):2]
             for w in compress(range(nv), map(counted.__eq__, marks)))).get
         where = self.where = array("i", [-1]) * nv
-        self.first, self.length, self.count = array("i"), array("i"), array("i")
+        self.length, self.count = array("i"), array("i")
         rows, last = _RUN_ROWS, -1
         for v in compress(range(nv), map((-1).__eq__, marks)):
             length = heads(2 * v, 0)
             if counted != -1:
                 length = first[v + 1] - first[v] - length
-            if length != last or rows == _RUN_ROWS or length > 255:
+            if length != last or rows == _RUN_ROWS:
                 rows, last = 0, length
-                self.first.append(v)
                 self.length.append(length)
                 self.count.append(0)
             where[v] = (len(self.count) - 1) * _RUN_ROWS + rows
             rows += 1
             self.count[-1] = rows
-        self.first.append(nv)
 
 
-def _row_plan(net, tpl) -> _RowPlan:
-    """The row plan of a query template's vertex mask, kept on the network
-    for the ``_ROW_PLANS`` masks used last."""
-    marks = tpl[0:2 * net.vertex_count:2]
+def _row_plan(net, marks) -> _RowPlan:
+    """The row plan of a query's vertex marks, kept on the network for
+    the ``_ROW_PLANS`` masks used last."""
     key = array("b", marks).tobytes()
     plans = net.row_plans
     plan = plans.pop(key, None)
@@ -594,75 +583,54 @@ class _SeededRows(dict):
     other row is the static one.  Creating it finds where each run of the
     view's ``_RowPlan`` draws first, in one pass over the top bytes of the
     stream (``getrandbits(32 * W)`` lists W words in stream order, least
-    significant first) with one match of ``_run_draws`` per run; the
-    first read of a row in a run matches the run again (``matched``
-    keeps it for the query) and takes the row's group start.  A run that
-    holds an unsplit vertex goes row by row, and a row of 256 arcs or
-    more, which draws more than 8 bits, is shuffled on the spot.
+    significant first) with one match of ``_run_draws`` per run.  The
+    unsplit rows of a run draw nothing: they are holes in it, the run's
+    pattern has a group for each other row, and a run of holes only is
+    not matched.  The first read of a row in a run matches the run again
+    (``matched`` keeps it for the query) and takes the row's group start:
+    the row at position i has group i + 1 less the holes before it.
+    Every row must have fewer than 256 arcs (``_SplitNetwork.byte_draws``).
     """
 
-    def __init__(self, net, tpl, seed, unsplit):
+    def __init__(self, net, marks, seed, unsplit):
         super().__init__()
-        self.static, self.to, self.template = net.rows, net.to, tpl
-        self.plan = plan = _row_plan(net, tpl)
-        where, first = plan.where, plan.first
-        rowwise = {where[v] // _RUN_ROWS for v in unsplit if where[v] >= 0}
+        self.static, self.to, self.marks = net.rows, net.to, marks
+        self.plan = plan = _row_plan(net, marks)
+        # the positions of the unsplit rows in each run, ascending
+        self.holes: dict[int, list[int]] = {}
+        for slot in sorted(plan.where[v] for v in unsplit):
+            if slot >= 0:
+                self.holes.setdefault(slot // _RUN_ROWS, []).append(slot % _RUN_ROWS)
         getrandbits = random.Random(seed).getrandbits
         top = bytearray()
-
-        def match(draws, pos):
-            # re moves a pos past the end back to it, where a pattern of
-            # rows that draw nothing would match: top must reach pos
-            while len(top) < pos or (m := draws.match(top, pos)) is None:
-                top.extend(getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")[3::4])
-            return m
-
-        # per run its first offset and pattern, None for a run that goes
-        # row by row; the offset of each pending row of such runs by slot
-        self.run_at, self.draws, self.row_at, pos = array("i"), [], {}, 0
+        # per run its first offset and pattern, None for a run of holes
+        self.run_at, self.draws, pos = array("i"), [], 0
         for run, (length, count) in enumerate(zip(plan.length, plan.count)):
             self.run_at.append(pos)
-            if length < 256 and run not in rowwise:
-                draws = _run_draws(length, count)
-                self.draws.append(draws)
-                pos = match(draws, pos).end()
+            count -= len(self.holes.get(run, ()))
+            if not count:
+                self.draws.append(None)
                 continue
-            self.draws.append(None)
-            for v in range(first[run], first[run + 1]):
-                if where[v] < 0 or v in unsplit:
-                    continue
-                if length > 255:
-                    # whole words: replay the stream up to this row
-                    replay = random.Random(seed)
-                    replay.getrandbits(32 * pos)
-                    arcs = self._arcs(2 * v + 1)
-                    pos += _fisher_yates(arcs, replay.getrandbits)
-                    self[2 * v + 1] = array("i", arcs)
-                    continue
-                self.row_at[where[v]] = pos
-                pos = match(_run_draws(length, 1), pos).end()
+            draws = _run_draws(length, count)
+            self.draws.append(draws)
+            while (m := draws.match(top, pos)) is None:
+                top.extend(getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")[3::4])
+            pos = m.end()
         self.top, self.limit, self.matched = top, 2 * net.vertex_count, {}
-
-    def _arcs(self, node: int) -> list[int]:
-        to, tpl = self.to, self.template
-        return [e for e in self.static[node] if tpl[to[e]] == -1]
 
     def __missing__(self, node: int) -> array:
         slot = self.plan.where[node >> 1] if node & 1 and node < self.limit else -1
         run, i = divmod(slot, _RUN_ROWS)
-        draws = self.draws[run] if slot >= 0 else None
-        if draws is not None:
-            m = self.matched.get(run)
-            if m is None:
-                m = self.matched[run] = draws.match(self.top, self.run_at[run])
-            start = m.start(i + 1)
-        else:
-            start = self.row_at.get(slot, -1)
-        if start < 0:
+        holes = self.holes.get(run, ())
+        if slot < 0 or i in holes:
             row = self.static[node]
         else:
-            arcs = self._arcs(node)
-            draw = iter(memoryview(self.top)[start:]).__next__
+            m = self.matched.get(run)
+            if m is None:
+                m = self.matched[run] = self.draws[run].match(self.top, self.run_at[run])
+            to, marks = self.to, self.marks
+            arcs = [e for e in self.static[node] if marks[to[e] >> 1] == -1]
+            draw = iter(memoryview(self.top)[m.start(i - bisect(holes, i) + 1):]).__next__
             _fisher_yates(arcs, lambda k: draw() >> (8 - k))
             row = array("i", arcs)
         self[node] = row
@@ -898,6 +866,8 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
     if any(c < 0 for c in caps.values()):
         raise ValueError(f"fan target capacities must be non-negative, got {caps}")
     total = sum(caps.values())
+    if k < 0:
+        raise ValueError(f"a fan of {k} paths: k must be non-negative")
     if k > total:
         raise ValueError(f"fan of {k} paths needs target capacity {k}, got {total}")
     _require(view, [x, *caps])
@@ -920,6 +890,8 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
     """k pairwise fully disjoint paths from X to Y, internally avoiding
     X and Y; members of X∩Y count as zero-length paths."""
     xs, ys = _distinct(xs, "terminals"), _distinct(ys, "terminals")
+    if k < 0:
+        raise ValueError(f"{k} disjoint paths: k must be non-negative")
     if k > min(len(xs), len(ys)):
         raise ValueError(f"{k} disjoint paths need {k} terminals on each side")
     _require(view, xs + ys)

@@ -587,9 +587,10 @@ def test_seeded_rows_follow_random_shuffle(seed):
     the row, for rows of every length: the centre of a star is the first
     vertex shuffled, and its leaves' one-arc rows draw nothing.  Stars of
     200 leaves and more are large views, whose rows are shuffled on first
-    read; from 256 arcs on, a draw takes more than the top byte of its
-    word.  Two centres sharing 260 leaves put a long row after draws, and
-    rows that draw after long ones."""
+    read up to 255 arcs; from 256 arcs on, a draw takes more than the top
+    byte of its word, and every row is shuffled up front.  Two centres
+    sharing 260 leaves put a long row after draws, and rows that draw
+    after long ones."""
     for leaves in [*range(21), 100, 200, 255, 256, 257, 300, 400]:
         star = AdjacencyView({0: list(range(1, leaves + 1))})
         expected = list(_network(star).rows[1])
@@ -605,12 +606,13 @@ def test_seeded_rows_follow_random_shuffle(seed):
             assert [list(net.rows[node]) for node in range(len(static))] == expected, leaves
 
 
-def _mixed_rows_view():
-    """A view of 1,047 vertices whose in-view rows have 0, 1, 2, 4 and 6
-    arcs and 260 or 270 arcs: two hubs, each with its own leaves, placed
-    before and between rings of equal-length rows, with isolated
-    vertices in between."""
-    adjacency = {0: list(range(1, 261)), 400: list(range(401, 671)),
+def _mixed_rows_view(hubs=(250, 255)):
+    """A view of about 1,020 vertices whose in-view rows have 0, 1, 2, 4
+    and 6 arcs and the arcs of the two `hubs`: each hub with its own
+    leaves, placed before and between rings of equal-length rows, with
+    isolated vertices in between.  Hubs of 250 and 255 arcs are the
+    widest rows whose draws the top bytes of the words decide."""
+    adjacency = {0: list(range(1, hubs[0] + 1)), 400: list(range(401, 401 + hubs[1])),
                  290: [], 291: [], 350: [], 690: [], 1100: []}
     for first, size, steps in ((300, 40, (1, 2)), (360, 30, (1, 3)), (700, 400, (1,)),
                                (1110, 40, (1, 2, 3))):
@@ -622,8 +624,12 @@ def _mixed_rows_view():
 
 
 MIXED_ROWS = _mixed_rows_view()
-# the middle of the ring rows 300..331, a run of 32 rows of 4 arcs
+# unsplit rows of 4 arcs: the middle of the full run 300..331, the first
+# and last rows of the run 360..389, and the whole run 332..339
 MIXED_MID_RUN = 310
+MIXED_RUN_ENDS = (360, 389)
+MIXED_HOLE_RUN = tuple(range(332, 340))
+MIXED_UNSPLIT = (MIXED_MID_RUN, *MIXED_RUN_ENDS, *MIXED_HOLE_RUN)
 
 
 @st.composite
@@ -640,8 +646,8 @@ def _large_seeded_queries(draw):
     queries = []
     for _ in range(2):
         no_split = draw(some)
-        if kind == "mixed" and MIXED_MID_RUN not in removed + no_split:
-            no_split.append(MIXED_MID_RUN)
+        if kind == "mixed":
+            no_split += [v for v in MIXED_UNSPLIT if v not in removed + no_split]
         queries.append({"no_split": no_split, "removed": removed,
                         "order_seed": draw(st.integers(0, 2**64))})
     return view, queries, draw(st.integers(0, 2**32))
@@ -675,20 +681,43 @@ def test_large_seeded_rows_match_an_eager_shuffle(case):
 
 def test_mixed_rows_view_puts_an_unsplit_vertex_inside_a_run():
     """The mixed view has the rows it is drawn for: every row length it
-    names, and ``MIXED_MID_RUN`` inside a full run of equal rows."""
-    with _FlowQuery(MIXED_ROWS, order_seed=1, no_split=[MIXED_MID_RUN]) as q:
-        plan = q.net.rows.plan
-        run, i = divmod(plan.where[MIXED_MID_RUN], flows._RUN_ROWS)
-        assert 0 < i < plan.count[run] - 1
-        assert (plan.length[run], plan.count[run]) == (4, flows._RUN_ROWS)
-        assert {0, 1, 2, 4, 6, 260, 270} <= set(plan.length)
+    names, ``MIXED_MID_RUN`` inside a full run of equal rows, unsplit rows
+    first and last in another run, and a run of unsplit rows only."""
+    with _FlowQuery(MIXED_ROWS, order_seed=1, no_split=MIXED_UNSPLIT) as q:
+        rows = q.net.rows
+    plan = rows.plan
+    run, i = divmod(plan.where[MIXED_MID_RUN], flows._RUN_ROWS)
+    assert 0 < i < plan.count[run] - 1
+    assert (plan.length[run], plan.count[run]) == (4, flows._RUN_ROWS)
+    (run, first), (same, last) = (divmod(plan.where[v], flows._RUN_ROWS) for v in MIXED_RUN_ENDS)
+    assert run == same and (first, last) == (0, plan.count[run] - 1) and last > 1
+    runs = {plan.where[v] // flows._RUN_ROWS for v in MIXED_HOLE_RUN}
+    assert len(runs) == 1 and plan.count[runs.pop()] == len(MIXED_HOLE_RUN)
+    assert {0, 1, 2, 4, 6, 250, 255} <= set(plan.length)
+
+
+def test_rows_of_256_arcs_or_more_are_shuffled_up_front():
+    """A row of 256 arcs or more draws more than the top byte of a word,
+    so on a network that has one, seeded queries on large views shuffle
+    every row up front, as on small views."""
+    view = _mixed_rows_view((250, 260))
+    net = _network(view)
+    static = list(net.rows)
+    for seed in (0, 7, 2**40 + 3):
+        with _FlowQuery(view, order_seed=seed, no_split=MIXED_UNSPLIT) as q:
+            assert type(net.rows) is list
+            got = [list(row) for row in net.rows]
+            expected = _eager_rows(static, net.to, q.template, set(MIXED_UNSPLIT), seed)
+        assert got == expected
+        assert net.rows == static
 
 
 def test_seeded_row_caches_stay_bounded(monkeypatch):
     """Seeded queries on many transient views of CW_7 minus a copy keep at
     most ``_ROW_PLANS`` row plans and compile at most one pattern per
-    (row length, run rows), and a run that holds an unsplit vertex is
-    matched row by row, never as a whole."""
+    (row length, rows that draw), and each run is matched once, with one
+    group per row that is not unsplit; a run of unsplit rows only is not
+    matched."""
     real = flows._run_draws
     real.cache_clear()
     asked = Counter()
@@ -708,16 +737,12 @@ def test_seeded_row_caches_stay_bounded(monkeypatch):
         with _FlowQuery(view, order_seed=i, no_split=unsplit) as q:
             plan = q.net.rows.plan
         assert len(net.row_plans) <= flows._ROW_PLANS
-        held = Counter(plan.where[v] // flows._RUN_ROWS for v in unsplit)
-        want = Counter()
-        for run, (length, count) in enumerate(zip(plan.length, plan.count)):
-            if run in held:
-                want[length, 1] += count - held[run]
-            else:
-                want[length, count] += 1
-        assert asked == want
+        holes = Counter(plan.where[v] // flows._RUN_ROWS for v in unsplit)
+        assert asked == Counter((length, count - holes[run])
+                                for run, (length, count) in enumerate(zip(plan.length, plan.count))
+                                if count > holes[run])
     assert len(net.row_plans) == flows._ROW_PLANS
-    # rows hold 0 to G7.degree in-view arcs, runs 1 to _RUN_ROWS rows
+    # rows hold 0 to G7.degree in-view arcs, runs 1 to _RUN_ROWS rows that draw
     assert real.cache_info().currsize <= (G7.degree + 1) * flows._RUN_ROWS
 
 

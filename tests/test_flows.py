@@ -249,6 +249,8 @@ def test_k_fan_capacities_end_exactly_their_paths():
     assert k_fan(FAN_VIEW, 0, [10, 11, 12], 3) == k_fan(FAN_VIEW, 0, {10: 1, 11: 1, 12: 1}, 3)
     with pytest.raises(ValueError, match="capacity"):
         k_fan(FAN_VIEW, 0, caps, 4)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        k_fan(full_view(build(5, Family.WHEEL)), 0, [1, 2], -3)
     with pytest.raises(ValueError, match="non-negative"):
         k_fan(FAN_VIEW, 0, {10: 3, 11: -1}, 2)
 
@@ -305,6 +307,8 @@ def test_disjoint_set_paths_overlap_zero_length():
     assert verdict.ok, verdict.violations
     lengths = sorted(p.length for p in fam.paths)
     assert lengths[0] == 0 and lengths[1] == 0
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        disjoint_set_paths(full_view(build(5, Family.WHEEL)), [0, 1, 2], [0, 1, 2], -1)
 
 
 def test_order_seed_changes_routes_not_counts():
