@@ -182,7 +182,8 @@ class _SplitNetwork:
     arc included, starts at capacity 0, and ``_FlowQuery.max_flow`` lists
     one in the row of its tail only while its pair carries flow.
     ``back_arcs[back_first[v]:back_first[v + 1]]`` lists the reverse
-    edge arcs out of ``vin(v)`` whether or not they carry flow.
+    edge arcs out of ``vin(v)`` whether or not they carry flow; their
+    partners are the edge arcs into ``vin(v)``.
     ``row_plans`` keeps the ``_RowPlan`` of the vertex masks that seeded
     queries used last, keyed by the masks' vertex marks, and
     ``byte_draws`` tells whether every row has fewer than 256 arcs, so
@@ -230,11 +231,12 @@ class _SplitNetwork:
 def _network(view) -> _SplitNetwork:
     """The static network a view's queries run on, built on first use and
     kept on the graph."""
-    cache, gens = view.graph.split_networks, view.allowed_gens
-    net = cache.get(gens)
+    g, gens = view.graph, view.allowed_gens
+    net = g.split_networks.get(gens)
     if net is None:
-        net = cache[gens] = _SplitNetwork([[w for w, gi in row if gens is None or gi in gens]
-                                           for row in view.graph.adj])
+        nbrs = g.nbrs if gens is None else [
+            [w for w, gi in zip(ws, gis) if gi in gens] for ws, gis in zip(g.nbrs, g.nbr_gens)]
+        net = g.split_networks[gens] = _SplitNetwork(nbrs)
     return net
 
 
@@ -304,25 +306,22 @@ class _FlowQuery:
         return marks, tpl
 
     def _edit(self, entry_blocked, no_split, uncapped, order_seed) -> None:
-        rows, to = self.net.rows, self.net.to
+        net = self.net
         for v in uncapped:
             self._set_cap(2 * v, _INF)
         unsplit = set(no_split)
         for v in unsplit:
             self._set_cap(2 * v, 0)
-            for e in rows[2 * v + 1]:
+            for e in net.rows[2 * v + 1]:
                 self._set_cap(e, 0)
         for v in entry_blocked:
-            # the edge arcs into vin(v) start in its neighbours' vout rows
-            head = 2 * v
-            for e in rows[head + 1]:
-                for f in rows[to[e] + 1]:
-                    if to[f] == head:
-                        self._set_cap(f, 0)
+            # the edge arcs into vin(v) are the partners of its back arcs
+            for f in net.back_arcs[net.back_first[v]:net.back_first[v + 1]]:
+                self._set_cap(f ^ 1, 0)
         if order_seed is None:
             return
-        if self.two_ended and self.net.byte_draws:
-            self.net.rows = _SeededRows(self.net, self.marks, order_seed, unsplit)
+        if self.two_ended and net.byte_draws:
+            net.rows = _SeededRows(net, self.marks, order_seed, unsplit)
         else:
             self._shuffle(random.Random(order_seed).getrandbits, unsplit)
 
@@ -841,6 +840,8 @@ def max_internally_disjoint_paths(view, u: int, v: int, limit: int | None = None
     """All (or `limit`) internally disjoint u-v paths; adjacency contributes
     the direct edge as a one-edge path."""
     _check_pair(view, u, v)
+    if limit is not None and limit < 0:
+        raise ValueError(f"{limit} disjoint paths: the limit must be non-negative")
     cap = min(view.degree(u), view.degree(v))
     goal = cap if limit is None else min(limit, cap)
     with _FlowQuery(view, order_seed=order_seed, entry_blocked=(u,), no_split=(v,),

@@ -1,15 +1,19 @@
 """Cayley graphs on S_n for the star/adjacent generator families.
 
-Vertices are Lehmer ranks; adjacency lists carry (neighbor_rank,
-generator_index) pairs sorted by neighbor rank.  The copy of a vertex
-sigma is sigma(n); deleting the generator that moves position n from
-the wheel family splits the graph into n copies, each isomorphic to
-the bubble-sort star graph one degree down.
+Vertices are Lehmer ranks.  A graph keeps two rows per vertex:
+``nbrs[v]``, the tuple of its neighbour ranks in ascending order, and
+``nbr_gens[v]``, the generator index of each neighbour in the same order
+(a ``bytes``, one index per neighbour).  ``View.neighbors`` zips them
+into (neighbor_rank, generator_index) pairs.  The copy of a vertex sigma
+is sigma(n); deleting the generator that moves position n from the wheel
+family splits the graph into n copies, each isomorphic to the bubble-sort
+star graph one degree down.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 
@@ -33,23 +37,26 @@ class CayleyGraph:
         # the position of a form is its Lehmer rank
         perms = list(itertools.permutations(range(1, n + 1)))
         index = {p: v for v, p in enumerate(perms)}
-        swaps = [(gi, t.i - 1, t.j - 1) for gi, t in enumerate(self.gens)]
+        swaps = [(t.i - 1, t.j - 1) for t in self.gens]
         # generator indices of (1 n), (n-1 n), (2 n): the outside neighbours
         gen_of = {(t.i, t.j): gi for gi, t in enumerate(self.gens)}
         self.outside_gens = tuple(gen_of.get(ij) for ij in ((1, n), (n - 1, n), (2, n)))
         star = self.outside_gens[2]
-        adj, stars = [], []
+        gen_range = range(self.degree)
+        nbrs, nbr_gens, stars = [], [], []
         for p in perms:
-            row = []
-            for gi, i, j in swaps:
+            ws = []
+            for i, j in swaps:
                 q = list(p)
                 q[i], q[j] = q[j], q[i]
-                row.append((index[tuple(q)], gi))
+                ws.append(index[tuple(q)])
             if star is not None:
-                stars.append(row[star][0])  # row is in generator order until sorted
-            row.sort()
-            adj.append(tuple(row))
-        self.adj = tuple(adj)
+                stars.append(ws[star])
+            order = sorted(gen_range, key=ws.__getitem__)
+            nbrs.append(tuple([ws[gi] for gi in order]))
+            nbr_gens.append(bytes(order))
+        self.nbrs = tuple(nbrs)
+        self.nbr_gens = tuple(nbr_gens)
         # v* = the (2 n) image of v by rank; empty without that generator
         self.star_image = tuple(stars)
         self.copy_id = tuple(p[n - 1] for p in perms)
@@ -110,27 +117,35 @@ class View:
         return len(self.allowed)
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
+        """(neighbour, generator index) pairs in ascending neighbour order."""
         if not self.contains(v):
             raise RankOutOfRange(f"vertex {v!r} is not in the view")
         allowed, gens = self.allowed, self.allowed_gens
+        pairs = zip(self.graph.nbrs[v], self.graph.nbr_gens[v])
         if allowed is None and gens is None:
-            return list(self.graph.adj[v])
-        return [(w, gi) for w, gi in self.graph.adj[v]
+            return list(pairs)
+        return [(w, gi) for w, gi in pairs
                 if (gens is None or gi in gens) and (allowed is None or w in allowed)]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        if not self.contains(v):
+            raise RankOutOfRange(f"vertex {v!r} is not in the view")
+        allowed, gens = self.allowed, self.allowed_gens
+        row = self.graph.nbrs[v]
+        if gens is not None:
+            row = [w for w, gi in zip(row, self.graph.nbr_gens[v]) if gi in gens]
+        return len(row) if allowed is None else len(allowed.intersection(row))
 
     def adjacent(self, u: int, v: int) -> bool:
         if not self.contains(u):
             raise RankOutOfRange(f"vertex {u!r} is not in the view")
-        # a row names each neighbour once, so the first match decides
-        for w, gi in self.graph.adj[u]:
-            if w == v:
-                return (isinstance(v, int)
-                        and (self.allowed is None or v in self.allowed)
-                        and (self.allowed_gens is None or gi in self.allowed_gens))
-        return False
+        # only ints are vertices, and only they compare with a row's ranks
+        if not isinstance(v, int) or (self.allowed is not None and v not in self.allowed):
+            return False
+        row = self.graph.nbrs[u]
+        i = bisect_left(row, v)
+        return (i < len(row) and row[i] == v
+                and (self.allowed_gens is None or self.graph.nbr_gens[u][i] in self.allowed_gens))
 
     def without(self, removed) -> "View":
         removed = frozenset(removed)
@@ -149,14 +164,15 @@ def full_view(g: CayleyGraph) -> View:
 
 
 class ExplicitGraph:
-    """An ad-hoc graph with the attributes a View reads: ``adj`` rows
-    indexed by label (empty for unused labels), ``vertex_count`` one past
-    the largest label, and the flow-network cache."""
+    """An ad-hoc graph with the attributes a View reads: ``nbrs`` and
+    ``nbr_gens`` rows indexed by label (empty for unused labels; every
+    generator index is -1), ``vertex_count`` one past the largest label,
+    and the flow-network cache."""
 
     def __init__(self, nbrs: dict[int, set[int]]):
         self.vertex_count = max(nbrs, default=-1) + 1
-        self.adj = tuple(tuple((w, -1) for w in sorted(nbrs.get(v, ())))
-                         for v in range(self.vertex_count))
+        self.nbrs = tuple(tuple(sorted(nbrs.get(v, ()))) for v in range(self.vertex_count))
+        self.nbr_gens = tuple((-1,) * len(row) for row in self.nbrs)
         self.split_networks: dict = {}
 
 
@@ -206,15 +222,9 @@ def outside_neighbors(g: CayleyGraph, v: int) -> tuple[int, int, int]:
     if g.family is not Family.WHEEL:
         raise WrongFamily("outside-neighbor triple is defined for the wheel family")
     g.check_rank(v)
+    ws, gens = g.nbrs[v], g.nbr_gens[v]
     plus, minus, star = g.outside_gens
-    for w, gi in g.adj[v]:
-        if gi == plus:
-            vp = w
-        elif gi == minus:
-            vm = w
-        elif gi == star:
-            vs = w
-    return (vp, vm, vs)
+    return (ws[gens.index(plus)], ws[gens.index(minus)], ws[gens.index(star)])
 
 
 def _check_copy_ids(g: CayleyGraph, copies) -> frozenset[int]:
@@ -251,7 +261,7 @@ def cross_edges(g: CayleyGraph, i: int, j: int) -> list[tuple[int, int]]:
         raise SameCopy(f"cross edges need two distinct copies, got {i} twice")
     out = []
     for u in g.copy_members[i]:
-        for w, _gi in g.adj[u]:
+        for w in g.nbrs[u]:
             if g.copy_id[w] == j:
                 out.append((u, w))
     out.sort()
@@ -270,7 +280,7 @@ def common_neighbors(g: CayleyGraph, vertices) -> list[int]:
         seen.add(v)
     common = None
     for v in vs:
-        nbrs = {w for w, _ in g.adj[v]}
+        nbrs = set(g.nbrs[v])
         common = nbrs if common is None else (common & nbrs)
     return sorted(common)
 
@@ -281,7 +291,7 @@ def to_dot(g: CayleyGraph) -> str:
     for v in range(g.vertex_count):
         lines.append(f'  {v} [label="{g.vertex_text(v)}"];')
     for v in range(g.vertex_count):
-        for w, gi in g.adj[v]:
+        for w, gi in zip(g.nbrs[v], g.nbr_gens[v]):
             if v < w:
                 lines.append(f'  {v} -- {w} [gen="{g.gens[gi].text()}"];')
     lines.append("}")
@@ -291,7 +301,7 @@ def to_dot(g: CayleyGraph) -> str:
 def to_edgelist(g: CayleyGraph) -> str:
     lines = [f"{g.n} {g.family.value}"]
     for v in range(g.vertex_count):
-        for w, gi in g.adj[v]:
+        for w, gi in zip(g.nbrs[v], g.nbr_gens[v]):
             if v < w:
                 lines.append(f"{v} {w} {g.gens[gi].text()}")
     return "\n".join(lines) + "\n"

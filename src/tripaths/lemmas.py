@@ -57,7 +57,7 @@ def run_lemma_suite(n: int, inject_fault: bool = False) -> list[LemmaRow]:
         f"every copy pair carries {expected_cross} edges" if not bad
         else f"off at {bad[:3]}"))
 
-    nbr = [frozenset(w for w, _ in g.adj[v]) for v in range(g.vertex_count)]
+    nbr = [frozenset(row) for row in g.nbrs]
     worst = 0
     adjacent_clean = True
     for u in range(g.vertex_count):

@@ -126,7 +126,7 @@ def max_triple_common_neighbors(g: CayleyGraph) -> tuple[int, tuple[int, int, in
     def nbr(v: int) -> frozenset[int]:
         # built on first use: the scan usually stops within the first
         # vertex's neighbourhood, long before it has seen every vertex
-        return frozenset(w for w, _ in g.adj[v])
+        return frozenset(g.nbrs[v])
 
     for u in range(g.vertex_count):
         two_away = set()

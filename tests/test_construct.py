@@ -373,7 +373,8 @@ def test_copy_mates_have_distinct_outside_neighbors():
         g = G4 if n == 4 else G5 if n == 5 else G7 if n == 7 else build(n, Family.WHEEL)
         outside = set(g.outside_gens)
         for copy, members in g.copy_members.items():
-            outs = [w for v in members for w, gi in g.adj[v] if gi in outside]
+            outs = [w for v in members for w, gi in zip(g.nbrs[v], g.nbr_gens[v])
+                    if gi in outside]
             assert len(outs) == len(set(outs)) == 3 * len(members), (n, copy)
             assert not set(outs) & set(members), (n, copy)
 

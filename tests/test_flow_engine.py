@@ -230,7 +230,7 @@ def n7_queries():
     K = 3
     for _ in range(2):
         A, B, C = rng.sample(g.copy_members[K], 3)
-        detour = next(w for w, _ in g.adj[C] if copy_of(g, w) == K)
+        detour = next(w for w in g.nbrs[C] if copy_of(g, w) == K)
         a_out, b_out, c_out = (outside_neighbors(g, v) for v in (A, B, C))
         xs = [*c_out, outside_neighbors(g, detour)[0]]
         ys = [a_out[0], a_out[1], b_out[0], b_out[1]]
@@ -757,6 +757,23 @@ def test_interleaved_graphs_do_not_share_state():
     assert _query_a(spanning_intra_view(g6)) == before_intra
 
 
+@pytest.mark.parametrize("view_of", [full_view, spanning_intra_view])
+def test_entry_blocked_closes_exactly_the_edge_arcs_into_the_vertex(view_of):
+    """Blocking entry into v closes the edge arcs into vin(v), one per
+    neighbour under the view's generator mask, and nothing else."""
+    g = build(5, Family.WHEEL)
+    view = view_of(g)
+    net = _network(view)
+    before = net.cap[:]
+    for v in (0, 37, 119):
+        into = {e for e in range(0, net.arc_count, 2) if net.to[e] == 2 * v}
+        assert len(into) == view.degree(v)
+        with _FlowQuery(view, entry_blocked=(v,)) as q:
+            assert set(q.saved) == into
+            assert all(net.cap[e] == 0 for e in into)
+        assert net.cap == before
+
+
 def test_tripod_after_failed_flow_is_unchanged():
     g = build(6, Family.WHEEL)
     view = spanning_intra_view(g)
@@ -768,15 +785,27 @@ def test_tripod_after_failed_flow_is_unchanged():
 
 @pytest.mark.parametrize("family,n", [(Family.BUBBLE_SORT_STAR, 3), (Family.BUBBLE_SORT_STAR, 4),
                                       (Family.BUBBLE_SORT_STAR, 5), (Family.WHEEL, 4),
-                                      (Family.WHEEL, 5), (Family.WHEEL, 6)])
+                                      (Family.WHEEL, 5), (Family.WHEEL, 6), (Family.WHEEL, 7)])
 def test_graph_build_matches_rank_construction(family, n):
+    """Both rows of every vertex, rebuilt from ranks: the neighbours in
+    ascending order and the generator of each; the (2 n) images are the
+    neighbours by that generator, where the family has it."""
     g = build(n, family)
     gens = generator_set(family, n).members
+    star = next((gi for gi, t in enumerate(gens) if (t.i, t.j) == (2, n)), None)
+    assert star == g.outside_gens[2]
+    assert not hasattr(g, "adj")
+    assert len(g.nbrs) == len(g.nbr_gens) == g.vertex_count
     for v in range(g.vertex_count):
         sigma = unrank(v, n)
         row = sorted((rank(apply_generator(sigma, t)), gi) for gi, t in enumerate(gens))
-        assert g.adj[v] == tuple(row)
+        assert g.nbrs[v] == tuple(w for w, _ in row)
+        assert tuple(g.nbr_gens[v]) == tuple(gi for _, gi in row)
+        assert full_view(g).neighbors(v) == row
         assert g.copy_id[v] == sigma.images[n - 1]
+        if star is not None:
+            assert g.star_image[v] == next(w for w, gi in row if gi == star)
+    assert len(g.star_image) == (g.vertex_count if star is not None else 0)
 
 
 @pytest.mark.parametrize("bad", [-1, 120, 10**9, "7"])

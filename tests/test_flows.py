@@ -170,6 +170,9 @@ def test_max_internally_disjoint_paths_hits_degree():
     assert len(fam.paths) == 6
     verdict = check_internally_disjoint(view, 0, 23, fam)
     assert verdict.ok, verdict.violations
+    assert max_internally_disjoint_paths(view, 0, 23, limit=0).paths == ()
+    with pytest.raises(ValueError):
+        max_internally_disjoint_paths(view, 0, 23, limit=-2)
 
 
 def test_menger_duality_seeded_pairs():
@@ -195,7 +198,7 @@ def test_local_connectivity_adjacent_pair():
     g = build(4, Family.WHEEL)
     view = full_view(g)
     # adjacent vertices: direct edge counts as one path
-    v, _ = g.adj[0][0]
+    v = g.nbrs[0][0]
     assert local_connectivity(view, 0, v) == 6
 
 
@@ -213,7 +216,7 @@ def test_k_fan():
 def test_k_fan_source_adjacent_target():
     g = build(4, Family.WHEEL)
     view = full_view(g)
-    targets = [w for w, _ in g.adj[0][:3]]
+    targets = list(g.nbrs[0][:3])
     fam = k_fan(view, 0, targets, 3)
     verdict = check_fan(view, 0, targets, fam, 3)
     assert verdict.ok, verdict.violations

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,15 +27,37 @@ from tripaths.perms import Family, Transposition, apply_generator, rank, unrank
 
 
 def _edge_count(g):
-    return sum(len(g.adj[v]) for v in range(g.vertex_count)) // 2
+    return sum(map(len, g.nbrs)) // 2
 
 
 def test_wheel_n4_shape():
     g = build(4, Family.WHEEL)
     assert g.vertex_count == 24
     assert g.degree == 6
-    assert all(len(g.adj[v]) == 6 for v in range(24))
+    assert all(len(g.nbrs[v]) == 6 for v in range(24))
     assert _edge_count(g) == 72
+
+
+def test_wheel_n7_rows_stay_compact():
+    """Two rows per vertex hold CW_7 in under 2.5 MB; a (w, gi) tuple per
+    edge end held about 4.5 MB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build(7, Family.WHEEL)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == 5040 and held < 2.5e6, held
+
+
+@pytest.mark.parametrize("view_of", [
+    full_view, spanning_intra_view, lambda g: copy_union(g, {1, 3}),
+    lambda g: spanning_intra_view(g).without(range(0, 120, 7)),
+])
+def test_degree_counts_the_neighbors(view_of):
+    view = view_of(build(5, Family.WHEEL))
+    assert all(view.degree(v) == len(view.neighbors(v)) for v in view.vertices())
 
 
 def test_bss_n4_shape():
@@ -48,8 +71,9 @@ def test_adjacency_is_symmetric():
     for family in (Family.WHEEL, Family.BUBBLE_SORT_STAR):
         g = build(4, family)
         for v in range(g.vertex_count):
-            for w, _ in g.adj[v]:
-                assert any(x == v for x, _ in g.adj[w])
+            for w, gi in zip(g.nbrs[v], g.nbr_gens[v]):
+                assert v in g.nbrs[w]
+                assert g.nbr_gens[w][g.nbrs[w].index(v)] == gi
 
 
 def test_copy_partition():
@@ -138,7 +162,7 @@ def test_cross_edges_are_edges_between_the_copies():
     g = build(4, Family.WHEEL)
     for u, w in cross_edges(g, 2, 3):
         assert {copy_of(g, u), copy_of(g, w)} == {2, 3}
-        assert any(x == w for x, _ in g.adj[u])
+        assert w in g.nbrs[u]
 
 
 def test_cross_edges_same_copy_rejected():
@@ -149,7 +173,7 @@ def test_cross_edges_same_copy_rejected():
 
 def test_adjacent_pairs_share_no_neighbor():
     g = build(4, Family.WHEEL)
-    nbr = [set(w for w, _ in g.adj[v]) for v in range(g.vertex_count)]
+    nbr = [set(row) for row in g.nbrs]
     for v in range(g.vertex_count):
         for w in nbr[v]:
             assert not (nbr[v] & nbr[w])
@@ -218,6 +242,8 @@ def test_adjacency_view_is_a_view_over_its_labels():
     assert view.neighbors(12) == [(10, -1), (11, -1)]
     assert view.degree(13) == 0
     assert view.graph.vertex_count == 14
+    assert view.graph.nbrs[10] == (11, 12) and view.graph.nbr_gens[10] == (-1, -1)
+    assert view.graph.nbrs[0] == view.graph.nbr_gens[0] == ()
     assert not view.contains(0) and not view.contains(14)
     assert view.without({11}).vertices() == [10, 12, 13]
     assert view.without({11}).graph is view.graph
@@ -250,21 +276,21 @@ def test_adjacent_agrees_with_neighbors(view_of):
     for u in range(g.vertex_count):
         if not view.contains(u):
             with pytest.raises(RankOutOfRange):
-                view.adjacent(u, g.adj[u][0][0])
+                view.adjacent(u, g.nbrs[u][0])
             continue
         nbrs = {w for w, _ in view.neighbors(u)}
         for v in [*range(-1, g.vertex_count + 1), "7"]:
             assert view.adjacent(u, v) == (v in nbrs)
     # (2 5) is masked in the spanning view: its edge is gone there alone
     gi = next(i for i, t in enumerate(g.gens) if (t.i, t.j) == (2, 5))
-    w = next(w for w, i in g.adj[0] if i == gi)
+    w = g.nbrs[0][g.nbr_gens[0].index(gi)]
     assert full_view(g).adjacent(0, w) and not spanning_intra_view(g).adjacent(0, w)
 
 
 @pytest.mark.parametrize("view_of", [
     full_view, lambda g: copy_union(g, {1}), lambda g: delete_copies(g, {2}),
     lambda g: full_view(g).without({0}), lambda g: copy_union(g, {1, 3}).without({1}),
-    lambda g: AdjacencyView({v: [w for w, _ in g.adj[v]] for v in g.copy_members[1]}),
+    lambda g: AdjacencyView({v: list(g.nbrs[v]) for v in g.copy_members[1]}),
 ])
 def test_views_take_int_vertices_only(view_of):
     """A float equal to a vertex of the view is not a vertex: the view

@@ -131,14 +131,14 @@ def test_upper_bound_values():
 
 
 def test_max_triple_common_neighbors_witness():
-    """The witness, read straight from ``g.adj``: three pairwise
+    """The witness, read straight from ``g.nbrs``: three pairwise
     non-adjacent vertices of degree k = 2n - 2 with r = 3 common
     neighbours, so the bound floor((3k - r) / 4) is the formula."""
     for n in (4, 5, 6, 7):
         g = build(n, Family.WHEEL)
         r, witness = max_triple_common_neighbors(g)
         assert r == 3
-        nbr = {v: {w for w, _ in g.adj[v]} for v in witness}
+        nbr = {v: set(g.nbrs[v]) for v in witness}
         u, v, w = witness
         assert v not in nbr[u] and w not in nbr[u] and w not in nbr[v]
         assert len(nbr[u] & nbr[v] & nbr[w]) == 3
