@@ -81,22 +81,27 @@ first meet is the path's node on that level, since it is found in FIFO
 order; after a backward step the meet the FIFO search finds first is
 chosen by comparing parent chains where they merge.  From the meet the
 path takes, row by row, the first arc that steps one closer to t, which
-is the least continuation.  Per call, with the flows of ``pi3_lower`` on
-``sample_triples(g, N, 1)`` (N = 600, 60, 30 at n = 5, 6, 7; best of 3
+is the least continuation.  A search labels into two lists that
+``max_flow`` makes once per call, a copy of the query template for the
+parents and the template itself for the distances, and puts back every
+entry it set before it returns, so a search copies nothing the size of
+the network.  Per call, with the flows of ``pi3_lower`` on
+``sample_triples(g, N, 1)`` (N = 600, 60, 30 at n = 5, 6, 7; best of 9
 runs, Python 3.11 on a shared 2-vCPU host), one-ended -> two-ended:
 
     view vertices   views                         ms per max_flow
-    11-24           one copy at n = 5             0.073 -> 0.103
-    48              two copies at n = 5           0.044 -> 0.061
-    96              n = 5 minus a copy            0.167 -> 0.185
-    678-720         n = 6 spanning, n = 7 copy    2.05  -> 1.12
-    2880            four copies at n = 7          2.76  -> 1.06
-    4320            n = 7 minus a copy            14.5  -> 4.09
+    11-24           one copy at n = 5             0.062 -> 0.091
+    48              two copies at n = 5           0.039 -> 0.055
+    96              n = 5 minus a copy            0.133 -> 0.228
+    678-720         n = 6 spanning, n = 7 copy    1.68  -> 0.733
+    2880            four copies at n = 7          2.39  -> 0.750
+    4320            n = 7 minus a copy            11.3  -> 4.01
 
-No sweep runs a flow on views of 97 to 677 vertices.  Random queries,
-set-up included, ran 1.0-1.15x faster two-ended on CW_5 (120 vertices)
-and on two copies of CW_6 (240); the threshold sits between the sizes
-where the one-ended search wins and those where the two-ended one does.
+No sweep runs a flow on views of 97 to 677 vertices.  Random pair
+queries, set-up included, ran 1.25x faster two-ended on CW_5 (120
+vertices) and 1.55x on two copies of CW_6 (240); the threshold sits
+between the sweep views where the one-ended search wins and those
+where the two-ended one does.
 """
 
 from __future__ import annotations
@@ -395,12 +400,16 @@ class _FlowQuery:
         rows, to, cap = net.rows, net.to, net.cap
         template, saved = self.template, self.saved
         last_static = net.arc_count
+        if self.two_ended:
+            # the template serves as the distance labels; every search
+            # puts back what it sets in both lists
+            parent = template[:]
         value = 0
         while value < limit:
             if counter is not None:
                 counter.add()
             if self.two_ended:
-                path = _two_ended(net, template, s, t)
+                path = _two_ended(net, parent, template, s, t)
                 if path is None:
                     break
             else:
@@ -677,7 +686,7 @@ def _chain(parent, to, s: int, node: int, path: list[int]) -> list[int]:
     return path
 
 
-def _two_ended(net, template, s: int, t: int) -> list[int] | None:
+def _two_ended(net, parent, dist, s: int, t: int) -> list[int] | None:
     """The augmenting path ``_bfs`` finds from s to t (a ``vin`` node or
     the super sink), as its arcs from t back to s, or None; found by
     level steps from both ends, each step on the end with the smaller
@@ -690,82 +699,113 @@ def _two_ended(net, template, s: int, t: int) -> list[int] | None:
     ``vout`` node on discovery through its split arc and, while the
     vertex carries flow, the partners of its row.  The start s is never
     expanded backward: reaching it is a meet.
+
+    `parent` and `dist` must both equal the query template; the search
+    labels into them and puts back every entry it set before it returns
+    or raises.  A node it labels is -1 in the template unless it is s,
+    and both nodes of a vertex share the vertex's mark, so an entry and
+    its partner ``x ^ 1`` go back to -1, and those of s to its mark.
     """
     rows, to, cap = net.rows, net.to, net.cap
     back, first, source = net.back_arcs, net.back_first, net.source
-    if template[t] != -1:
+    if dist[t] != -1:
         return None
-    parent, dist = template[:], template[:]
-    parent[s] = -2
-    dist[t] = 0
-    fwd, bwd, depth = [s], [t], 0
-    if t == net.sink:
-        bwd, depth = [], 1
-        for f in rows[t]:
-            z = to[f]
-            if dist[z] == -1 and cap[f ^ 1] > 0:
-                dist[z] = 1
-                bwd.append(z)
-    while fwd and bwd:
-        if len(fwd) <= len(bwd):
-            # no meet so far, so every meet here is a shortest path; the
-            # first is a vin node, found in FIFO order (a later vout node's
-            # parent would have met first)
-            nxt = []
-            push = nxt.append
-            for u in fwd:
-                for e in rows[u]:
-                    h = to[e]
-                    if parent[h] != -1 or cap[e] <= 0:
-                        continue
-                    parent[h] = e
-                    if dist[h] != -1:
-                        return _join(rows, to, cap, parent, dist, s, h, t)
-                    row = rows[h]
-                    if len(row) == 1:
-                        if cap[h] > 0 and parent[h + 1] == -1:
-                            parent[h + 1] = h
-                            push(h + 1)
-                        continue
-                    for f in row:
-                        w = to[f]
-                        if parent[w] == -1 and cap[f] > 0:
-                            parent[w] = f
-                            push(w)
-            fwd = nxt
-        else:
-            # meets lie in the forward frontier, one step from this
-            # frontier; once one is found only that level is finished
-            nxt, meets = [], []
-            push = nxt.append
-            near, far = depth + 1, depth + 2
-            for x in bwd:
-                v = x >> 1
-                for arcs in (back[first[v]:first[v + 1]], rows[x]):
-                    for f in arcs:
-                        y = to[f]
-                        if dist[y] != -1 or cap[f ^ 1] <= 0:
+    mark = parent[s]
+    # every labelled node is on a frontier, in a loose list, or the
+    # partner of a node there: a vin node whose vout node it queued, or
+    # a vout node whose vin node it queued backward
+    floose, bloose = [], []
+    fseen, bseen = [[s], floose], [[t], bloose]
+    try:
+        parent[s] = -2
+        dist[t] = 0
+        fwd, bwd, depth = [s], [t], 0
+        if t == net.sink:
+            bwd, depth = [], 1
+            bseen.append(bwd)
+            for f in rows[t]:
+                z = to[f]
+                if dist[z] == -1 and cap[f ^ 1] > 0:
+                    dist[z] = 1
+                    bwd.append(z)
+        while fwd and bwd:
+            if len(fwd) <= len(bwd):
+                # no meet so far, so every meet here is a shortest path; the
+                # first is a vin node, found in FIFO order (a later vout node's
+                # parent would have met first)
+                nxt = []
+                fseen.append(nxt)
+                push = nxt.append
+                for u in fwd:
+                    for e in rows[u]:
+                        h = to[e]
+                        if parent[h] != -1 or cap[e] <= 0:
                             continue
-                        dist[y] = near
-                        if parent[y] != -1:
-                            meets.append(y)
-                        if meets:
+                        parent[h] = e
+                        if dist[h] != -1:
+                            floose.append(h)
+                            return _join(rows, to, cap, parent, dist, s, h, t)
+                        row = rows[h]
+                        if len(row) == 1:
+                            if cap[h] > 0 and parent[h + 1] == -1:
+                                parent[h + 1] = h
+                                push(h + 1)
+                            else:
+                                floose.append(h)
                             continue
-                        if y < source:
-                            if cap[y - 1] > 0 and dist[y - 1] == -1:
-                                dist[y - 1] = far
-                                push(y - 1)
-                            if cap[y] <= 0:
+                        floose.append(h)
+                        for f in row:
+                            w = to[f]
+                            if parent[w] == -1 and cap[f] > 0:
+                                parent[w] = f
+                                push(w)
+                fwd = nxt
+            else:
+                # meets lie in the forward frontier, one step from this
+                # frontier; once one is found only that level is finished
+                nxt, meets = [], []
+                bseen.append(nxt)
+                push = nxt.append
+                near, far = depth + 1, depth + 2
+                for x in bwd:
+                    v = x >> 1
+                    for arcs in (back[first[v]:first[v + 1]], rows[x]):
+                        for f in arcs:
+                            y = to[f]
+                            if dist[y] != -1 or cap[f ^ 1] <= 0:
                                 continue
-                        for g in rows[y]:
-                            z = to[g]
-                            if dist[z] == -1 and cap[g ^ 1] > 0:
-                                dist[z] = far
-                                push(z)
-            if meets:
-                return _join(rows, to, cap, parent, dist, s, _fifo_first(rows, to, parent, meets), t)
-            bwd, depth = nxt, far
-    return None
+                            dist[y] = near
+                            if parent[y] != -1:
+                                meets.append(y)
+                            if meets:
+                                bloose.append(y)
+                                continue
+                            if y >= source:
+                                bloose.append(y)
+                            else:
+                                if cap[y - 1] > 0 and dist[y - 1] == -1:
+                                    dist[y - 1] = far
+                                    push(y - 1)
+                                else:
+                                    bloose.append(y)
+                                if cap[y] <= 0:
+                                    continue
+                            for g in rows[y]:
+                                z = to[g]
+                                if dist[z] == -1 and cap[g ^ 1] > 0:
+                                    dist[z] = far
+                                    push(z)
+                if meets:
+                    return _join(rows, to, cap, parent, dist, s,
+                                 _fifo_first(rows, to, parent, meets), t)
+                bwd, depth = nxt, far
+        return None
+    finally:
+        for seen, labels in ((fseen, parent), (bseen, dist)):
+            for nodes in seen:
+                for x in nodes:
+                    labels[x] = labels[x ^ 1] = -1
+        parent[s] = parent[s ^ 1] = mark
 
 
 def _fifo_first(rows, to, parent, nodes) -> int:

@@ -28,14 +28,16 @@ def pairing_capacity(x: int, y: int, z: int) -> int:
 
 def optimal_split(x: int, y: int, z: int) -> tuple[int, int, int]:
     """Lexicographically smallest (mu_a, mu_b, mu_c) achieving the capacity:
-    mu_a pairs ab+ac, mu_b pairs ab+bc, mu_c pairs ac+bc."""
+    mu_a pairs ab+ac, mu_b pairs ab+bc, mu_c pairs ac+bc.  Raises
+    InvalidStructure if no split reaches ``pairing_capacity``, so a wrong
+    capacity never reaches a certificate."""
     best = pairing_capacity(x, y, z)
     for mu_a in range(best + 1):
         for mu_b in range(best - mu_a + 1):
             mu_c = best - mu_a - mu_b
             if mu_a + mu_b <= x and mu_a + mu_c <= y and mu_b + mu_c <= z:
                 return (mu_a, mu_b, mu_c)
-    raise AssertionError((x, y, z))
+    raise InvalidStructure(f"no split of bundles {(x, y, z)} pairs {best} paths")
 
 
 @dataclass(frozen=True)

@@ -447,15 +447,25 @@ _CANCEL_FROM_T = (
     None, [], [], False, 0, False, 9, 2)
 
 
+# The search starts at vout(0), which the template masks: both label
+# lists must get its mark back, not the -1 of a node the query may enter.
+_START_MASKED = (
+    AdjacencyView({0: [], 1: []}),
+    {"entry_blocked": [], "no_split": [], "uncapped": [], "removed": [0], "order_seed": None},
+    None, [], [], False, 0, True, 1, 1)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(case=_flow_cases())
 @example(case=_CANCEL_FROM_T)
+@example(case=_START_MASKED)
 def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
     """Every search of a query, augmentations and the witness cut's reach
     alike, must find what a plain FIFO BFS over the same residual finds:
     the same augmenting path, or, run to exhaustion, the same parents.
     The two-ended search runs on the residual of every augmentation,
-    whichever search the view's size picks for it."""
+    whichever search the view's size picks for it, and after every search
+    both of its label lists equal the template the query was made with."""
     view, edits, dropped, sources, sinks, from_source, u, to_sink, v, limit = case
     net = _network(view)
     kernel, two_ended = flows._bfs, flows._two_ended
@@ -476,12 +486,16 @@ def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
         else:
             arcs = plain_arcs(template, s, t)
             assert _path_arcs(parent, to, s, t) == arcs
-            assert two_ended(net, template, s, t) == arcs
+            labels = template[:], template[:]
+            assert two_ended(net, *labels, s, t) == arcs
+            assert labels == (template, template)
         runs.append(("bfs", t))
 
-    def checked_two_ended(net_, template, s, t):
-        arcs = two_ended(net_, template, s, t)
-        assert arcs == plain_arcs(template, s, t)
+    def checked_two_ended(net_, parent, dist, s, t):
+        assert parent == dist == made
+        arcs = two_ended(net_, parent, dist, s, t)
+        assert arcs == plain_arcs(made, s, t)
+        assert parent == dist == made
         runs.append(("two-ended", t))
         return arcs
 
@@ -489,6 +503,7 @@ def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
         mp.setattr(flows, "_bfs", checked)
         mp.setattr(flows, "_two_ended", checked_two_ended)
         with _FlowQuery(view, **edits) as q:
+            made = q.template[:]
             for x in sources:
                 q.add_arc(q.source, q.vin(x), 1)
             for y in sinks:
@@ -499,9 +514,41 @@ def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
             t = q.sink if to_sink else q.vin(v)
             q.max_flow(s, t, limit)
             q.witness_cut(s, set())
+            assert q.template == made
     large = view.vertex_count >= flows._TWO_ENDED_VERTICES
     assert {kind for kind, _ in runs[:-1]} == {"two-ended" if large else "bfs"}
     assert runs[-1] == ("bfs", -1)
+
+
+@pytest.mark.parametrize("order_seed", [None, 7])
+def test_large_view_query_gives_fresh_results_across_calls(order_seed):
+    """A query on a large view labels every search into its template and
+    puts the labels back: a second ``max_flow`` and the witness cut after
+    it give what fresh queries give, and the template is the one the
+    query was made with."""
+    view = delete_copies(G6, {2})
+    assert view.vertex_count >= _TWO_ENDED_VERTICES
+    verts = view.vertices()
+    u, v = verts[0], verts[len(verts) // 2]
+    edits = {"order_seed": order_seed, "entry_blocked": (u,), "no_split": (v,), "uncapped": (u,)}
+
+    def outcome(q, value):
+        return (value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), {u, v}))
+
+    def fresh(limit):
+        with _FlowQuery(view, **edits) as q:
+            return outcome(q, q.max_flow(q.vout(u), q.vin(v), limit))
+
+    two, full = fresh(2), fresh(G6.degree)
+    with _FlowQuery(view, **edits) as q:
+        made = q.template[:]
+        first = q.max_flow(q.vout(u), q.vin(v), 2)
+        assert q.extract_paths(q.vout(u), q.vin(v)) == two[1]
+        assert q.template == made
+        got = outcome(q, first + q.max_flow(q.vout(u), q.vin(v), G6.degree))
+        assert q.template == made
+    assert first == two[0] == 2
+    assert got == full
 
 
 def _flowing_edges(net) -> set:

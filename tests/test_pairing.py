@@ -52,14 +52,19 @@ def test_capacity_brute_oracle_full_box():
 
 
 def test_optimal_split_respects_bundles():
-    rng = random.Random(2)
-    for _ in range(300):
-        x, y, z = (rng.randint(0, 12) for _ in range(3))
+    for x, y, z in itertools.product(range(25), repeat=3):
         mu_a, mu_b, mu_c = optimal_split(x, y, z)
         assert mu_a + mu_b + mu_c == pairing_capacity(x, y, z)
         assert mu_a + mu_b <= x
         assert mu_a + mu_c <= y
         assert mu_b + mu_c <= z
+
+
+def test_optimal_split_without_a_split_is_a_typed_error(monkeypatch):
+    """A capacity no split reaches raises InvalidStructure."""
+    monkeypatch.setattr(tripaths.pairing, "pairing_capacity", lambda x, y, z: x + y + z)
+    with pytest.raises(InvalidStructure, match="no split"):
+        optimal_split(2, 2, 2)
 
 
 def test_split_hand_values():
