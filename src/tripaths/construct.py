@@ -209,7 +209,7 @@ def _scan_unused_neighbor(cview, tri, base):
     for p in base.all_paths():
         used.update(p.vertices)
     for t in tri:
-        for w, _gi in cview.neighbors(t):
+        for w in cview.neighbors(t):
             if w not in used:
                 return (t, w)
     return None
@@ -240,7 +240,7 @@ def _route_1_2_1(g, K, cview, tri, base, order_seed):
         used_ab_ac = set(v for p in ab + ac for v in p.vertices)
         used_ac_bc = set(v for p in ac + bc for v in p.vertices)
         used_ab_bc = set(v for p in ab + bc for v in p.vertices)
-        for a_pr, _gi in cview.neighbors(A):
+        for a_pr in cview.neighbors(A):
             if a_pr in used_ab_ac:
                 continue
             R1 = next((p for p in bc if a_pr in p.vertices), None)
@@ -250,7 +250,7 @@ def _route_1_2_1(g, K, cview, tri, base, order_seed):
             if len(R1.vertices) - 1 - idx < 2:
                 continue
             c_pr = P1 = None
-            for v, _ in cview.neighbors(C):
+            for v in cview.neighbors(C):
                 if v in used_ac_bc:
                     continue
                 hit = next((p for p in ab if v in p.vertices), None)
@@ -260,7 +260,7 @@ def _route_1_2_1(g, K, cview, tri, base, order_seed):
             if P1 is None:
                 continue
             b_pr = Q1 = None
-            for v, _ in cview.neighbors(B):
+            for v in cview.neighbors(B):
                 if v in used_ab_bc:
                     continue
                 hit = next((p for p in ac if v in p.vertices), None)
@@ -458,6 +458,7 @@ def _two_copies(g, tri, seed):
     cview = copy_union(g, {K})
     outside = delete_copies(g, {K})
     need = 2 * d - 3
+    star = g.star_image
 
     for attempt in range(3):
         oseed = None if attempt == 0 else mix_seed(seed, 2, attempt)
@@ -475,13 +476,10 @@ def _two_copies(g, tri, seed):
         if len(chosen) < need:
             continue
 
-        star = {}
         directs: list[tuple[str, Path]] = []
         legs: list[tuple[str, int, int]] = []  # tag, copy vertex, fan target
         for p in chosen:
             u_i, v_i = p.vertices[1], p.vertices[-2]
-            star[u_i] = g.star_image[u_i]
-            star[v_i] = g.star_image[v_i]
             if star[u_i] == b:
                 directs.append(("ab", Path((a, u_i, b))))
             else:
@@ -490,11 +488,10 @@ def _two_copies(g, tri, seed):
                 directs.append(("bc", Path((b, v_i, c))))
             else:
                 legs.append(("bc", v_i, star[v_i]))
-        a_star = g.star_image[a]
-        if a_star == b:
+        if star[a] == b:
             directs.append(("ab", Path((a, b))))
         else:
-            legs.append(("ab", a, a_star))
+            legs.append(("ab", a, star[a]))
         for w in outside_neighbors(g, c):
             if w == b:
                 directs.append(("bc", Path((b, c))))

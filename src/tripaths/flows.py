@@ -255,12 +255,11 @@ class _FlowQuery:
     ``drop_edge`` closes one edge arc.  Use it as a context manager,
     whose exit undoes every edit, augmentation and terminal arc, and puts
     back the static rows where a seeded query on a large view read them
-    through a ``_SeededRows`` overlay.  ``removed`` vertices are masked
-    out as if the view lacked them.
+    through a ``_SeededRows`` overlay.  The query sees only the view's
+    vertices; to leave more out, pass ``view.without(...)``.
     """
 
-    def __init__(self, view, order_seed=None, entry_blocked=(), no_split=(), uncapped=(),
-                 removed=()):
+    def __init__(self, view, order_seed=None, entry_blocked=(), no_split=(), uncapped=()):
         self.net = net = _network(view)
         if net.busy:
             raise RuntimeError("flow queries on one network cannot nest")
@@ -273,7 +272,7 @@ class _FlowQuery:
         net.busy = True
         self.two_ended = view.vertex_count >= _TWO_ENDED_VERTICES
         try:
-            self.marks, self.template = self._template(view.allowed, removed)
+            self.marks, self.template = self._template(view.allowed)
             self._edit(entry_blocked, no_split, uncapped, order_seed)
         except BaseException:
             self._restore()
@@ -294,7 +293,7 @@ class _FlowQuery:
     def _is_vin(self, node: int) -> bool:
         return node < self.source and not node & 1
 
-    def _template(self, allowed, removed) -> tuple[list[int], list[int]]:
+    def _template(self, allowed) -> tuple[list[int], list[int]]:
         """The vertex marks and the BFS ``parent`` start: -1 for vertices
         and nodes the query may enter."""
         nv = self.net.vertex_count
@@ -304,8 +303,6 @@ class _FlowQuery:
             marks = [_OFF_VIEW] * nv
             for v in allowed:
                 marks[v] = -1
-        for v in removed:
-            marks[v] = _OFF_VIEW
         tpl = [-1] * (2 * nv + 2)
         tpl[0:2 * nv:2] = tpl[1:2 * nv:2] = marks
         return marks, tpl
@@ -854,17 +851,14 @@ def _distinct(items, what: str) -> list:
 
 def shortest_path(view, u: int, v: int, avoid=frozenset()) -> Path | None:
     """Shortest path from u to v with interior vertices outside `avoid`:
-    the first augmenting path of a u-v flow."""
+    the first path of a u-v flow on the view without `avoid`."""
     avoid = frozenset(avoid)
     if u in avoid or v in avoid:
         raise ValueError(f"path ends {u}, {v} cannot be avoided")
     _require(view, (u, v))
     if u == v:
         return Path((u,))
-    with _FlowQuery(view, entry_blocked=(u,), no_split=(v,), uncapped=(u,),
-                    removed=[w for w in avoid if view.contains(w)]) as q:
-        q.max_flow(q.vout(u), q.vin(v), 1)
-        paths = q.extract_paths(q.vout(u), q.vin(v))
+    paths = max_internally_disjoint_paths(view.without(avoid) if avoid else view, u, v, 1).paths
     return paths[0] if paths else None
 
 
@@ -944,8 +938,9 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
         return PathFamily(tuple(zero))
     xonly = [v for v in xset if v not in shared]
     yonly = [v for v in yset if v not in shared]
-    with _FlowQuery(view, order_seed=order_seed, entry_blocked=xonly, no_split=yonly,
-                    removed=shared) as q:
+    if shared:
+        view = view.without(shared)
+    with _FlowQuery(view, order_seed=order_seed, entry_blocked=xonly, no_split=yonly) as q:
         for x in xonly:
             q.add_arc(q.source, q.vin(x), 1)
         for y in yonly:
@@ -963,7 +958,9 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
 def _pair_flow(view, u: int, v: int, drop_direct: bool,
                want_cut: bool) -> tuple[int, tuple[int, ...] | None]:
     """Flow value from u to v and, if asked, the residual vertex cut."""
-    cap = min(view.degree(u), view.degree(v)) + 1
+    # each unit leaves u and enters v on an edge of its own, so a flow of
+    # the smaller degree is maximum: no search past it can augment
+    cap = min(view.degree(u), view.degree(v))
     with _FlowQuery(view, entry_blocked=(u,), no_split=(v,), uncapped=(u,)) as q:
         if drop_direct:
             q.drop_edge(u, v)
@@ -1000,7 +997,7 @@ def vertex_connectivity(view) -> int:
     if all(d == nv - 1 for d in degs.values()):
         return nv - 1
     v0 = min(verts, key=lambda v: (degs[v], v))
-    nbrs = sorted(w for w, _ in view.neighbors(v0))
+    nbrs = view.neighbors(v0)
     nbr_set = set(nbrs)
     best = degs[v0]
     for w in verts:

@@ -3,8 +3,7 @@
 Vertices are Lehmer ranks.  A graph keeps two rows per vertex:
 ``nbrs[v]``, the tuple of its neighbour ranks in ascending order, and
 ``nbr_gens[v]``, the generator index of each neighbour in the same order
-(a ``bytes``, one index per neighbour).  ``View.neighbors`` zips them
-into (neighbor_rank, generator_index) pairs.  The copy of a vertex sigma
+(a ``bytes``, one index per neighbour).  The copy of a vertex sigma
 is sigma(n); deleting the generator that moves position n from the wheel
 family splits the graph into n copies, each isomorphic to the bubble-sort
 star graph one degree down.
@@ -116,25 +115,18 @@ class View:
             return self.graph.vertex_count
         return len(self.allowed)
 
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        """(neighbour, generator index) pairs in ascending neighbour order."""
-        if not self.contains(v):
-            raise RankOutOfRange(f"vertex {v!r} is not in the view")
-        allowed, gens = self.allowed, self.allowed_gens
-        pairs = zip(self.graph.nbrs[v], self.graph.nbr_gens[v])
-        if allowed is None and gens is None:
-            return list(pairs)
-        return [(w, gi) for w, gi in pairs
-                if (gens is None or gi in gens) and (allowed is None or w in allowed)]
-
-    def degree(self, v: int) -> int:
+    def neighbors(self, v: int) -> list[int]:
+        """The neighbour ranks of v in the view, ascending."""
         if not self.contains(v):
             raise RankOutOfRange(f"vertex {v!r} is not in the view")
         allowed, gens = self.allowed, self.allowed_gens
         row = self.graph.nbrs[v]
         if gens is not None:
             row = [w for w, gi in zip(row, self.graph.nbr_gens[v]) if gi in gens]
-        return len(row) if allowed is None else len(allowed.intersection(row))
+        return list(row) if allowed is None else [w for w in row if w in allowed]
+
+    def degree(self, v: int) -> int:
+        return len(self.neighbors(v))
 
     def adjacent(self, u: int, v: int) -> bool:
         if not self.contains(u):
@@ -164,22 +156,20 @@ def full_view(g: CayleyGraph) -> View:
 
 
 class ExplicitGraph:
-    """An ad-hoc graph with the attributes a View reads: ``nbrs`` and
-    ``nbr_gens`` rows indexed by label (empty for unused labels; every
-    generator index is -1), ``vertex_count`` one past the largest label,
-    and the flow-network cache."""
+    """An ad-hoc graph with the attributes a View without a generator
+    mask reads: ``nbrs`` rows indexed by label (empty for unused labels),
+    ``vertex_count`` one past the largest label, and the flow-network
+    cache."""
 
     def __init__(self, nbrs: dict[int, set[int]]):
         self.vertex_count = max(nbrs, default=-1) + 1
         self.nbrs = tuple(tuple(sorted(nbrs.get(v, ()))) for v in range(self.vertex_count))
-        self.nbr_gens = tuple((-1,) * len(row) for row in self.nbrs)
         self.split_networks: dict = {}
 
 
 def AdjacencyView(adjacency: dict) -> View:
     """View of an explicit adjacency mapping, so the solvers and checkers
-    run on small ad-hoc graphs; neighbor entries carry -1 in place of a
-    generator index.
+    run on small ad-hoc graphs.
 
     Labels index the graph's rows, so each must be an int in
     [0, 8!), the size of the largest graph the package builds.
@@ -197,10 +187,11 @@ def AdjacencyView(adjacency: dict) -> View:
 
 
 def spanning_intra_view(g: CayleyGraph) -> View:
-    """All vertices, intra-copy generators only (wheel: drops (2 n) too).
+    """All vertices, every generator but (2 n).
 
-    For even-degree work on the wheel family this is the spanning
-    subgraph generated by the star/adjacent set alone.
+    (1 n) and (n-1 n), which move position n, stay in, so on the wheel
+    family this is the bubble-sort star graph BS_n on the same ranks:
+    the spanning subgraph generated by the star/adjacent set alone.
     """
     gens = frozenset(
         gi for gi, t in enumerate(g.gens) if not (t.i == 2 and t.j == g.n)

@@ -46,7 +46,7 @@ def exact_pi(view, omega) -> int:
     bundles = ((a, b, c), (a, c, b), (b, c, a))  # source, sink, third terminal
     edges = []
     for u in view.vertices():
-        for w, _ in view.neighbors(u):
+        for w in view.neighbors(u):
             if u < w:
                 edges.append((u, w))
     arcs = []  # (bundle, tail, head, edge index), one variable each

@@ -106,6 +106,16 @@ def test_only_the_graph_and_flow_layers_read_generator_rows():
     assert found == [], found
 
 
+def test_only_the_graph_and_flow_layers_read_generator_masks():
+    # a view's generator mask stays behind the graph and flow layers:
+    # every other module takes the neighbours a view gives
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
+             if path.name not in ("graphs.py", "flows.py")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "allowed_gens"]
+    assert found == [], found
+
+
 def _project():
     tomllib = pytest.importorskip("tomllib")
     return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
