@@ -16,12 +16,19 @@ paired ``e`` / ``e ^ 1`` in flat ``array``s.  A query
 * the view's vertex set becomes a mask in the BFS ``parent`` template,
   so nodes outside the view are never entered;
 * four capacity edits: blocked entries (the edge arcs into a vertex
-  close), unsplit vertices (the split arc and the edge arcs out close,
-  so flow that reaches one ends there), uncapped vertices (the split
-  arc takes any flow) and a dropped direct edge;
+  close), unsplit vertices (the split arc alone closes: nothing then
+  reaches ``vout(v)``, so flow that reaches v ends there), uncapped
+  vertices (the split arc takes any flow) and a dropped direct edge;
 * arcs to a super source or sink are appended for the query;
-* an undo log restores every capacity and row the query touched when
-  it ends, also when it raises.
+* when it ends, also when it raises, the query puts every augmented
+  static pair back by its sum (the reverse arc's flow returns to the
+  forward arc), then undoes its edits and rows from an undo log.
+
+The paths of a flow are read by walking it: from each arc out of the
+source that carries flow, in row order, the one arc with flow out of
+each next node, up to the sink.  Every node but the source carries at
+most one unit, and ``vin(y)`` of a fan target that takes more leaves
+only by its terminal arc, so the walk needs no bookkeeping.
 
 Augmentation is Edmonds-Karp: BFS shortest paths with every row scanned
 in a fixed order, so results are deterministic.  Every arc joins a
@@ -250,13 +257,15 @@ class _FlowQuery:
 
     Creating it applies the query's view mask and capacity edits:
     ``entry_blocked`` vertices take no flow in over an edge, ``no_split``
-    vertices pass none on (flow that reaches one ends there, so a search
-    stops at it), ``uncapped`` vertices pass any amount, and
+    vertices pass none on (only their split arc closes, so flow that
+    reaches one ends there and a search stops at it; none may be the
+    start of a flow), ``uncapped`` vertices pass any amount, and
     ``drop_edge`` closes one edge arc.  Use it as a context manager,
-    whose exit undoes every edit, augmentation and terminal arc, and puts
-    back the static rows where a seeded query on a large view read them
-    through a ``_SeededRows`` overlay.  The query sees only the view's
-    vertices; to leave more out, pass ``view.without(...)``.
+    whose exit undoes every augmentation (each static pair in ``flowed``
+    by its sum), edit and terminal arc, and puts back the static rows
+    where a seeded query on a large view read them through a
+    ``_SeededRows`` overlay.  The query sees only the view's vertices; to
+    leave more out, pass ``view.without(...)``.
     """
 
     def __init__(self, view, order_seed=None, entry_blocked=(), no_split=(), uncapped=()):
@@ -264,10 +273,11 @@ class _FlowQuery:
         if net.busy:
             raise RuntimeError("flow queries on one network cannot nest")
         self.source, self.sink = net.source, net.sink
-        # arc -> capacity before the query; a reverse arc starts every query
-        # at 0 and edits touch even arcs only, so even arc k carries flow
-        # cap[k + 1] of its start capacity cap[k] + cap[k + 1]
+        # edited arc -> capacity before the query; a reverse arc starts every
+        # query at 0 and edits touch even arcs only, so even arc k carries
+        # flow cap[k + 1] of its edited capacity cap[k] + cap[k + 1]
         self.saved: dict[int, int] = {}
+        self.flowed: set[int] = set()  # even arcs of augmented static pairs
         self.saved_rows: dict[int, array] = {}
         net.busy = True
         self.two_ended = view.vertex_count >= _TWO_ENDED_VERTICES
@@ -314,8 +324,6 @@ class _FlowQuery:
         unsplit = set(no_split)
         for v in unsplit:
             self._set_cap(2 * v, 0)
-            for e in net.rows[2 * v + 1]:
-                self._set_cap(e, 0)
         for v in entry_blocked:
             # the edge arcs into vin(v) are the partners of its back arcs
             for f in net.back_arcs[net.back_first[v]:net.back_first[v + 1]]:
@@ -355,6 +363,9 @@ class _FlowQuery:
     def _restore(self) -> None:
         net = self.net
         cap = net.cap
+        for k in self.flowed:
+            cap[k] += cap[k + 1]
+            cap[k + 1] = 0
         for e, c in self.saved.items():
             cap[e] = c
         if type(net.rows) is _SeededRows:
@@ -365,6 +376,7 @@ class _FlowQuery:
         del net.to[net.arc_count:]
         del net.cap[net.arc_count:]
         self.saved.clear()
+        self.flowed.clear()
         self.saved_rows.clear()
         net.busy = False
 
@@ -395,7 +407,7 @@ class _FlowQuery:
             raise ValueError(f"flow to node {t}: it must be a vin node or the super sink")
         net = self.net
         rows, to, cap = net.rows, net.to, net.cap
-        template, saved = self.template, self.saved
+        template, flowed = self.template, self.flowed
         last_static = net.arc_count
         if self.two_ended:
             # the template serves as the distance labels; every search
@@ -418,12 +430,10 @@ class _FlowQuery:
             bottleneck = min(limit - value, min(cap[e] for e in path))
             for e in path:
                 k = e & -2
-                if k + 1 not in saved:
-                    saved[k + 1] = cap[k + 1]
-                    saved.setdefault(k, cap[k])
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck
                 if k < last_static:
+                    flowed.add(k)
                     # reverse arc k + 1 of a static pair is in the row of the
                     # head of k (a split reverse arc sorts first) while open
                     if e == k and cap[k + 1] == bottleneck:
@@ -437,38 +447,26 @@ class _FlowQuery:
         return None if node >= self.net.source else node >> 1
 
     def extract_paths(self, source: int, sink: int) -> list[Path]:
-        """Decompose the flow into walks from source to sink.
-
-        Unit interior capacities make every walk a simple path; leftover
-        circulation (if any) never touches the source and is ignored.
-        Only arcs the augmentations touched can carry flow.
-        """
+        """The flow's paths from source to sink, one per arc out of source
+        that carries flow, in row order: each follows, from every next
+        node, its one even arc with flow (``cap[e + 1] > 0``)."""
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
-        remaining = {k: cap[k + 1] for k in self.saved if not k & 1 and cap[k + 1]}
-        tails: dict[int, list[int]] = {}
-        for k in remaining:
-            tails.setdefault(to[k ^ 1], []).append(k)
-        used_out = {node: [e for e in rows[node] if e in remaining] if len(arcs) > 1 else arcs
-                    for node, arcs in tails.items()}
+        vertex_nodes = self.net.source
         paths = []
-        while True:
-            start = next((e for e in used_out.get(source, ()) if remaining[e] > 0), None)
-            if start is None:
-                break
-            node_path = [source]
-            e = start
-            while True:
-                remaining[e] -= 1
-                node = to[e]
-                node_path.append(node)
-                if node == sink:
-                    break
-                e = next(a for a in used_out.get(node, ()) if remaining[a] > 0)
-            vp: list[int] = []
-            for node in node_path:
-                v = self._vertex(node)
-                if v is not None and (not vp or vp[-1] != v):
-                    vp.append(v)
+        for e in rows[source]:
+            if e & 1 or not cap[e + 1]:
+                continue
+            vp = [source >> 1] if source < vertex_nodes else []
+            node = to[e]
+            while node != sink:
+                if not node & 1:
+                    vp.append(node >> 1)
+                for f in rows[node]:
+                    if not f & 1 and cap[f + 1]:
+                        break
+                node = to[f]
+            if sink < vertex_nodes:
+                vp.append(sink >> 1)
             paths.append(Path(tuple(vp)))
         return paths
 

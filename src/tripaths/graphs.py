@@ -96,9 +96,9 @@ class View:
     allowed_gens: frozenset[int] | None = None
 
     def contains(self, v: int) -> bool:
-        # a float equal to a rank would pass the set test and then fail
-        # as a row index, so only ints count as vertices
-        if not isinstance(v, int):
+        # a float or a bool equal to a rank would pass the set test and
+        # then index a row as that rank, so only exact ints are vertices
+        if type(v) is not int:
             return False
         if self.allowed is None:
             return 0 <= v < self.graph.vertex_count
@@ -131,13 +131,30 @@ class View:
     def adjacent(self, u: int, v: int) -> bool:
         if not self.contains(u):
             raise RankOutOfRange(f"vertex {u!r} is not in the view")
-        # only ints are vertices, and only they compare with a row's ranks
-        if not isinstance(v, int) or (self.allowed is not None and v not in self.allowed):
+        # only exact ints are vertices, and only they compare with a row's ranks
+        if type(v) is not int or (self.allowed is not None and v not in self.allowed):
             return False
         row = self.graph.nbrs[u]
         i = bisect_left(row, v)
         return (i < len(row) and row[i] == v
                 and (self.allowed_gens is None or self.graph.nbr_gens[u][i] in self.allowed_gens))
+
+    def path_gaps(self, vs) -> tuple[list, list[tuple[int, int]]]:
+        """For a vertex sequence: its members outside the view, and its
+        consecutive pairs, neither end equal to one of those, that no
+        edge of the view joins."""
+        outside = [v for v in vs if not self.contains(v)]
+        rows, gens = self.graph.nbrs, self.allowed_gens
+        gaps = []
+        for x, y in zip(vs, vs[1:]):
+            if outside and (x in outside or y in outside):
+                continue
+            row = rows[x]
+            i = bisect_left(row, y)
+            if i == len(row) or row[i] != y or (
+                    gens is not None and self.graph.nbr_gens[x][i] not in gens):
+                gaps.append((x, y))
+        return outside, gaps
 
     def without(self, removed) -> "View":
         removed = frozenset(removed)

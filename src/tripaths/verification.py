@@ -31,12 +31,9 @@ def path_violations(view, path: Path, label: str) -> list[str]:
     if len(set(vs)) != len(vs):
         dup = next(v for v in vs if vs.count(v) > 1)
         out.append(f"{label}: vertex {dup} repeats")
-    outside = [v for v in vs if not view.contains(v)]
-    for v in outside:
-        out.append(f"{label}: vertex {v} outside the view")
-    for x, y in zip(vs, vs[1:]):
-        if x not in outside and y not in outside and not view.adjacent(x, y):
-            out.append(f"{label}: {x} and {y} are not adjacent")
+    outside, gaps = view.path_gaps(vs)
+    out.extend(f"{label}: vertex {v} outside the view" for v in outside)
+    out.extend(f"{label}: {x} and {y} are not adjacent" for x, y in gaps)
     return out
 
 
@@ -66,7 +63,8 @@ def _family_violations(view, items, banned, shared) -> list[str]:
                 owner = vertex_owner.setdefault(w, label)
                 if owner != label:
                     out.append(f"vertex {w} shared by {owner} and {label}")
-        for e in path.edges():
+        for x, y in zip(vs, vs[1:]):
+            e = (x, y) if x < y else (y, x)
             owner = edge_owner.setdefault(e, label)
             if owner != label:
                 out.append(f"edge {e} shared by {owner} and {label}")

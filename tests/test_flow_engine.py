@@ -24,6 +24,7 @@ from tripaths import flows
 from tripaths.errors import InsufficientConnectivity, RankOutOfRange
 from tripaths.flows import (
     _TWO_ENDED_VERTICES,
+    Path,
     _FlowQuery,
     _network,
     disjoint_set_paths,
@@ -269,12 +270,30 @@ def _query_b(view):
 
 
 def _raising_query(view, order_seed=None):
-    """A fan from 0 that keeps one neighbour of 0 and needs two paths."""
+    """A fan from 0 that keeps one neighbour of 0 and needs two paths: it
+    augments once, then raises."""
     nbrs = view.neighbors(0)
     starved = view.without(nbrs[1:])
     targets = [t for t in starved.vertices() if t != 0 and t not in nbrs][-2:]
     out = _call(k_fan, starved, 0, targets, 2, order_seed=order_seed)
-    assert "error" in out
+    assert "error" in out and len(out["achieved"]) == 1
+    return out
+
+
+def _fan_query(view):
+    """A fan with a capacity-2 target, which ends two paths, and a
+    capacity-0 one, which ends none."""
+    ys = view.vertices()[-3:]
+    out = _call(k_fan, view, 0, {ys[0]: 2, ys[1]: 1, ys[2]: 0}, 3, order_seed=4)
+    assert [p[-1] for p in out].count(ys[0]) == 2
+    return out
+
+
+def _dropped_edge_query(view):
+    """A pair flow between neighbours without their direct edge."""
+    w = view.neighbors(3)[-1]
+    out = _call(min_vertex_cut, view, 3, w)
+    assert out["adjacent"]
     return out
 
 
@@ -303,6 +322,8 @@ def test_queries_restore_the_shared_arrays():
     _raising_query(view)
     _query_b(view.without({5, 6}))
     _call(_two_phase, view, (0, 50, 100), StructureTarget(3, 3, 3), "b", 7, None)
+    _fan_query(view)
+    _dropped_edge_query(view)
     assert not net.busy
     assert _net_bytes(net) == before
     # seeded queries on large views read rows through an overlay, which
@@ -310,7 +331,8 @@ def test_queries_restore_the_shared_arrays():
     large = full_view(G6)
     net = _network(large)
     rows, before = net.rows, _net_bytes(net)
-    for query in (_query_a, lambda v: _raising_query(v, order_seed=3), _misused_after_a_push):
+    for query in (_query_a, lambda v: _raising_query(v, order_seed=3), _misused_after_a_push,
+                  _fan_query, _dropped_edge_query):
         query(large)
         assert net.rows is rows and not net.busy
         assert _net_bytes(net) == before
@@ -550,6 +572,144 @@ def test_large_view_query_gives_fresh_results_across_calls(order_seed):
         assert q.template == made
     assert first == two[0] == 2
     assert got == full
+
+
+def _dict_decomposition(q, source, sink):
+    """The paths ``extract_paths`` gave before it walked the flow: dicts
+    of the units left on every arc with flow and of the arcs with flow
+    out of each node (in row order where there are several), taken from
+    the source in row order."""
+    rows, to, cap = q.net.rows, q.net.to, q.net.cap
+    remaining = {k: cap[k + 1] for k in range(0, len(to), 2) if cap[k + 1]}
+    tails = {}
+    for k in remaining:
+        tails.setdefault(to[k ^ 1], []).append(k)
+    used_out = {node: [e for e in rows[node] if e in remaining] if len(arcs) > 1 else arcs
+                for node, arcs in tails.items()}
+    paths = []
+    while True:
+        e = next((e for e in used_out.get(source, ()) if remaining[e] > 0), None)
+        if e is None:
+            return paths
+        nodes = [source]
+        while nodes[-1] != sink:
+            remaining[e] -= 1
+            nodes.append(to[e])
+            e = next((a for a in used_out.get(to[e], ()) if remaining[a] > 0), None)
+        vp = []
+        for node in nodes:
+            if node < q.source and (not vp or vp[-1] != node >> 1):
+                vp.append(node >> 1)
+        paths.append(Path(tuple(vp)))
+
+
+@st.composite
+def _extraction_cases(draw):
+    view = draw(st.sampled_from([full_view(G5), spanning_intra_view(G5), copy_union(G5, {1, 4}),
+                                 copy_union(G6, {2, 5}), delete_copies(G6, {1, 3, 6})]))
+    verts = view.vertices()
+    pick = st.sampled_from(verts)
+    kind = draw(st.sampled_from(["pair", "drop", "fan", "sets"]))
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**32)))
+    u = draw(pick)
+    if kind in ("pair", "drop"):
+        near = kind == "drop" or draw(st.booleans())
+        v = draw(st.sampled_from(view.neighbors(u)) if near else pick.filter(lambda v: v != u))
+        return view, kind, seed, (u, v)
+    if kind == "fan":
+        ys = draw(st.lists(pick.filter(lambda y: y != u), min_size=1, max_size=6, unique=True))
+        caps = {y: draw(st.integers(0, 3)) for y in ys}
+        return view, kind, seed, (u, caps, draw(st.integers(0, sum(caps.values()))))
+    xs = draw(st.lists(pick, min_size=1, max_size=5, unique=True))
+    shared = draw(st.lists(st.sampled_from(xs), max_size=2, unique=True))
+    ys = shared + draw(st.lists(pick.filter(lambda y: y not in xs), max_size=4, unique=True))
+    if not ys:
+        ys = [u] if u not in xs else xs[:1]
+    return view, kind, seed, (xs, ys, draw(st.integers(0, min(len(xs), len(ys)))))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(case=_extraction_cases())
+def test_extraction_walks_to_the_paths_of_the_dict_decomposition(case):
+    """Walking the flow gives the paths, in order, that the dict-based
+    decomposition gave: pair flows with and without the direct edge and
+    after ``drop_edge``, fans with capacity-c and capacity-0 targets and
+    set-to-set paths with shared terminals, seeded and unseeded, on views
+    below and above ``_TWO_ENDED_VERTICES``."""
+    view, kind, seed, args = case
+    walk = _FlowQuery.extract_paths
+    compared = []
+
+    def checked(q, source, sink):
+        paths = walk(q, source, sink)
+        assert paths == _dict_decomposition(q, source, sink)
+        compared.append(len(paths))
+        return paths
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_FlowQuery, "extract_paths", checked)
+        if kind == "pair":
+            max_internally_disjoint_paths(view, *args, order_seed=seed)
+        elif kind == "drop":
+            u, v = args
+            with _FlowQuery(view, order_seed=seed, entry_blocked=(u,), no_split=(v,),
+                            uncapped=(u,)) as q:
+                q.drop_edge(u, v)
+                q.max_flow(q.vout(u), q.vin(v), view.degree(u))
+                assert all(p.vertices != (u, v) for p in q.extract_paths(q.vout(u), q.vin(v)))
+        elif kind == "fan":
+            u, caps, k = args
+            _call(k_fan, view, u, caps, k, order_seed=seed)
+        else:
+            _call(disjoint_set_paths, view, *args, order_seed=seed)
+    # set paths that the shared terminals alone make run no flow
+    assert len(compared) == (kind != "sets" or args[2] > len(set(args[0]) & set(args[1])))
+
+
+@pytest.mark.parametrize("view", [full_view(G5), copy_union(G6, {2, 5})], ids=["small", "large"])
+def test_unsplit_vertices_close_their_split_arc_only(view, monkeypatch):
+    """A ``no_split`` vertex closes its split arc and leaves the arcs out
+    of ``vout(v)`` open, yet no search labels ``vout(v)`` and no arc out
+    of it carries flow; ``q.saved`` holds the edited arcs only, before
+    the flow and after it."""
+    net = _network(view)
+    verts = view.vertices()
+    x = verts[0]
+    targets = view.neighbors(x)[:3] + verts[-2:]
+    a = verts[len(verts) // 2]
+    b = view.neighbors(a)[0]
+    into_x = {f ^ 1 for f in net.back_arcs[net.back_first[x]:net.back_first[x + 1]]}
+    dropped = next(e for e in net.rows[2 * a + 1] if net.to[e] == 2 * b)
+    edited = {2 * x, dropped, *into_x, *(2 * y for y in targets)}
+    unsplit_out = [2 * y + 1 for y in targets]
+    kernel, join = flows._bfs, flows._join
+
+    def unlabelled(parent):
+        assert all(parent[node] == -1 for node in unsplit_out)
+
+    def bfs(rows, to, cap, parent, s, t):
+        kernel(rows, to, cap, parent, s, t)
+        unlabelled(parent)
+
+    def joined(rows, to, cap, parent, dist, s, m, t):
+        unlabelled(parent)
+        return join(rows, to, cap, parent, dist, s, m, t)
+
+    monkeypatch.setattr(flows, "_bfs", bfs)
+    monkeypatch.setattr(flows, "_join", joined)
+    with _FlowQuery(view, entry_blocked=(x,), no_split=targets, uncapped=(x,)) as q:
+        q.drop_edge(a, b)
+        assert set(q.saved) == edited
+        for y in targets:
+            q.add_arc(q.vin(y), q.sink, 1)
+        assert q.max_flow(q.vout(x), q.sink, len(targets)) == len(targets)
+        assert set(q.saved) == edited
+        for node in unsplit_out:
+            assert net.cap[node - 1] == 0
+            assert all(net.cap[e] == (e not in edited) and net.cap[e + 1] == 0
+                       for e in net.rows[node])
+        q.witness_cut(q.vout(x), {x})
+    assert not net.busy and net.cap == _network(view).cap
 
 
 def _flowing_edges(net) -> set:

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from tripaths.errors import RankOutOfRange, SameCopy, WrongFamily
-from tripaths.flows import max_internally_disjoint_paths
+from tripaths.flows import Path, max_internally_disjoint_paths
 from tripaths.graphs import (
     AdjacencyView,
     View,
@@ -24,6 +24,7 @@ from tripaths.graphs import (
     to_edgelist,
 )
 from tripaths.perms import Family, Transposition, apply_generator, rank, unrank
+from tripaths.verification import path_violations
 
 
 def _edge_count(g):
@@ -320,3 +321,16 @@ def test_views_take_int_vertices_only(view_of):
         max_internally_disjoint_paths(view, float(u), x)
     with pytest.raises(RankOutOfRange):
         max_internally_disjoint_paths(view, u, float(x))
+    # True == 1 and hashes as 1, and False as 0, so neither may pass as
+    # those vertices either
+    y = next(v for v in view.vertices() if v > 1)
+    for b in (True, False):
+        assert not view.contains(b) and not view.adjacent(y, b)
+        assert path_violations(view, Path((b, y)), "p") == [f"p: vertex {b} outside the view"]
+        with pytest.raises(RankOutOfRange):
+            view.neighbors(b)
+        with pytest.raises(RankOutOfRange):
+            max_internally_disjoint_paths(view, b, y)
+    one = full_view(g)
+    assert one.contains(1) and one.adjacent(g.nbrs[1][-1], 1)
+    assert not one.contains(True) and not one.adjacent(g.nbrs[1][-1], True)

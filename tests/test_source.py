@@ -116,6 +116,16 @@ def test_only_the_graph_and_flow_layers_read_generator_masks():
     assert found == [], found
 
 
+def test_the_checkers_read_adjacency_through_views_only():
+    # the checkers re-derive validity from a View alone, so they read no
+    # graph, adjacency row, generator row or vertex set of their own
+    tree = ast.parse((SRC / "verification.py").read_text())
+    found = [f"verification.py:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("graph", "nbrs", "nbr_gens", "allowed")]
+    assert found == [], found
+
+
 def _project():
     tomllib = pytest.importorskip("tomllib")
     return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -6,7 +6,10 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripaths import verification
 from tripaths.construct import build_structure
 from tripaths.flows import (
     Path,
@@ -15,7 +18,7 @@ from tripaths.flows import (
     k_fan,
     max_internally_disjoint_paths,
 )
-from tripaths.graphs import build, full_view
+from tripaths.graphs import build, copy_union, full_view, spanning_intra_view
 from tripaths.pairing import pair_structure
 from tripaths.perms import Family
 from tripaths.tripod import standard_target
@@ -135,3 +138,120 @@ def test_each_violation_is_reported_by_its_own_message(name):
     hits = {other: any(re.match(message, v) for v in check().violations)
             for other, (check, _) in MUTATIONS.items()}
     assert [other for other, hit in hits.items() if hit] == [name]
+
+
+def _reference_path_violations(view, path, label):
+    """``path_violations`` as it was before ``View.path_gaps``: one
+    ``contains`` per vertex and one ``adjacent`` per step."""
+    out = []
+    vs = path.vertices
+    if not vs:
+        return [f"{label}: empty path"]
+    if len(set(vs)) != len(vs):
+        dup = next(v for v in vs if vs.count(v) > 1)
+        out.append(f"{label}: vertex {dup} repeats")
+    outside = [v for v in vs if not view.contains(v)]
+    for v in outside:
+        out.append(f"{label}: vertex {v} outside the view")
+    for x, y in zip(vs, vs[1:]):
+        if x not in outside and y not in outside and not view.adjacent(x, y):
+            out.append(f"{label}: {x} and {y} are not adjacent")
+    return out
+
+
+def _reference_family_violations(view, items, banned, shared):
+    """``_family_violations`` as it was before it walked consecutive
+    pairs: the edges come from ``Path.edges``."""
+    out = []
+    vertex_owner, edge_owner = {}, {}
+    for label, path, ends in items:
+        out.extend(_reference_path_violations(view, path, label))
+        vs = path.vertices
+        if not vs:
+            continue
+        if ends is not None and (vs[0] not in ends[0] or vs[-1] not in ends[1]):
+            want = ",".join("|".join(map(str, sorted(e))) for e in ends)
+            out.append(f"{label}: endpoints {vs[0]},{vs[-1]} want {want}")
+        if banned:
+            for w in vs[1:-1]:
+                if w in banned:
+                    out.append(f"{label}: {w} appears internally")
+        for w in vs:
+            if w not in shared:
+                owner = vertex_owner.setdefault(w, label)
+                if owner != label:
+                    out.append(f"vertex {w} shared by {owner} and {label}")
+        for e in path.edges():
+            owner = edge_owner.setdefault(e, label)
+            if owner != label:
+                out.append(f"edge {e} shared by {owner} and {label}")
+    return out
+
+
+# the full view, the spanning view that lacks the (2 5) edges, and a
+# restricted view that lacks some structure vertices
+CHECK_VIEWS = (VIEW, spanning_intra_view(G5),
+               copy_union(G5, set(G5.copy_id[v] for v in STRUCTURE.omega)).without({1, 2}))
+BUNDLES = (STRUCTURE.bundle_ab, STRUCTURE.bundle_ac, STRUCTURE.bundle_bc)
+KINDS = ("repeat", "off-view", "float", "bool", "jump", "shared-vertex", "shared-edge",
+         "banned", "ends", "empty")
+
+
+def _mutate(draw, paths, kind, view):
+    """Apply one mutation of `kind` to one of the vertex lists `paths`."""
+    vs = paths[draw(st.integers(0, len(paths) - 1))]
+    other = paths[draw(st.integers(0, len(paths) - 1))]
+    if kind == "empty" or not vs:
+        vs.clear()
+        return
+    at = draw(st.integers(0, len(vs) - 1))
+    if kind == "repeat":
+        vs.insert(at, draw(st.sampled_from(vs)))
+    elif kind == "off-view":
+        vs[at] = draw(st.sampled_from([-1, 120, *(v for v in range(120) if not view.contains(v))]))
+    elif kind in ("float", "bool"):
+        w = draw(st.sampled_from(vs + other)) if kind == "float" else draw(st.sampled_from([0, 1]))
+        vs[at] = float(w) if kind == "float" else bool(w)
+        if draw(st.booleans()):
+            # the int it equals: an outside member skips the steps of
+            # every member equal to it
+            vs.insert(draw(st.integers(0, len(vs))), w)
+    elif kind == "jump":
+        vs[at] = draw(st.integers(0, 119))
+    elif kind == "shared-vertex" and other:
+        vs.insert(at, draw(st.sampled_from(other)))
+    elif kind == "shared-edge" and len(other) > 1:
+        vs[:1] = other[:2]
+    elif kind == "banned":
+        vs.insert(max(at, 1), draw(st.sampled_from(STRUCTURE.omega)))
+    elif kind == "ends":
+        vs.reverse() if draw(st.booleans()) else vs.pop()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_checkers_match_the_reference_checkers(data):
+    """Mutated bundles and Ω-paths get the same violation lists, messages
+    and order included, from the checkers as from the reference copies
+    above, on full, spanning and restricted views."""
+    view = data.draw(st.sampled_from(CHECK_VIEWS))
+    paths = [list(p.vertices) for bundle in BUNDLES for p in bundle]
+    paths += [list(p.vertices) for p in OMEGA_PATHS]
+    for kind in data.draw(st.lists(st.sampled_from(KINDS), max_size=3)):
+        _mutate(data.draw, paths, kind, view)
+    cut = iter(map(Path, map(tuple, paths)))
+    bundles = [tuple(next(cut) for _ in bundle) for bundle in BUNDLES]
+    structure = replace(STRUCTURE, bundle_ab=bundles[0], bundle_ac=bundles[1],
+                        bundle_bc=bundles[2])
+    omega_paths = tuple(cut)
+
+    def reports():
+        return (check_tripod(view, structure, TARGET).violations,
+                check_omega_path_set(view, STRUCTURE.omega, omega_paths).violations,
+                [verification.path_violations(view, p, "p") for p in omega_paths])
+
+    got = reports()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "path_violations", _reference_path_violations)
+        mp.setattr(verification, "_family_violations", _reference_family_violations)
+        assert got == reports()
