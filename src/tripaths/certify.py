@@ -1,31 +1,49 @@
 """Certificates: self-contained JSON records of a constructed structure,
 its pairing, and the checks they passed, rebuildable and re-checkable
-without any state from the producing run."""
+without any state from the producing run.  The case names and CaseTrace
+live here and the checks and bounds in ``verification``, so re-checking
+imports no solver module: a solver bug cannot bend the re-check too."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
-from .construct import (
-    CASE_1_1,
-    CASE_1_2_1,
-    CASE_1_2_2,
-    CASE_2,
-    CASE_3_1,
-    CASE_3_2,
-    CASE_3_3,
-    CASE_EVEN,
-    CASE_FALLBACK,
-    CaseTrace,
-)
 from .errors import CertificateError, SchemaError, VersionMismatch
-from .flows import Path
-from .graphs import build, full_view
-from .pairing import OmegaPathSet, formula_value, pairing_capacity, pi3_upper
+from .graphs import Path, build, full_view
 from .perms import MAX_DEGREE, parse_family, parse_permutation, permutation_text, rank
-from .tripod import TripodStructure, standard_target
-from .verification import check_omega_path_set, check_tripod
+from .verification import (
+    OmegaPathSet,
+    TripodStructure,
+    check_omega_path_set,
+    check_tripod,
+    formula_value,
+    pairing_capacity,
+    pi3_upper,
+    standard_target,
+)
+
+# the case routes ``construct.build_structure`` can take, and its record
+CASE_EVEN = "Even"
+CASE_1_1 = "OddCase1_1"
+CASE_1_2_1 = "OddCase1_2_1"
+CASE_1_2_2 = "OddCase1_2_2"
+CASE_2 = "OddCase2"
+CASE_3_1 = "OddCase3_1"
+CASE_3_2 = "OddCase3_2"
+CASE_3_3 = "OddCase3_3"
+CASE_FALLBACK = "FallbackGeneric"
+
+
+@dataclass
+class CaseTrace:
+    case_id: str
+    roles: dict = field(default_factory=dict)
+    copies: dict = field(default_factory=dict)
+    auxiliary: dict = field(default_factory=dict)
+    fallback: bool = False
+    seed: int = 0
+
 
 SCHEMA_VERSION = 1
 _RANKING = "lehmer-lex"

@@ -24,17 +24,9 @@ from .errors import (
 )
 from .graphs import build, full_view, to_dot, to_edgelist
 from .lemmas import run_lemma_suite
-from .pairing import (
-    LowerBoundReport,
-    formula_value,
-    pair_structure,
-    pairing_capacity,
-    pi3_lower,
-    pi3_upper,
-    sample_triples,
-)
+from .pairing import LowerBoundReport, pair_structure, pi3_lower, sample_triples
 from .perms import parse_family, parse_permutation, rank
-from .tripod import standard_target
+from .verification import formula_value, pairing_capacity, pi3_upper, standard_target
 
 EXIT_OK = 0
 EXIT_USAGE = 2

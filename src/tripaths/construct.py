@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 
 from ._util import mix_seed
+from .certify import CASE_1_1, CASE_1_2_1, CASE_1_2_2, CASE_2, CASE_3_1, CASE_3_2, CASE_3_3
+from .certify import CASE_EVEN, CASE_FALLBACK, CaseTrace
 from .errors import (
     ConstructionFailed,
     DuplicateVertices,
@@ -28,7 +29,6 @@ from .errors import (
     WrongFamily,
 )
 from .flows import (
-    Path,
     disjoint_set_paths,
     k_fan,
     max_internally_disjoint_paths,
@@ -36,6 +36,7 @@ from .flows import (
 )
 from .graphs import (
     CayleyGraph,
+    Path,
     copy_union,
     cross_edges,
     delete_copies,
@@ -44,32 +45,8 @@ from .graphs import (
     spanning_intra_view,
 )
 from .perms import Family, compose, inverse, rank
-from .tripod import (
-    StructureTarget,
-    TripodStructure,
-    solve_tripod,
-    standard_target,
-)
-
-CASE_EVEN = "Even"
-CASE_1_1 = "OddCase1_1"
-CASE_1_2_1 = "OddCase1_2_1"
-CASE_1_2_2 = "OddCase1_2_2"
-CASE_2 = "OddCase2"
-CASE_3_1 = "OddCase3_1"
-CASE_3_2 = "OddCase3_2"
-CASE_3_3 = "OddCase3_3"
-CASE_FALLBACK = "FallbackGeneric"
-
-
-@dataclass
-class CaseTrace:
-    case_id: str
-    roles: dict = field(default_factory=dict)
-    copies: dict = field(default_factory=dict)
-    auxiliary: dict = field(default_factory=dict)
-    fallback: bool = False
-    seed: int = 0
+from .tripod import solve_tripod
+from .verification import StructureTarget, TripodStructure, standard_target
 
 
 def _cat(*parts) -> Path:

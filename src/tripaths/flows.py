@@ -124,6 +124,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
 from .errors import InsufficientConnectivity, RankOutOfRange
+from .graphs import Path, PathFamily
 
 _INF = 1 << 30
 _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
@@ -136,33 +137,6 @@ _RUN_ROWS = 32  # rows of one length a seeded order matches at once
 # a copy (one network serves every copy view), and the eighth slot lets
 # one other mask pass without evicting one of them
 _ROW_PLANS = 8
-
-
-@dataclass(frozen=True)
-class Path:
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def reverse(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
-
-    def edges(self) -> list[tuple[int, int]]:
-        vs = self.vertices
-        return [
-            (vs[i], vs[i + 1]) if vs[i] < vs[i + 1] else (vs[i + 1], vs[i])
-            for i in range(len(vs) - 1)
-        ]
-
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
-
-@dataclass(frozen=True)
-class PathFamily:
-    paths: tuple[Path, ...]
 
 
 @dataclass

@@ -6,7 +6,8 @@ Vertices are Lehmer ranks.  A graph keeps two rows per vertex:
 (a ``bytes``, one index per neighbour).  The copy of a vertex sigma
 is sigma(n); deleting the generator that moves position n from the wheel
 family splits the graph into n copies, each isomorphic to the bubble-sort
-star graph one degree down.
+star graph one degree down.  A ``Path`` is a vertex sequence; the flow
+layer builds them and the checkers read them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,26 @@ from .errors import DuplicateVertices, RankOutOfRange, SameCopy, WrongFamily
 from .perms import MAX_DEGREE, Family, generator_set, permutation_text, unrank
 
 _MAX_LABELS = factorial(MAX_DEGREE)  # vertices of the largest graph built
+
+
+@dataclass(frozen=True)
+class Path:
+    vertices: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
+
+    def reverse(self) -> "Path":
+        return Path(tuple(reversed(self.vertices)))
+
+    def interior(self) -> tuple[int, ...]:
+        return self.vertices[1:-1]
+
+
+@dataclass(frozen=True)
+class PathFamily:
+    paths: tuple[Path, ...]
 
 
 class CayleyGraph:
@@ -67,8 +88,9 @@ class CayleyGraph:
         self.split_networks: dict = {}
 
     def check_rank(self, v: int) -> None:
-        if not 0 <= v < self.vertex_count:
-            raise RankOutOfRange(f"vertex rank {v} outside [0, {self.vertex_count})")
+        # only exact ints are ranks: a bool or a float would index rows
+        if type(v) is not int or not 0 <= v < self.vertex_count:
+            raise RankOutOfRange(f"vertex rank {v!r} outside [0, {self.vertex_count})")
 
     def perm(self, v: int):
         self.check_rank(v)

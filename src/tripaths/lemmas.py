@@ -20,8 +20,8 @@ from .graphs import (
     full_view,
     outside_neighbors,
 )
-from .pairing import max_triple_common_neighbors
 from .perms import Family, generator_set
+from .verification import max_triple_common_neighbors
 
 
 @dataclass(frozen=True)

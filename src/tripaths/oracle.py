@@ -29,7 +29,7 @@ import math
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import OracleScaleExceeded, TripathsError
-from .tripod import _check_terminals
+from .verification import check_terminals
 
 MILP_VERTEX_LIMIT = 40
 
@@ -41,7 +41,7 @@ def exact_pi(view, omega) -> int:
         raise OracleScaleExceeded(
             f"exact oracle capped at {MILP_VERTEX_LIMIT} vertices, "
             f"got {view.vertex_count}")
-    _check_terminals(view, omega)
+    check_terminals(view, omega)
     a, b, c = omega
     bundles = ((a, b, c), (a, c, b), (b, c, a))  # source, sink, third terminal
     edges = []

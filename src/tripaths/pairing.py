@@ -1,29 +1,28 @@
-"""Pairing bundle paths into paths through all three terminals, plus the
-packing bounds derived from them."""
+"""Pairing bundle paths into paths through all three terminals, and the
+constructive lower bound over sampled triples.  The pairing capacity and
+the upper bound live in ``verification``."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
 from math import comb
 
 from ._util import mix_seed
 from .construct import build_structure
 from .errors import ConstructionFailed, InvalidStructure
-from .flows import Path
-from .graphs import CayleyGraph, full_view
+from .graphs import CayleyGraph, Path, full_view
 from .perms import Family
-from .tripod import StructureTarget, TripodStructure
-from .verification import check_omega_path_set, check_tripod
-
-
-def pairing_capacity(x: int, y: int, z: int) -> int:
-    """Largest number of terminal-spanning paths obtainable by pairing
-    bundles of sizes x, y, z at shared endpoints."""
-    if min(x, y, z) < 0:
-        raise ValueError(f"bundle sizes must be non-negative, got {(x, y, z)}")
-    return min((x + y + z) // 2, x + y, y + z, z + x)
+from .verification import (
+    OmegaPathSet,
+    StructureTarget,
+    TripodStructure,
+    check_omega_path_set,
+    check_tripod,
+    pairing_capacity,
+)
+# unused here: bench/run.py:348 imports these two from pairing
+from .verification import formula_value, pi3_upper
 
 
 def optimal_split(x: int, y: int, z: int) -> tuple[int, int, int]:
@@ -38,15 +37,6 @@ def optimal_split(x: int, y: int, z: int) -> tuple[int, int, int]:
             if mu_a + mu_b <= x and mu_a + mu_c <= y and mu_b + mu_c <= z:
                 return (mu_a, mu_b, mu_c)
     raise InvalidStructure(f"no split of bundles {(x, y, z)} pairs {best} paths")
-
-
-@dataclass(frozen=True)
-class OmegaPathSet:
-    omega: tuple[int, int, int]
-    paths: tuple[Path, ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 def pair_structure(view, structure: TripodStructure) -> OmegaPathSet:
@@ -79,15 +69,7 @@ def pair_structure(view, structure: TripodStructure) -> OmegaPathSet:
     return result
 
 
-# ------------------------------------------------------------------ bounds
-
-@dataclass(frozen=True)
-class UpperBoundReport:
-    value: int
-    connectivity: int
-    r: int
-    witness: tuple[int, int, int] | None
-
+# ------------------------------------------------------------- lower bound
 
 @dataclass
 class LowerBoundReport:
@@ -109,66 +91,6 @@ class LowerBoundReport:
             self.case_counts[case_id] = self.case_counts.get(case_id, 0) + count
         self.fallback_count += other.fallback_count
         self.failures.extend(other.failures)
-
-
-def formula_value(n: int) -> int:
-    return (6 * n - 9) // 4
-
-
-def max_triple_common_neighbors(g: CayleyGraph) -> tuple[int, tuple[int, int, int] | None]:
-    """Exact maximum |N(u) ∩ N(v) ∩ N(w)| over vertex triples.
-
-    Scans pairs at distance two (adjacent pairs share no neighbors in
-    these families) and extends by a third vertex; both families cap the
-    answer at 3, so the scan exits early on a witness of that size.
-    """
-    best, witness = 0, None
-
-    @cache
-    def nbr(v: int) -> frozenset[int]:
-        # built on first use: the scan usually stops within the first
-        # vertex's neighbourhood, long before it has seen every vertex
-        return frozenset(g.nbrs[v])
-
-    for u in range(g.vertex_count):
-        two_away = set()
-        for w1 in nbr(u):
-            two_away.update(nbr(w1))
-        for v in sorted(two_away):
-            if v <= u or v in nbr(u):
-                continue
-            cn = nbr(u) & nbr(v)
-            if len(cn) <= best:
-                continue
-            cands = set()
-            for m in cn:
-                cands.update(nbr(m))
-            for t in sorted(cands):
-                if t in (u, v):
-                    continue
-                k = len(cn & nbr(t))
-                if k > best:
-                    best, witness = k, (u, v, t)
-                    if best >= 3:
-                        return best, witness
-    return best, witness
-
-
-def pi3_upper(g: CayleyGraph) -> UpperBoundReport:
-    """Degree/packing upper bound from the maximum shared-neighbor count.
-
-    Let the triple have degree k and r common neighbours.  A path through
-    all three uses at least 4 of the 3k edges at the triple, and a common
-    neighbour lies on at most one path and spends at most 2 of its 3
-    edges there, so at most floor((3k - r) / 4) paths exist.
-    """
-    if g.family is Family.WHEEL:
-        k = 2 * g.n - 2
-    else:
-        k = 2 * g.n - 3
-    r, witness = max_triple_common_neighbors(g)
-    value = (3 * k - r) // 4
-    return UpperBoundReport(value, k, r, witness)
 
 
 def sample_triples(g: CayleyGraph, count: int, seed: int) -> list[tuple[int, int, int]]:

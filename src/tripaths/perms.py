@@ -115,8 +115,8 @@ def rank(sigma: Permutation) -> int:
 def unrank(k: int, n: int) -> Permutation:
     check_degree(n)
     total = factorial(n)
-    if not 0 <= k < total:
-        raise RankOutOfRange(f"rank {k} outside [0, {total}) for degree {n}")
+    if type(k) is not int or not 0 <= k < total:
+        raise RankOutOfRange(f"rank {k!r} outside [0, {total}) for degree {n}")
     digits = []
     rest = k
     for radix in range(1, n + 1):

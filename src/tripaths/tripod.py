@@ -12,56 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._util import mix_seed
-from .errors import DuplicateVertices, InsufficientConnectivity, RankOutOfRange
-from .flows import Path, StepCounter, k_fan, max_internally_disjoint_paths
-
-
-@dataclass(frozen=True)
-class StructureTarget:
-    ab: int
-    ac: int
-    bc: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.ab, self.ac, self.bc)
-
-
-def standard_target(n: int) -> StructureTarget:
-    """Bundle sizes carried by the main construction: (2d-2)^3 for n=2d,
-    (2d-2, 2d, 2d) for n=2d+1."""
-    d = n // 2
-    if n % 2 == 0:
-        k = 2 * d - 2
-        return StructureTarget(k, k, k)
-    return StructureTarget(2 * d - 2, 2 * d, 2 * d)
-
-
-@dataclass(frozen=True)
-class TripodStructure:
-    omega: tuple[int, int, int]
-    bundle_ab: tuple[Path, ...]
-    bundle_ac: tuple[Path, ...]
-    bundle_bc: tuple[Path, ...]
-
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.bundle_ab), len(self.bundle_ac), len(self.bundle_bc))
-
-    def all_paths(self) -> list[Path]:
-        return list(self.bundle_ab) + list(self.bundle_ac) + list(self.bundle_bc)
-
-    @classmethod
-    def from_tagged(cls, omega, tagged) -> "TripodStructure":
-        """Bucket ("ab" | "ac" | "bc", path) pairs into bundles in the order
-        given, each path oriented from its tag's first terminal."""
-        a, b, c = omega
-        starts = {"ab": a, "ac": a, "bc": b}
-        bundles = {"ab": [], "ac": [], "bc": []}
-        for tag, path in tagged:
-            if path.vertices[0] != starts[tag]:
-                path = path.reverse()
-            bundles[tag].append(path)
-        return cls(tuple(omega), tuple(bundles["ab"]), tuple(bundles["ac"]),
-                   tuple(bundles["bc"]))
+from .errors import InsufficientConnectivity
+from .flows import StepCounter, k_fan, max_internally_disjoint_paths
+from .verification import StructureTarget, TripodStructure, check_terminals
+# unused here: bench/run.py:332 imports it from tripod
+from .verification import standard_target
 
 
 @dataclass(frozen=True)
@@ -139,22 +94,13 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
     return None
 
 
-def _check_terminals(view, omega) -> None:
-    """Raise unless omega is three distinct vertices of the view."""
-    if len(set(omega)) != 3:
-        raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
-    for v in omega:
-        if not view.contains(v):
-            raise RankOutOfRange(f"terminal {v} is not in the view")
-
-
 def solve_tripod(view, omega, target: StructureTarget, seed: int = 0):
     """Find a tripod structure hitting the target exactly, or report failure.
 
     Returns TripodStructure on success, else TripodFailure; the failure
     is marked certified when an exact argument rules the target out.
     """
-    _check_terminals(view, omega)
+    check_terminals(view, omega)
     counter = StepCounter()
     certified = False
     restarts = 0

@@ -1,15 +1,93 @@
-"""Independent structure checkers.
+"""Independent structure checkers, the records they check, and the bounds.
 
 Everything here re-derives validity from a View's adjacency alone, so
 the certificate verifier and the solver share one set of eyes that
-never trusts solver bookkeeping.
+never trusts solver bookkeeping.  Only ``graphs``, ``perms`` and
+``errors`` are imported, so a verifier loads no solver module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .flows import Path, PathFamily
+from .errors import DuplicateVertices, RankOutOfRange
+from .graphs import CayleyGraph, Path, PathFamily, full_view
+from .perms import Family
+
+
+@dataclass(frozen=True)
+class StructureTarget:
+    ab: int
+    ac: int
+    bc: int
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.ab, self.ac, self.bc)
+
+
+def standard_target(n: int) -> StructureTarget:
+    """Bundle sizes carried by the main construction: (2d-2)^3 for n=2d,
+    (2d-2, 2d, 2d) for n=2d+1."""
+    d = n // 2
+    if n % 2 == 0:
+        k = 2 * d - 2
+        return StructureTarget(k, k, k)
+    return StructureTarget(2 * d - 2, 2 * d, 2 * d)
+
+
+@dataclass(frozen=True)
+class TripodStructure:
+    omega: tuple[int, int, int]
+    bundle_ab: tuple[Path, ...]
+    bundle_ac: tuple[Path, ...]
+    bundle_bc: tuple[Path, ...]
+
+    def counts(self) -> tuple[int, int, int]:
+        return (len(self.bundle_ab), len(self.bundle_ac), len(self.bundle_bc))
+
+    def all_paths(self) -> list[Path]:
+        return list(self.bundle_ab) + list(self.bundle_ac) + list(self.bundle_bc)
+
+    @classmethod
+    def from_tagged(cls, omega, tagged) -> "TripodStructure":
+        """Bucket ("ab" | "ac" | "bc", path) pairs into bundles in the order
+        given, each path oriented from its tag's first terminal."""
+        a, b, c = omega
+        starts = {"ab": a, "ac": a, "bc": b}
+        bundles = {"ab": [], "ac": [], "bc": []}
+        for tag, path in tagged:
+            if path.vertices[0] != starts[tag]:
+                path = path.reverse()
+            bundles[tag].append(path)
+        return cls(tuple(omega), tuple(bundles["ab"]), tuple(bundles["ac"]),
+                   tuple(bundles["bc"]))
+
+
+@dataclass(frozen=True)
+class OmegaPathSet:
+    omega: tuple[int, int, int]
+    paths: tuple[Path, ...]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+
+def pairing_capacity(x: int, y: int, z: int) -> int:
+    """Largest number of terminal-spanning paths obtainable by pairing
+    bundles of sizes x, y, z at shared endpoints."""
+    if min(x, y, z) < 0:
+        raise ValueError(f"bundle sizes must be non-negative, got {(x, y, z)}")
+    return min((x + y + z) // 2, x + y, y + z, z + x)
+
+
+def check_terminals(view, omega) -> None:
+    """Raise unless omega is three distinct vertices of the view."""
+    if len(set(omega)) != 3:
+        raise DuplicateVertices(f"need three distinct terminals, got {tuple(omega)}")
+    for v in omega:
+        if not view.contains(v):
+            raise RankOutOfRange(f"terminal {v} is not in the view")
 
 
 @dataclass(frozen=True)
@@ -133,3 +211,74 @@ def check_internally_disjoint(view, u: int, v: int, family: PathFamily) -> Verdi
     ends = ({u}, {v})
     items = [(f"p[{i}]", p, ends) for i, p in enumerate(family.paths)]
     return VerdictReport.from_list(_family_violations(view, items, {u, v}, {u, v}))
+
+
+# ------------------------------------------------------------------ bounds
+
+@dataclass(frozen=True)
+class UpperBoundReport:
+    value: int
+    connectivity: int
+    r: int
+    witness: tuple[int, int, int] | None
+
+
+def formula_value(n: int) -> int:
+    return (6 * n - 9) // 4
+
+
+def max_triple_common_neighbors(g: CayleyGraph) -> tuple[int, tuple[int, int, int] | None]:
+    """Exact maximum |N(u) ∩ N(v) ∩ N(w)| over vertex triples.
+
+    Scans pairs at distance two (adjacent pairs share no neighbors in
+    these families) and extends by a third vertex; both families cap the
+    answer at 3, so the scan exits early on a witness of that size.
+    """
+    best, witness = 0, None
+    view = full_view(g)
+
+    @cache
+    def nbr(v: int) -> frozenset[int]:
+        # built on first use: the scan usually stops within the first
+        # vertex's neighbourhood, long before it has seen every vertex
+        return frozenset(view.neighbors(v))
+
+    for u in range(g.vertex_count):
+        two_away = set()
+        for w1 in nbr(u):
+            two_away.update(nbr(w1))
+        for v in sorted(two_away):
+            if v <= u or v in nbr(u):
+                continue
+            cn = nbr(u) & nbr(v)
+            if len(cn) <= best:
+                continue
+            cands = set()
+            for m in cn:
+                cands.update(nbr(m))
+            for t in sorted(cands):
+                if t in (u, v):
+                    continue
+                k = len(cn & nbr(t))
+                if k > best:
+                    best, witness = k, (u, v, t)
+                    if best >= 3:
+                        return best, witness
+    return best, witness
+
+
+def pi3_upper(g: CayleyGraph) -> UpperBoundReport:
+    """Degree/packing upper bound from the maximum shared-neighbor count.
+
+    Let the triple have degree k and r common neighbours.  A path through
+    all three uses at least 4 of the 3k edges at the triple, and a common
+    neighbour lies on at most one path and spends at most 2 of its 3
+    edges there, so at most floor((3k - r) / 4) paths exist.
+    """
+    if g.family is Family.WHEEL:
+        k = 2 * g.n - 2
+    else:
+        k = 2 * g.n - 3
+    r, witness = max_triple_common_neighbors(g)
+    value = (3 * k - r) // 4
+    return UpperBoundReport(value, k, r, witness)

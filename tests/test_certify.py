@@ -9,8 +9,9 @@ from tripaths import certify
 from tripaths.construct import build_structure
 from tripaths.errors import SchemaError, VersionMismatch, CertificateError
 from tripaths.graphs import build, full_view
-from tripaths.pairing import formula_value, pair_structure, pi3_upper
+from tripaths.pairing import pair_structure
 from tripaths.perms import Family
+from tripaths.verification import formula_value, pi3_upper
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

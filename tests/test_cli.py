@@ -21,7 +21,7 @@ from tripaths.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from tripaths.flows import Path
+from tripaths.graphs import Path
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -12,7 +12,7 @@ import pytest
 
 import tripaths.construct
 import tripaths.verification
-from tripaths.construct import (
+from tripaths.certify import (
     CASE_1_1,
     CASE_1_2_1,
     CASE_1_2_2,
@@ -22,21 +22,14 @@ from tripaths.construct import (
     CASE_3_3,
     CASE_EVEN,
     CASE_FALLBACK,
-    build_structure,
 )
+from tripaths.construct import build_structure
 from tripaths.errors import DuplicateVertices, InsufficientConnectivity, WrongFamily
-from tripaths.flows import PathFamily
-from tripaths.graphs import build, full_view, outside_neighbors
-from tripaths.pairing import (
-    LowerBoundReport,
-    formula_value,
-    pair_structure,
-    pi3_lower,
-    sample_triples,
-)
+from tripaths.graphs import PathFamily, build, full_view, outside_neighbors
+from tripaths.pairing import LowerBoundReport, pair_structure, pi3_lower, sample_triples
 from tripaths.perms import Family, parse_permutation, rank
-from tripaths.tripod import TripodFailure, standard_target
-from tripaths.verification import check_tripod
+from tripaths.tripod import TripodFailure
+from tripaths.verification import check_tripod, formula_value, standard_target
 
 G4 = build(4, Family.WHEEL)
 G5 = build(5, Family.WHEEL)

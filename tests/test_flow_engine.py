@@ -24,7 +24,6 @@ from tripaths import flows
 from tripaths.errors import InsufficientConnectivity, RankOutOfRange
 from tripaths.flows import (
     _TWO_ENDED_VERTICES,
-    Path,
     _FlowQuery,
     _network,
     disjoint_set_paths,
@@ -36,6 +35,7 @@ from tripaths.flows import (
 )
 from tripaths.graphs import (
     AdjacencyView,
+    Path,
     build,
     copy_of,
     copy_union,
@@ -45,13 +45,8 @@ from tripaths.graphs import (
     spanning_intra_view,
 )
 from tripaths.perms import Family, apply_generator, generator_set, rank, unrank
-from tripaths.tripod import (
-    StructureTarget,
-    TripodFailure,
-    _two_phase,
-    solve_tripod,
-    standard_target,
-)
+from tripaths.tripod import TripodFailure, _two_phase, solve_tripod
+from tripaths.verification import StructureTarget, standard_target
 
 PINNED = FilePath(__file__).parent / "pinned" / "flows.json"
 PINNED_N7 = FilePath(__file__).parent / "pinned" / "flows_n7.json"

@@ -6,10 +6,12 @@ import tracemalloc
 
 import pytest
 
+from tripaths.construct import build_structure
 from tripaths.errors import RankOutOfRange, SameCopy, WrongFamily
-from tripaths.flows import Path, max_internally_disjoint_paths
+from tripaths.flows import max_internally_disjoint_paths
 from tripaths.graphs import (
     AdjacencyView,
+    Path,
     View,
     build,
     common_neighbors,
@@ -334,3 +336,24 @@ def test_views_take_int_vertices_only(view_of):
     one = full_view(g)
     assert one.contains(1) and one.adjacent(g.nbrs[1][-1], 1)
     assert not one.contains(True) and not one.adjacent(g.nbrs[1][-1], True)
+
+
+G5 = build(5, Family.WHEEL)
+RANK_TAKERS = {
+    "check_rank": lambda v: G5.check_rank(v),
+    "perm": lambda v: G5.perm(v),
+    "copy_of": lambda v: copy_of(G5, v),
+    "outside_neighbors": lambda v: outside_neighbors(G5, v),
+    "common_neighbors": lambda v: common_neighbors(G5, (v, 30, 48)),
+    "unrank": lambda v: unrank(v, 5),
+    "build_structure": lambda v: build_structure(G5, (v, 30, 48)),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(RANK_TAKERS))
+@pytest.mark.parametrize("v", [True, False, 2.0], ids=repr)
+def test_ranks_are_exact_ints_only(taker, v):
+    """True, False and 2.0 equal ranks 1, 0 and 2, but a graph that took
+    them would answer for those vertices or fail indexing with them."""
+    with pytest.raises(RankOutOfRange):
+        RANK_TAKERS[taker](v)

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripaths.construct import build_structure
-from tripaths.flows import Path
-from tripaths.graphs import build, full_view
+from tripaths.graphs import Path, build, full_view
 from tripaths.pairing import pair_structure, sample_triples
 from tripaths.perms import Family
 from tripaths.verification import check_omega_path_set

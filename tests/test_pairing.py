@@ -9,22 +9,24 @@ import pytest
 import tripaths.pairing
 from tripaths.construct import build_structure
 from tripaths.errors import InvalidStructure
-from tripaths.flows import Path
-from tripaths.graphs import build, full_view
+from tripaths.graphs import Path, build, full_view
 from tripaths.pairing import (
     LowerBoundReport,
-    formula_value,
-    max_triple_common_neighbors,
     optimal_split,
     pair_structure,
-    pairing_capacity,
     pi3_lower,
-    pi3_upper,
     sample_triples,
 )
 from tripaths.perms import Family
-from tripaths.tripod import TripodStructure, standard_target
-from tripaths.verification import check_omega_path_set
+from tripaths.verification import (
+    TripodStructure,
+    check_omega_path_set,
+    formula_value,
+    max_triple_common_neighbors,
+    pairing_capacity,
+    pi3_upper,
+    standard_target,
+)
 
 
 def _brute_capacity(x, y, z):

@@ -21,8 +21,9 @@ from tripaths._util import mix_seed
 from tripaths.certify import _jsonable
 from tripaths.construct import build_structure
 from tripaths.graphs import build, full_view
-from tripaths.pairing import formula_value, pair_structure, sample_triples
+from tripaths.pairing import pair_structure, sample_triples
 from tripaths.perms import Family
+from tripaths.verification import formula_value
 
 PINNED = FilePath(__file__).parent / "pinned" / "structures.json"
 PINNED_N7 = FilePath(__file__).parent / "pinned" / "structures_n7_sample.json"

@@ -126,6 +126,73 @@ def test_the_checkers_read_adjacency_through_views_only():
     assert found == [], found
 
 
+def _package_imports(tree) -> set:
+    """The package modules a module imports, at module level or inside
+    a function.  ``from .x import ...`` and ``import tripaths.x`` name x,
+    ``from . import x`` names x, and the bare package (``import
+    tripaths``, ``from tripaths import ...``) names ``__init__``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for parts in (name.split(".") for name in names):
+            if parts[0] == "tripaths":
+                found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+_CHECKERS = ("certify", "verification", "oracle")
+_SOLVER = frozenset({"flows", "tripod", "construct", "pairing", "lemmas", "cli"})
+
+
+def test_the_checker_side_imports_no_solver_module():
+    # a certificate is re-checked by code the solver does not share, so
+    # a bug in the solver cannot bend the verifier the same way
+    imports = {path.stem: _package_imports(tree) for path, tree in _trees()}
+    closure, stack = set(), list(_CHECKERS)
+    while stack:
+        module = stack.pop()
+        if module not in closure:
+            closure.add(module)
+            stack.extend(imports.get(module, ()))
+    assert sorted(closure & _SOLVER) == []
+    assert closure <= set(imports), sorted(closure - set(imports))
+
+
+def _top_level_names(tree):
+    """Names a module defines at its top level: functions, classes and
+    assigned names, imports excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    # each record, bound and helper has one home; the others import it
+    homes: dict[str, list[str]] = {}
+    for path, tree in _trees():
+        for name in set(_top_level_names(tree)):
+            homes.setdefault(name, []).append(path.stem)
+    twice = {name: where for name, where in homes.items() if len(where) > 1}
+    assert twice == {}, twice
+
+
 def _project():
     tomllib = pytest.importorskip("tomllib")
     return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -20,15 +20,16 @@ from tripaths.graphs import (
     spanning_intra_view,
 )
 from tripaths.oracle import exact_pi
-from tripaths.pairing import pairing_capacity, pi3_upper, sample_triples
+from tripaths.pairing import sample_triples
 from tripaths.perms import Family
-from tripaths.tripod import (
+from tripaths.tripod import TripodFailure, solve_tripod
+from tripaths.verification import (
     StructureTarget,
-    TripodFailure,
-    solve_tripod,
+    check_tripod,
+    pairing_capacity,
+    pi3_upper,
     standard_target,
 )
-from tripaths.verification import check_tripod
 
 
 def test_standard_target():

@@ -11,23 +11,24 @@ from hypothesis import strategies as st
 
 from tripaths import verification
 from tripaths.construct import build_structure
-from tripaths.flows import (
+from tripaths.flows import disjoint_set_paths, k_fan, max_internally_disjoint_paths
+from tripaths.graphs import (
     Path,
     PathFamily,
-    disjoint_set_paths,
-    k_fan,
-    max_internally_disjoint_paths,
+    build,
+    copy_union,
+    full_view,
+    spanning_intra_view,
 )
-from tripaths.graphs import build, copy_union, full_view, spanning_intra_view
 from tripaths.pairing import pair_structure
 from tripaths.perms import Family
-from tripaths.tripod import standard_target
 from tripaths.verification import (
     check_disjoint_set_paths,
     check_fan,
     check_internally_disjoint,
     check_omega_path_set,
     check_tripod,
+    standard_target,
 )
 
 G5 = build(5, Family.WHEEL)
@@ -161,7 +162,7 @@ def _reference_path_violations(view, path, label):
 
 def _reference_family_violations(view, items, banned, shared):
     """``_family_violations`` as it was before it walked consecutive
-    pairs: the edges come from ``Path.edges``."""
+    pairs: each edge is a step of the path with its ends in order."""
     out = []
     vertex_owner, edge_owner = {}, {}
     for label, path, ends in items:
@@ -181,7 +182,8 @@ def _reference_family_violations(view, items, banned, shared):
                 owner = vertex_owner.setdefault(w, label)
                 if owner != label:
                     out.append(f"vertex {w} shared by {owner} and {label}")
-        for e in path.edges():
+        for i in range(len(vs) - 1):
+            e = (vs[i], vs[i + 1]) if vs[i] < vs[i + 1] else (vs[i + 1], vs[i])
             owner = edge_owner.setdefault(e, label)
             if owner != label:
                 out.append(f"edge {e} shared by {owner} and {label}")
