@@ -1,195 +1,131 @@
 """Cayley graphs over S_n with star-plus-adjacent generator sets, internally
 disjoint path structures on vertex triples, and the packing bound they certify.
+
+The public names below are imported from their home modules on first
+access (PEP 562), so ``import tripaths`` loads no submodule and a
+``verify`` run loads only the modules it checks with.
 """
 
-from .certify import (
-    CaseTrace,
-    Certificate,
-    emit,
-    load,
-    load_text,
-    make_certificate,
-    save,
-    verify_certificate,
-)
-from .construct import build_structure
-from .flows import (
-    CutResult,
-    StepCounter,
-    disjoint_set_paths,
-    k_fan,
-    local_connectivity,
-    max_internally_disjoint_paths,
-    min_vertex_cut,
-    shortest_path,
-    vertex_connectivity,
-)
-from .errors import (
-    CertificateError,
-    ConstructionFailed,
-    DegreeMismatch,
-    DegreeOutOfRange,
-    DegreeTooSmall,
-    DuplicateVertices,
-    InsufficientConnectivity,
-    InvalidPermutation,
-    InvalidStructure,
-    OracleScaleExceeded,
-    RankOutOfRange,
-    SameCopy,
-    SchemaError,
-    TripathsError,
-    VersionMismatch,
-    WrongFamily,
-)
-from .graphs import (
-    AdjacencyView,
-    CayleyGraph,
-    Path,
-    PathFamily,
-    View,
-    build,
-    common_neighbors,
-    copy_of,
-    copy_union,
-    cross_edges,
-    delete_copies,
-    full_view,
-    outside_neighbors,
-    spanning_intra_view,
-    to_dot,
-    to_edgelist,
-)
-from .lemmas import LemmaRow, run_lemma_suite
-from .pairing import (
-    LowerBoundReport,
-    optimal_split,
-    pair_structure,
-    pi3_lower,
-    sample_triples,
-)
-from .perms import (
-    Family,
-    GeneratorSet,
-    Permutation,
-    Transposition,
-    apply_generator,
-    compose,
-    generator_set,
-    identity,
-    inverse,
-    parse_family,
-    parse_permutation,
-    permutation_text,
-    rank,
-    unrank,
-)
-from .tripod import TripodFailure, solve_tripod
-from .verification import (
-    OmegaPathSet,
-    StructureTarget,
-    TripodStructure,
-    UpperBoundReport,
-    check_disjoint_set_paths,
-    check_fan,
-    check_internally_disjoint,
-    check_omega_path_set,
-    check_tripod,
-    formula_value,
-    max_triple_common_neighbors,
-    pairing_capacity,
-    pi3_upper,
-    standard_target,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyView",
-    "CaseTrace",
-    "CayleyGraph",
-    "Certificate",
-    "CertificateError",
-    "ConstructionFailed",
-    "CutResult",
-    "DegreeMismatch",
-    "DegreeOutOfRange",
-    "DegreeTooSmall",
-    "DuplicateVertices",
-    "Family",
-    "GeneratorSet",
-    "InsufficientConnectivity",
-    "InvalidPermutation",
-    "InvalidStructure",
-    "LemmaRow",
-    "LowerBoundReport",
-    "OmegaPathSet",
-    "OracleScaleExceeded",
-    "Path",
-    "PathFamily",
-    "Permutation",
-    "RankOutOfRange",
-    "SameCopy",
-    "SchemaError",
-    "StepCounter",
-    "StructureTarget",
-    "Transposition",
-    "TripathsError",
-    "TripodFailure",
-    "TripodStructure",
-    "UpperBoundReport",
-    "VersionMismatch",
-    "View",
-    "WrongFamily",
-    "apply_generator",
-    "build",
-    "build_structure",
-    "check_disjoint_set_paths",
-    "check_fan",
-    "check_internally_disjoint",
-    "check_omega_path_set",
-    "check_tripod",
-    "common_neighbors",
-    "compose",
-    "copy_of",
-    "copy_union",
-    "cross_edges",
-    "delete_copies",
-    "disjoint_set_paths",
-    "emit",
-    "formula_value",
-    "full_view",
-    "generator_set",
-    "identity",
-    "inverse",
-    "k_fan",
-    "load",
-    "load_text",
-    "local_connectivity",
-    "make_certificate",
-    "max_internally_disjoint_paths",
-    "max_triple_common_neighbors",
-    "min_vertex_cut",
-    "optimal_split",
-    "outside_neighbors",
-    "pair_structure",
-    "pairing_capacity",
-    "parse_family",
-    "parse_permutation",
-    "permutation_text",
-    "pi3_lower",
-    "pi3_upper",
-    "rank",
-    "run_lemma_suite",
-    "sample_triples",
-    "save",
-    "shortest_path",
-    "solve_tripod",
-    "spanning_intra_view",
-    "standard_target",
-    "to_dot",
-    "to_edgelist",
-    "unrank",
-    "verify_certificate",
-    "vertex_connectivity",
-]
+# home module -> the public names it binds
+_HOMES = {
+    "certify": (
+        "CaseTrace",
+        "Certificate",
+        "emit",
+        "load",
+        "load_text",
+        "make_certificate",
+        "save",
+        "verify_certificate",
+    ),
+    "construct": ("build_structure",),
+    "errors": (
+        "CertificateError",
+        "ConstructionFailed",
+        "DegreeMismatch",
+        "DegreeOutOfRange",
+        "DegreeTooSmall",
+        "DuplicateVertices",
+        "InsufficientConnectivity",
+        "InvalidPermutation",
+        "InvalidStructure",
+        "OracleScaleExceeded",
+        "RankOutOfRange",
+        "SameCopy",
+        "SchemaError",
+        "TripathsError",
+        "VersionMismatch",
+        "WrongFamily",
+    ),
+    "flows": (
+        "CutResult",
+        "StepCounter",
+        "disjoint_set_paths",
+        "k_fan",
+        "local_connectivity",
+        "max_internally_disjoint_paths",
+        "min_vertex_cut",
+        "shortest_path",
+        "vertex_connectivity",
+    ),
+    "graphs": (
+        "AdjacencyView",
+        "CayleyGraph",
+        "Path",
+        "PathFamily",
+        "View",
+        "build",
+        "common_neighbors",
+        "copy_of",
+        "copy_union",
+        "cross_edges",
+        "delete_copies",
+        "full_view",
+        "outside_neighbors",
+        "spanning_intra_view",
+        "to_dot",
+        "to_edgelist",
+    ),
+    "lemmas": ("LemmaRow", "run_lemma_suite"),
+    "pairing": (
+        "LowerBoundReport",
+        "optimal_split",
+        "pair_structure",
+        "pi3_lower",
+        "sample_triples",
+    ),
+    "perms": (
+        "Family",
+        "GeneratorSet",
+        "Permutation",
+        "Transposition",
+        "apply_generator",
+        "compose",
+        "generator_set",
+        "identity",
+        "inverse",
+        "parse_family",
+        "parse_permutation",
+        "permutation_text",
+        "rank",
+        "unrank",
+    ),
+    "tripod": ("TripodFailure", "solve_tripod"),
+    "verification": (
+        "OmegaPathSet",
+        "StructureTarget",
+        "TripodStructure",
+        "UpperBoundReport",
+        "check_disjoint_set_paths",
+        "check_fan",
+        "check_internally_disjoint",
+        "check_omega_path_set",
+        "check_tripod",
+        "formula_value",
+        "max_triple_common_neighbors",
+        "pairing_capacity",
+        "pi3_upper",
+        "standard_target",
+    ),
+}
+
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _HOME_OF.keys())

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 construction failure,
 4 verification failure, 5 claim mismatch.
+
+Solver modules are imported inside the commands that solve, so that
+``verify`` and ``gen`` load the checker side only.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import os
 import sys
 
 from . import certify
-from .construct import build_structure
 from .errors import (
     CertificateError,
     ConstructionFailed,
@@ -23,8 +25,6 @@ from .errors import (
     TripathsError,
 )
 from .graphs import build, full_view, to_dot, to_edgelist
-from .lemmas import run_lemma_suite
-from .pairing import LowerBoundReport, pair_structure, pi3_lower, sample_triples
 from .perms import parse_family, parse_permutation, rank
 from .verification import formula_value, pairing_capacity, pi3_upper, standard_target
 
@@ -113,6 +113,9 @@ def _parse_omega(g, text: str) -> tuple[int, int, int]:
 
 
 def _cmd_structure(args, argv) -> int:
+    from .construct import build_structure
+    from .pairing import pair_structure, sample_triples
+
     try:
         g = _build_graph(args.n, args.family)
     except (DegreeTooSmall, DegreeOutOfRange, ValueError) as exc:
@@ -185,11 +188,15 @@ def _pi3_worker_init(n: int, family_text: str) -> None:
 
 
 def _pi3_worker(payload):
+    from .pairing import pi3_lower
+
     chunk, seed = payload
     return pi3_lower(_WORKER_GRAPH, chunk, seed=seed)
 
 
 def _cmd_pi3(args, argv) -> int:
+    from .pairing import LowerBoundReport, pi3_lower, sample_triples
+
     try:
         g = _build_graph(args.n, args.family)
     except (DegreeTooSmall, DegreeOutOfRange, ValueError) as exc:
@@ -272,6 +279,8 @@ def _cmd_pi3(args, argv) -> int:
 # ---------------------------------------------------------------- lemmas
 
 def _cmd_lemmas(args, argv) -> int:
+    from .lemmas import run_lemma_suite
+
     if args.n not in (4, 5):
         return _fail_usage("the invariant suite is sized for n in {4, 5}")
     rows = run_lemma_suite(args.n, inject_fault=args.inject_fault)

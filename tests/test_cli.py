@@ -85,7 +85,7 @@ def test_structure_duplicate_omega(capsys):
 
 
 def test_structure_rejected_by_the_gate_exits_4(monkeypatch, capsys):
-    real = tripaths.cli.build_structure
+    real = tripaths.construct.build_structure
 
     def broken(g, omega, **kwargs):
         structure, trace = real(g, omega, **kwargs)
@@ -93,7 +93,7 @@ def test_structure_rejected_by_the_gate_exits_4(monkeypatch, capsys):
         bad = structure.bundle_ab[:1] + (Path((a, a, b)),)
         return dataclasses.replace(structure, bundle_ab=bad), trace
 
-    monkeypatch.setattr(tripaths.cli, "build_structure", broken)
+    monkeypatch.setattr(tripaths.construct, "build_structure", broken)
     assert main(["structure", "--n", "4", "--random"]) == EXIT_VERIFICATION
     assert "verification failed" in capsys.readouterr().err
 
@@ -399,6 +399,26 @@ def test_verify_runs_without_scipy(tmp_path):
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         "for name in ('concurrent.futures.process', 'multiprocessing'):\n"
         "    assert name not in sys.modules, name + ' was imported'\n"
+    )
+    done = _child(["-c", script], timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_verify_loads_no_solver_module():
+    # a certificate is re-checked by the checker side alone, and a bare
+    # package import loads nothing until a name is asked for
+    script = (
+        "import sys, tripaths\n"
+        "loaded = [m for m in sys.modules if m.startswith('tripaths.')]\n"
+        "assert loaded == [], loaded\n"
+        "assert set(tripaths.__all__) <= set(dir(tripaths))\n"
+        "import tripaths.cli\n"
+        f"code = tripaths.cli.main(['verify', {str(GOLDEN / 'certificate-n5.json')!r}])\n"
+        "assert code == 0, code\n"
+        "solver = [name for name in ('construct', 'flows', 'tripod', 'pairing',\n"
+        "                            'lemmas', 'oracle')\n"
+        "          if 'tripaths.' + name in sys.modules]\n"
+        "assert solver == [], solver\n"
     )
     done = _child(["-c", script], timeout=120)
     assert done.returncode == 0, done.stderr
