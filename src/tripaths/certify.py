@@ -100,8 +100,15 @@ def _structure_checks(g, structure: TripodStructure, omega_paths) -> list:
     ]
 
 
+def _pi3_claim(g, lower: int) -> dict:
+    """The pi3 record: the formula value, the lower bound the Omega paths
+    give, and r and the upper bound of the graph."""
+    bound = pi3_upper(g)
+    return {"formula": formula_value(g.n), "lower": lower, "r": bound.r, "upper": bound.value}
+
+
 def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
-                     omega_set: OmegaPathSet, pi3: dict | None = None) -> Certificate:
+                     omega_set: OmegaPathSet) -> Certificate:
     rows = [{"name": name, "pass": ok}
             for name, ok, _, _ in _structure_checks(g, structure, omega_set.paths)]
     return Certificate(
@@ -116,7 +123,7 @@ def make_certificate(g, structure: TripodStructure, trace: CaseTrace,
             "bc": [list(p.vertices) for p in structure.bundle_bc],
         },
         omega_paths=[list(p.vertices) for p in omega_set.paths],
-        pi3=_jsonable(pi3),
+        pi3=_pi3_claim(g, len(omega_set)),
         solver={"ranking": _RANKING, "seed": trace.seed},
         checks=rows,
     )
@@ -327,10 +334,7 @@ def verify_certificate(cert: Certificate) -> tuple[str, list]:
     if cert.pi3 is not None:
         # every pi3 field is derived again: lower from the Omega paths
         # just re-checked, r and upper from the rebuilt graph
-        bound = pi3_upper(g)
-        derived = {"formula": formula_value(g.n), "lower": len(omega_paths),
-                   "r": bound.r, "upper": bound.value}
-        for key, value in derived.items():
+        for key, value in _pi3_claim(g, len(omega_paths)).items():
             claim(f"pi3-{key}", cert.pi3.get(key), value)
 
     recorded = all(row.get("pass") for row in cert.checks)

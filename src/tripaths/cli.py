@@ -117,11 +117,9 @@ def _cmd_structure(args, argv) -> int:
     from .pairing import pair_structure, sample_triples
 
     try:
-        g = _build_graph(args.n, args.family)
+        g = _build_graph(args.n, "wheel")
     except (DegreeTooSmall, DegreeOutOfRange, ValueError) as exc:
         return _fail_usage(str(exc))
-    if args.family != "wheel":
-        return _fail_usage("structure construction runs on the wheel family")
     try:
         if args.omega:
             omega = _parse_omega(g, args.omega)
@@ -148,11 +146,7 @@ def _cmd_structure(args, argv) -> int:
         return EXIT_VERIFICATION
     counts = structure.counts()
     target = standard_target(g.n)
-    upper = pi3_upper(g)
-    cert = certify.make_certificate(
-        g, structure, trace, omega_set,
-        pi3={"formula": formula_value(g.n), "lower": len(omega_set),
-             "upper": upper.value, "r": upper.r})
+    cert = certify.make_certificate(g, structure, trace, omega_set)
 
     lines = _report_header(f"structure  n={g.n}  family={g.family.value}", argv)
     lines.append("terminals  : " + "  ".join(g.vertex_text(v) for v in structure.omega))
@@ -182,9 +176,9 @@ def _cmd_structure(args, argv) -> int:
 _WORKER_GRAPH = None
 
 
-def _pi3_worker_init(n: int, family_text: str) -> None:
+def _pi3_worker_init(n: int) -> None:
     global _WORKER_GRAPH
-    _WORKER_GRAPH = _build_graph(n, family_text)
+    _WORKER_GRAPH = _build_graph(n, "wheel")
 
 
 def _pi3_worker(payload):
@@ -198,11 +192,9 @@ def _cmd_pi3(args, argv) -> int:
     from .pairing import LowerBoundReport, pi3_lower, sample_triples
 
     try:
-        g = _build_graph(args.n, args.family)
+        g = _build_graph(args.n, "wheel")
     except (DegreeTooSmall, DegreeOutOfRange, ValueError) as exc:
         return _fail_usage(str(exc))
-    if args.family != "wheel":
-        return _fail_usage("the packing bound is certified on the wheel family")
     if args.jobs < 1:
         return _fail_usage("--jobs must be at least 1")
     if args.exhaustive:
@@ -234,7 +226,7 @@ def _cmd_pi3(args, argv) -> int:
         with ProcessPoolExecutor(
                 max_workers=min(len(chunks), os.cpu_count() or 1),
                 initializer=_pi3_worker_init,
-                initargs=(args.n, args.family)) as pool:
+                initargs=(args.n,)) as pool:
             for part in pool.map(_pi3_worker, [(c, args.seed) for c in chunks]):
                 rep.merge(part)
     else:
@@ -348,7 +340,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", help="build and certify one structure")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", default="wheel")
     p.add_argument("--omega", help="three permutations, ';'-separated")
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -358,7 +349,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi3", help="evaluate the packing bounds")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", default="wheel")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -9,9 +9,9 @@ joined by a capacity-1 split arc, and each edge vw becomes the arcs
 graph's own integers: Lehmer ranks, or the vertices of an explicit graph.
 
 The static network is built on the first flow query of a graph and
-generator mask and kept on the graph (``split_networks``).  Arcs are
-paired ``e`` / ``e ^ 1`` in flat ``array``s.  A query
-(``_FlowQuery``) costs only what it touches:
+kept on it (``split_network``), one per graph.  Arcs are paired
+``e`` / ``e ^ 1`` in flat ``array``s.  A query (``_FlowQuery``) costs
+only what it touches:
 
 * the view's vertex set becomes a mask in the BFS ``parent`` template,
   so nodes outside the view are never entered;
@@ -154,7 +154,7 @@ class CutResult:
 
 
 class _SplitNetwork:
-    """Static split network of one graph under one generator mask.
+    """Static split network of one graph.
 
     ``nbrs[v]`` lists the neighbours of vertex v in ascending order, and
     w is a neighbour of v exactly when v is one of w.
@@ -215,15 +215,12 @@ class _SplitNetwork:
 
 
 def _network(view) -> _SplitNetwork:
-    """The static network a view's queries run on, built on first use and
-    kept on the graph."""
-    g, gens = view.graph, view.allowed_gens
-    net = g.split_networks.get(gens)
-    if net is None:
-        nbrs = g.nbrs if gens is None else [
-            [w for w, gi in zip(ws, gis) if gi in gens] for ws, gis in zip(g.nbrs, g.nbr_gens)]
-        net = g.split_networks[gens] = _SplitNetwork(nbrs)
-    return net
+    """The static network of a view's graph, built on first use and kept
+    on the graph."""
+    g = view.graph
+    if g.split_network is None:
+        g.split_network = _SplitNetwork(g.nbrs)
+    return g.split_network
 
 
 class _FlowQuery:

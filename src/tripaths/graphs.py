@@ -6,8 +6,10 @@ Vertices are Lehmer ranks.  A graph keeps two rows per vertex:
 (a ``bytes``, one index per neighbour).  The copy of a vertex sigma
 is sigma(n); deleting the generator that moves position n from the wheel
 family splits the graph into n copies, each isomorphic to the bubble-sort
-star graph one degree down.  A ``Path`` is a vertex sequence; the flow
-layer builds them and the checkers read them.
+star graph one degree down.  A ``View`` is a vertex subset of one graph;
+a subgraph with fewer edges, such as the spanning intra view, is a graph
+of its own.  A ``Path`` is a vertex sequence; the flow layer builds them
+and the checkers read them.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ class CayleyGraph:
         for v, c in enumerate(self.copy_id):
             members[c].append(v)
         self.copy_members = {c: tuple(vs) for c, vs in members.items()}
-        # flow networks by generator mask, built by the flow layer on first use
-        self.split_networks: dict = {}
+        # built on first use: the spanning intra graph, and the flow network
+        self.intra_graph = None
+        self.split_network = None
 
     def check_rank(self, v: int) -> None:
         # only exact ints are ranks: a bool or a float would index rows
@@ -106,16 +109,15 @@ def build(n: int, family: Family) -> CayleyGraph:
 
 @dataclass(frozen=True)
 class View:
-    """Restriction of a graph to a vertex subset and/or generator subset.
+    """A vertex subset of one graph.
 
-    The graph is a CayleyGraph or an ExplicitGraph.  None means
-    unrestricted.  Views compose; flows and solvers only ever see the
-    graph through a View.
+    The graph is a CayleyGraph or an ExplicitGraph.  None means every
+    vertex.  Views compose; flows and solvers only ever see the graph
+    through a View.
     """
 
     graph: CayleyGraph | ExplicitGraph
     allowed: frozenset[int] | None = None
-    allowed_gens: frozenset[int] | None = None
 
     def contains(self, v: int) -> bool:
         # a float or a bool equal to a rank would pass the set test and
@@ -141,10 +143,7 @@ class View:
         """The neighbour ranks of v in the view, ascending."""
         if not self.contains(v):
             raise RankOutOfRange(f"vertex {v!r} is not in the view")
-        allowed, gens = self.allowed, self.allowed_gens
-        row = self.graph.nbrs[v]
-        if gens is not None:
-            row = [w for w, gi in zip(row, self.graph.nbr_gens[v]) if gi in gens]
+        allowed, row = self.allowed, self.graph.nbrs[v]
         return list(row) if allowed is None else [w for w in row if w in allowed]
 
     def degree(self, v: int) -> int:
@@ -158,36 +157,34 @@ class View:
             return False
         row = self.graph.nbrs[u]
         i = bisect_left(row, v)
-        return (i < len(row) and row[i] == v
-                and (self.allowed_gens is None or self.graph.nbr_gens[u][i] in self.allowed_gens))
+        return i < len(row) and row[i] == v
 
     def path_gaps(self, vs) -> tuple[list, list[tuple[int, int]]]:
         """For a vertex sequence: its members outside the view, and its
         consecutive pairs, neither end equal to one of those, that no
         edge of the view joins."""
         outside = [v for v in vs if not self.contains(v)]
-        rows, gens = self.graph.nbrs, self.allowed_gens
+        rows = self.graph.nbrs
         gaps = []
         for x, y in zip(vs, vs[1:]):
             if outside and (x in outside or y in outside):
                 continue
             row = rows[x]
             i = bisect_left(row, y)
-            if i == len(row) or row[i] != y or (
-                    gens is not None and self.graph.nbr_gens[x][i] not in gens):
+            if i == len(row) or row[i] != y:
                 gaps.append((x, y))
         return outside, gaps
 
     def without(self, removed) -> "View":
         removed = frozenset(removed)
         base = frozenset(self.vertices()) if self.allowed is None else self.allowed
-        return View(self.graph, base - removed, self.allowed_gens)
+        return View(self.graph, base - removed)
 
     def restricted_to(self, kept) -> "View":
         kept = frozenset(kept)
         if self.allowed is not None:
             kept = kept & self.allowed
-        return View(self.graph, kept, self.allowed_gens)
+        return View(self.graph, kept)
 
 
 def full_view(g: CayleyGraph) -> View:
@@ -195,15 +192,15 @@ def full_view(g: CayleyGraph) -> View:
 
 
 class ExplicitGraph:
-    """An ad-hoc graph with the attributes a View without a generator
-    mask reads: ``nbrs`` rows indexed by label (empty for unused labels),
-    ``vertex_count`` one past the largest label, and the flow-network
-    cache."""
+    """A graph given by its rows, with the attributes a View reads:
+    ``nbrs`` rows indexed by label, ascending (empty for unused labels),
+    ``vertex_count`` the number of rows, and the flow network kept by
+    the flow layer."""
 
-    def __init__(self, nbrs: dict[int, set[int]]):
-        self.vertex_count = max(nbrs, default=-1) + 1
-        self.nbrs = tuple(tuple(sorted(nbrs.get(v, ()))) for v in range(self.vertex_count))
-        self.split_networks: dict = {}
+    def __init__(self, nbrs: tuple[tuple[int, ...], ...]):
+        self.vertex_count = len(nbrs)
+        self.nbrs = nbrs
+        self.split_network = None
 
 
 def AdjacencyView(adjacency: dict) -> View:
@@ -222,20 +219,26 @@ def AdjacencyView(adjacency: dict) -> View:
     for v in nbrs:
         if type(v) is not int or not 0 <= v < _MAX_LABELS:
             raise ValueError(f"adjacency label {v!r} is not an int in [0, {_MAX_LABELS})")
-    return View(ExplicitGraph(nbrs), frozenset(nbrs))
+    rows = tuple(tuple(sorted(nbrs.get(v, ()))) for v in range(max(nbrs, default=-1) + 1))
+    return View(ExplicitGraph(rows), frozenset(nbrs))
 
 
 def spanning_intra_view(g: CayleyGraph) -> View:
-    """All vertices, every generator but (2 n).
+    """All vertices, every edge but those of (2 n).
 
     (1 n) and (n-1 n), which move position n, stay in, so on the wheel
     family this is the bubble-sort star graph BS_n on the same ranks:
-    the spanning subgraph generated by the star/adjacent set alone.
+    the spanning subgraph generated by the star/adjacent set alone.  It
+    is a graph of its own, whose row v is ``g.nbrs[v]`` without v's (2 n)
+    image, built on the first call and kept on g.  The bubble-sort star
+    family has no (2 n), so there the view is the whole graph.
     """
-    gens = frozenset(
-        gi for gi, t in enumerate(g.gens) if not (t.i == 2 and t.j == g.n)
-    )
-    return View(g, None, gens)
+    if not g.star_image:
+        return View(g)
+    if g.intra_graph is None:
+        g.intra_graph = ExplicitGraph(tuple(
+            tuple([w for w in ws if w != star]) for ws, star in zip(g.nbrs, g.star_image)))
+    return View(g.intra_graph)
 
 
 def copy_of(g: CayleyGraph, v: int) -> int:
@@ -270,7 +273,7 @@ def _check_copy_ids(g: CayleyGraph, copies) -> frozenset[int]:
 def copy_union(g: CayleyGraph, copies) -> View:
     ids = _check_copy_ids(g, copies)
     verts = frozenset(itertools.chain.from_iterable(g.copy_members[c] for c in ids))
-    return View(g, verts, None)
+    return View(g, verts)
 
 
 def delete_copies(g: CayleyGraph, copies) -> View:
@@ -279,7 +282,7 @@ def delete_copies(g: CayleyGraph, copies) -> View:
         g.copy_members[c] for c in range(1, g.n + 1) if c not in ids))
     if not verts:
         raise ValueError("deleting every copy leaves nothing")
-    return View(g, verts, None)
+    return View(g, verts)
 
 
 def cross_edges(g: CayleyGraph, i: int, j: int) -> list[tuple[int, int]]:

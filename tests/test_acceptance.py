@@ -221,11 +221,7 @@ def test_criterion_8_deterministic_certificates():
             tri = sample_triples(g, 1, seed=5)[0]
             structure, trace = build_structure(g, tri, seed=3)
             omega_set = pair_structure(full_view(g), structure)
-            upper = pi3_upper(g)
-            cert = make_certificate(
-                g, structure, trace, omega_set,
-                pi3={"formula": formula_value(n), "lower": len(omega_set),
-                     "upper": upper.value, "r": upper.r})
+            cert = make_certificate(g, structure, trace, omega_set)
             emitted.append(emit(cert).encode())
         assert emitted[0] == emitted[1], n
     print("[PRIMARY 8] PASS  same-seed runs emit byte-identical "

@@ -11,7 +11,6 @@ from tripaths.errors import SchemaError, VersionMismatch, CertificateError
 from tripaths.graphs import build, full_view
 from tripaths.pairing import pair_structure
 from tripaths.perms import Family
-from tripaths.verification import formula_value, pi3_upper
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -20,11 +19,7 @@ def _fresh_certificate(n, omega):
     g = build(n, Family.WHEEL)
     structure, trace = build_structure(g, omega, seed=0)
     omega_set = pair_structure(full_view(g), structure)
-    upper = pi3_upper(g)
-    return certify.make_certificate(
-        g, structure, trace, omega_set,
-        pi3={"formula": formula_value(n), "lower": len(omega_set),
-             "upper": upper.value, "r": upper.r})
+    return certify.make_certificate(g, structure, trace, omega_set)
 
 
 def test_golden_roundtrip_identity():
@@ -77,6 +72,18 @@ def test_tampered_formula_is_mismatch():
     assert status == "mismatch"
     failed = {name for name, ok, _ in rows if not ok}
     assert failed == {"pi3-formula"}
+
+
+def test_certificate_without_a_pi3_claim_verifies():
+    # a certificate from outside may carry no pi3 claim: it loads, and
+    # the verifier derives no pi3 row for it
+    doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
+    doc["pi3"] = None
+    cert = certify.load_text(json.dumps(doc))
+    assert cert.pi3 is None
+    status, rows = certify.verify_certificate(cert)
+    assert status == "ok", rows
+    assert not [name for name, _, _ in rows if name.startswith("pi3-")]
 
 
 def test_tampered_recorded_check_is_mismatch():

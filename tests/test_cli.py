@@ -98,6 +98,13 @@ def test_structure_rejected_by_the_gate_exits_4(monkeypatch, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["structure", "--random"], ["pi3", "--samples", "3"]])
+def test_structure_and_pi3_take_no_family(command, capsys):
+    # both commands run on the wheel family alone, so --family is no option of theirs
+    assert main([command[0], "--n", "4", "--family", "bss", *command[1:]]) == EXIT_USAGE
+    assert "unrecognized arguments: --family bss" in capsys.readouterr().err
+
+
 def test_structure_missing_omega(capsys):
     assert main(["structure", "--n", "4"]) == EXIT_USAGE
     capsys.readouterr()

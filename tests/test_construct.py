@@ -25,7 +25,7 @@ from tripaths.certify import (
 )
 from tripaths.construct import build_structure
 from tripaths.errors import DuplicateVertices, InsufficientConnectivity, WrongFamily
-from tripaths.graphs import PathFamily, build, full_view, outside_neighbors
+from tripaths.graphs import CayleyGraph, PathFamily, build, full_view, outside_neighbors
 from tripaths.pairing import LowerBoundReport, pair_structure, pi3_lower, sample_triples
 from tripaths.perms import Family, parse_permutation, rank
 from tripaths.tripod import TripodFailure
@@ -409,7 +409,7 @@ def _falls_short(*args, **kwargs):
 
 
 def _solves_only_the_whole_graph(view, *args):
-    if view.allowed is None and view.allowed_gens is None:
+    if view.allowed is None and isinstance(view.graph, CayleyGraph):
         return REAL_SOLVE(view, *args)
     return TripodFailure("forced failure", 0, 0)
 

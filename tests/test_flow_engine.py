@@ -961,10 +961,29 @@ def test_interleaved_graphs_do_not_share_state():
     assert _query_a(spanning_intra_view(g6)) == before_intra
 
 
+def test_one_network_per_graph():
+    """Queries on the full view and on copy views of g share the one
+    network kept on g, built by the first of them; the spanning view's
+    queries run on the network kept on its own graph."""
+    g = build(5, Family.WHEEL)
+    assert g.split_network is None
+    max_internally_disjoint_paths(full_view(g), 0, 119)
+    net = g.split_network
+    assert net is not None and _network(full_view(g)) is net
+    copies = copy_union(g, {1, 3})
+    max_internally_disjoint_paths(copies, *copies.vertices()[:2])
+    assert g.split_network is net
+    intra = spanning_intra_view(g)
+    max_internally_disjoint_paths(intra, 0, 119)
+    assert intra.graph.split_network is _network(intra) is not net
+    assert g.split_network is net
+    assert intra.graph.split_network.arc_count < net.arc_count
+
+
 @pytest.mark.parametrize("view_of", [full_view, spanning_intra_view])
 def test_entry_blocked_closes_exactly_the_edge_arcs_into_the_vertex(view_of):
     """Blocking entry into v closes the edge arcs into vin(v), one per
-    neighbour under the view's generator mask, and nothing else."""
+    neighbour in the view's graph, and nothing else."""
     g = build(5, Family.WHEEL)
     view = view_of(g)
     net = _network(view)

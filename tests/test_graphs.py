@@ -193,13 +193,29 @@ def test_common_neighbors_cap_exhaustive_n4():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_spanning_intra_view_is_the_bubble_sort_star_graph(n):
-    """Dropping (2 n) from the wheel leaves BS_n on the same ranks, with
-    the same generator indices: (1 n) and (n-1 n) stay in."""
+    """Dropping (2 n) from the wheel leaves BS_n on the same ranks:
+    (1 n) and (n-1 n) stay in, and the view's graph has BS_n's rows."""
     g, bs = build(n, Family.WHEEL), build(n, Family.BUBBLE_SORT_STAR)
     view = spanning_intra_view(g)
+    assert view.graph.nbrs == bs.nbrs
     for v in range(g.vertex_count):
         assert view.neighbors(v) == list(bs.nbrs[v])
-        assert bytes(gi for gi in g.nbr_gens[v] if gi in view.allowed_gens) == bs.nbr_gens[v]
+
+
+def test_spanning_intra_view_keeps_one_graph():
+    """The intra graph is built once per CayleyGraph and every call
+    returns a view of that same graph."""
+    g = build(5, Family.WHEEL)
+    first, second = spanning_intra_view(g), spanning_intra_view(g)
+    assert first.graph is second.graph is g.intra_graph
+    assert first.graph is not spanning_intra_view(build(5, Family.WHEEL)).graph
+
+
+def test_spanning_intra_view_of_the_bubble_sort_star_graph_is_the_whole_graph():
+    """BS_n has no (2 n) to drop, so its spanning intra view is its full view."""
+    g = build(5, Family.BUBBLE_SORT_STAR)
+    assert spanning_intra_view(g) == full_view(g)
+    assert g.intra_graph is None
 
 
 def test_views_restrict_degree():
@@ -283,8 +299,8 @@ def test_adjacency_view_accepts_the_largest_label():
 ])
 def test_adjacent_agrees_with_neighbors(view_of):
     """A pair is adjacent exactly when v is a neighbour of u in the view:
-    False when v is outside it or is joined to u only by a masked
-    generator; a u outside the view raises."""
+    False when v is outside it or is joined to u only by a (2 n) edge
+    the view's graph leaves out; a u outside the view raises."""
     g = build(5, Family.WHEEL)
     view = view_of(g)
     for u in range(g.vertex_count):
@@ -295,7 +311,7 @@ def test_adjacent_agrees_with_neighbors(view_of):
         nbrs = set(view.neighbors(u))
         for v in [*range(-1, g.vertex_count + 1), "7"]:
             assert view.adjacent(u, v) == (v in nbrs)
-    # (2 5) is masked in the spanning view: its edge is gone there alone
+    # (2 5) is left out of the spanning view: its edge is gone there alone
     gi = next(i for i, t in enumerate(g.gens) if (t.i, t.j) == (2, 5))
     w = g.nbrs[0][g.nbr_gens[0].index(gi)]
     assert full_view(g).adjacent(0, w) and not spanning_intra_view(g).adjacent(0, w)

@@ -96,23 +96,14 @@ def test_only_flows_uses_private_flow_names():
     assert found == [], found
 
 
-def test_only_the_graph_and_flow_layers_read_generator_rows():
+def test_only_the_graph_layer_reads_generator_rows():
     # the generator layout of a row stays behind the graph layer: every
-    # other module reads neighbours through View.neighbors or g.nbrs
+    # other module, the flow layer included, reads neighbours through
+    # View.neighbors or g.nbrs
     found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
-             if path.name not in ("graphs.py", "flows.py")
+             if path.name != "graphs.py"
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "nbr_gens"]
-    assert found == [], found
-
-
-def test_only_the_graph_and_flow_layers_read_generator_masks():
-    # a view's generator mask stays behind the graph and flow layers:
-    # every other module takes the neighbours a view gives
-    found = [f"{path.name}:{node.lineno}" for path, tree in _trees()
-             if path.name not in ("graphs.py", "flows.py")
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "allowed_gens"]
     assert found == [], found
 
 
