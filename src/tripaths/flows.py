@@ -90,25 +90,63 @@ chosen by comparing parent chains where they merge.  From the meet the
 path takes, row by row, the first arc that steps one closer to t, which
 is the least continuation.  A search labels into two lists that
 ``max_flow`` makes once per call, a copy of the query template for the
-parents and the template itself for the distances, and puts back every
-entry it set before it returns, so a search copies nothing the size of
-the network.  Per call, with the flows of ``pi3_lower`` on
-``sample_triples(g, N, 1)`` (N = 600, 60, 30 at n = 5, 6, 7; best of 9
-runs, Python 3.11 on a shared 2-vCPU host), one-ended -> two-ended:
+parents and the template itself for the distances, so a search copies
+nothing the size of the network.  A search that finds no path, or
+raises, puts back every entry it set; one that finds a path hands its
+labels to a ``_Phase``.
 
-    view vertices   views                         ms per max_flow
-    11-24           one copy at n = 5             0.062 -> 0.091
-    48              two copies at n = 5           0.039 -> 0.055
-    96              n = 5 minus a copy            0.133 -> 0.228
-    678-720         n = 6 spanning, n = 7 copy    1.68  -> 0.733
-    2880            four copies at n = 7          2.39  -> 0.750
-    4320            n = 7 minus a copy            11.3  -> 4.01
+A phase is the run of augmenting paths that have one length D.
+Edmonds-Karp distances never decrease, and augmenting along a shortest
+path opens only arcs that lead one forward level back.  So while D is
+still the distance, every s-t path of D arcs steps from forward level j
+to j + 1 and from distance D - j to D - j - 1, both measured on the
+residual the search labelled, and takes no arc the phase opened; the
+FIFO path is the one of them whose sequence of row positions is least
+(the phase argument of Dinic 1970 and Even & Tarjan 1975).
+``_Phase.walk`` finds it without a new search: a depth-first search from
+s that scans each row in order, takes open arcs only and enters, at a
+position j up to the last forward level F the search completed, only a
+node that still has open arcs through levels j + 1, ... to a node of
+level F at distance D - F, and at a later position only a node at
+distance D - j, which the backward levels the search completed cover.
+A node with no continuation is dead for the rest of the phase, since
+augmenting only closes arcs between consecutive levels.  The nodes a
+walk may enter up to level F are found on the first walk of a phase,
+level by level down from level F, reading the arcs into a node as the
+backward search does; a walk that entered every node of a forward level
+instead spent most of its time at n = 7 in branches that die below F.
+Only when a walk finds nothing does ``max_flow`` clear the labels and
+search afresh, so a phase costs one extra walk and every augmenting path
+is the one a plain BFS finds.  ``max_flow`` clears the labels also when
+the flow ends or raises, and ``StepCounter`` counts one step per
+augmenting path, however it was found, and one for a final failing
+search.  On the first 300 triples of ``sample_triples(g, 1500, 1)`` at
+n = 6, taken a stratum at a time, 1,497 searches and 2,154 walks find
+the 3,651 augmenting paths that 3,651 searches found one by one.
 
-No sweep runs a flow on views of 97 to 677 vertices.  Random pair
-queries, set-up included, ran 1.25x faster two-ended on CW_5 (120
-vertices) and 1.55x on two copies of CW_6 (240); the threshold sits
-between the sweep views where the one-ended search wins and those
-where the two-ended one does.
+Per call, with the flows of ``pi3_lower`` on ``sample_triples(g, N, 1)``
+(N = 600, 60, 30 at n = 5, 6, 7; three worker processes, one per column,
+take turns on each triple, and each triple's fastest of three rounds
+counts; wall time, Python 3.11 on a shared 2-vCPU host), in ms per
+``max_flow``: one-ended, two-ended with a search per path, and
+two-ended with phases:
+
+    view vertices   views                   one-ended  two-ended  phases
+    11-24           one copy at n = 5       0.112      0.169      0.196
+    47-48           two copies at n = 5     0.069      0.095      0.116
+    96              n = 5 minus a copy      0.227      0.409      0.446
+    678-720         n = 6 spanning          2.42       1.03       0.812
+    679-720         a copy at n = 7         4.65       1.98       1.64
+    2880            four copies at n = 7    3.81       1.12       1.20
+    4320            n = 7 minus a copy      22.6       7.19       6.23
+
+In these flows every phase on four copies at n = 7 carries one path, so
+the walk that ends it is all extra there.  Small views keep the
+one-ended search.  No sweep runs a flow on views of 97 to 677 vertices.
+Random pair queries, set-up included, ran 1.25x faster two-ended (a
+search per path) on CW_5 (120 vertices) and 1.55x on two copies of CW_6
+(240); the threshold sits between the sweep views where the one-ended
+search wins and those where the two-ended one does.
 """
 
 from __future__ import annotations
@@ -381,37 +419,47 @@ class _FlowQuery:
         template, flowed = self.template, self.flowed
         last_static = net.arc_count
         if self.two_ended:
-            # the template serves as the distance labels; every search
-            # puts back what it sets in both lists
+            # the template serves as the distance labels; a phase keeps the
+            # labels of its search set in both lists until ``clear``
             parent = template[:]
+        phase = None
         value = 0
-        while value < limit:
-            if counter is not None:
-                counter.add()
-            if self.two_ended:
-                path = _two_ended(net, parent, template, s, t)
-                if path is None:
-                    break
-            else:
-                parent = template[:]
-                _bfs(rows, to, cap, parent, s, t)
-                if parent[t] < 0:
-                    break
-                path = _chain(parent, to, s, t, [])
-            bottleneck = min(limit - value, min(cap[e] for e in path))
-            for e in path:
-                k = e & -2
-                cap[e] -= bottleneck
-                cap[e ^ 1] += bottleneck
-                if k < last_static:
-                    flowed.add(k)
-                    # reverse arc k + 1 of a static pair is in the row of the
-                    # head of k (a split reverse arc sorts first) while open
-                    if e == k and cap[k + 1] == bottleneck:
-                        insort(self._own_row(to[k]), k + 1)
-                    elif e != k and not cap[k + 1]:
-                        self._own_row(to[k]).remove(k + 1)
-            value += bottleneck
+        try:
+            while value < limit:
+                if counter is not None:
+                    counter.add()
+                if self.two_ended:
+                    path = phase.walk() if phase else None
+                    if path is None:
+                        if phase:
+                            phase.clear()
+                        phase = _two_ended(net, parent, template, s, t)
+                        if phase is None:
+                            break
+                        path = phase.path
+                else:
+                    parent = template[:]
+                    _bfs(rows, to, cap, parent, s, t)
+                    if parent[t] < 0:
+                        break
+                    path = _chain(parent, to, s, t, [])
+                bottleneck = min(limit - value, min(cap[e] for e in path))
+                for e in path:
+                    k = e & -2
+                    cap[e] -= bottleneck
+                    cap[e ^ 1] += bottleneck
+                    if k < last_static:
+                        flowed.add(k)
+                        # reverse arc k + 1 of a static pair is in the row of the
+                        # head of k (a split reverse arc sorts first) while open
+                        if e == k and cap[k + 1] == bottleneck:
+                            insort(self._own_row(to[k]), k + 1)
+                        elif e != k and not cap[k + 1]:
+                            self._own_row(to[k]).remove(k + 1)
+                value += bottleneck
+        finally:
+            if phase:
+                phase.clear()
         return value
 
     def _vertex(self, node: int) -> int | None:
@@ -652,9 +700,152 @@ def _chain(parent, to, s: int, node: int, path: list[int]) -> list[int]:
     return path
 
 
-def _two_ended(net, parent, dist, s: int, t: int) -> list[int] | None:
-    """The augmenting path ``_bfs`` finds from s to t (a ``vin`` node or
-    the super sink), as its arcs from t back to s, or None; found by
+class _Phase:
+    """The labels of a two-ended search that found an augmenting path of
+    ``length`` arcs (``path``, from t back to s), kept until ``clear`` so
+    that ``walk`` finds the further paths of that length.
+
+    ``parent`` holds the FIFO parents of forward levels 0..``forward``
+    and ``dist`` the distances to t of backward levels 0..``backward``,
+    the levels the search completed; ``front`` lists forward level
+    ``forward``, and the levels after those may be partly labelled.
+    ``fseen`` and ``bseen`` list the nodes each side labelled: a node and
+    its partner ``x ^ 1`` share their vertex's mark, which is -1 unless
+    the node is s, so ``clear`` puts both lists back.  ``ahead[j]``, set
+    on the first walk, holds the nodes a walk may enter at position
+    j <= ``forward``.
+    """
+
+    __slots__ = ("net", "parent", "dist", "s", "t", "mark", "fseen", "bseen", "path", "length",
+                 "front", "forward", "backward", "ahead")
+
+    def __init__(self, net, parent, dist, s: int, t: int, fseen, bseen):
+        self.net, self.parent, self.dist, self.s, self.t = net, parent, dist, s, t
+        self.mark = parent[s]
+        self.fseen, self.bseen = fseen, bseen
+
+    def found(self, path: list[int], front: list[int], forward: int, backward: int) -> _Phase:
+        self.path, self.length = path, len(path)
+        self.front, self.forward, self.backward = front, forward, backward
+        self.ahead = None
+        return self
+
+    def clear(self) -> None:
+        """Put back every label the search set; a second call changes nothing."""
+        for seen, labels in ((self.fseen, self.parent), (self.bseen, self.dist)):
+            for nodes in seen:
+                for x in nodes:
+                    labels[x] = labels[x ^ 1] = -1
+            seen.clear()
+        self.parent[self.s] = self.parent[self.s ^ 1] = self.mark
+
+    def walk(self) -> list[int] | None:
+        """The next FIFO augmenting path, from t back to s, while it has
+        ``length`` arcs; None once there is none of that length.
+
+        A depth-first search from s that scans each row in order and takes
+        open arcs only.  At a position j <= ``forward`` it enters only a
+        node of ``ahead[j]``, at a later one only a node at distance
+        ``length - j`` from t, so a node has one position in the phase.  A
+        node with no continuation is dead for the rest of the phase."""
+        net, dist = self.net, self.dist
+        rows, to, cap = net.rows, net.to, net.cap
+        if self.ahead is None:
+            self.ahead = self._ahead()
+        ahead, length, forward, t = self.ahead, self.length, self.forward, self.t
+        # the nodes of the path so far, its arcs, and the rest of each
+        # node's row, which no walk changes
+        nodes, arcs, scans = [self.s], [], [iter(rows[self.s])]
+        while True:
+            j = len(nodes)
+            if j <= forward:
+                early = ahead[j]
+                for e in scans[-1]:
+                    if cap[e] > 0 and (x := to[e]) in early:
+                        break
+                else:
+                    x = None
+            else:
+                want = length - j
+                for e in scans[-1]:
+                    if cap[e] > 0 and dist[x := to[e]] == want:
+                        break
+                else:
+                    x = None
+            if x is None:
+                if j == 1:
+                    return None
+                # the node at position j - 1 is dead
+                u = nodes.pop()
+                scans.pop()
+                arcs.pop()
+                if j - 1 <= forward:
+                    ahead[j - 1].discard(u)
+                else:
+                    dist[u] = -1
+                continue
+            arcs.append(e)
+            if x == t:
+                arcs.reverse()
+                return arcs
+            nodes.append(x)
+            scans.append(iter(rows[x]))
+
+    def _ahead(self) -> list[set[int]]:
+        """For each forward level j <= ``forward``, the nodes there with
+        open arcs through levels j + 1, ... to a node of ``front`` at
+        distance ``length - forward`` from t: every node a shortest path
+        can still take at position j.  Found level by level down from
+        ``front``, reading the arcs into a node as the backward search
+        does."""
+        net, parent, dist = self.net, self.parent, self.dist
+        rows, to, cap = net.rows, net.to, net.cap
+        back, first = net.back_arcs, net.back_first
+        top, front = self.forward, self.front
+        want = self.length - top
+        if want <= self.backward:
+            layer = {x for x in front if dist[x] == want}
+        else:
+            # the path meets the backward levels one step past the front:
+            # the search scanned the rows of the front in order up to the
+            # path's node there and met no distance label before it, and
+            # augmenting opened no arc out of the nodes before it.  Order
+            # does not matter here, so a seeded row no search has read yet
+            # is read as its static row, whose other arcs leave the view.
+            u = to[self.path[want - 1] ^ 1]
+            layer = set()
+            seeded = type(rows) is _SeededRows
+            for x in front[front.index(u):]:
+                for e in rows.static[x] if seeded and x not in rows else rows[x]:
+                    if dist[to[e]] == want - 1 and cap[e] > 0:
+                        layer.add(x)
+                        break
+        # the even levels below the front: level 0 is s and level 2i > 0 the
+        # nodes forward step i queued
+        evens = [{self.s}, *map(set, self.fseen[2:top // 2 + 1])]
+        ahead = [layer]
+        for j in range(top, 0, -1):
+            # level j - 1 when it is even, else the level a vin node's parent
+            # arc leaves there
+            below = evens[(j - 1) // 2]
+            if j & 1:
+                layer = {p for x in layer
+                         for arcs in (back[first[x >> 1]:first[(x >> 1) + 1]], rows[x])
+                         for f in arcs if (p := to[f]) in below and cap[f ^ 1] > 0}
+            else:
+                # vout nodes: in through the split arc and, while the vertex
+                # carries flow, the partners of the row
+                tails = [x - 1 for x in layer if cap[x - 1] > 0]
+                tails += [to[g] for x in layer if cap[x] > 0 for g in rows[x] if cap[g ^ 1] > 0]
+                layer = {p for p in tails if parent[p] >= 0 and to[parent[p] ^ 1] in below}
+            ahead.append(layer)
+        ahead.reverse()
+        return ahead
+
+
+def _two_ended(net, parent, dist, s: int, t: int) -> _Phase | None:
+    """The ``_Phase`` of the augmenting path ``_bfs`` finds from s to t (a
+    ``vin`` node or the super sink), or None when there is none; found by
     level steps from both ends, each step on the end with the smaller
     frontier.
 
@@ -666,26 +857,27 @@ def _two_ended(net, parent, dist, s: int, t: int) -> list[int] | None:
     vertex carries flow, the partners of its row.  The start s is never
     expanded backward: reaching it is a meet.
 
-    `parent` and `dist` must both equal the query template; the search
-    labels into them and puts back every entry it set before it returns
-    or raises.  A node it labels is -1 in the template unless it is s,
-    and both nodes of a vertex share the vertex's mark, so an entry and
-    its partner ``x ^ 1`` go back to -1, and those of s to its mark.
+    `parent` and `dist` must both equal the query template.  The search
+    labels into them; the phase it returns keeps the labels until its
+    ``clear``, and a search that finds no path or raises puts back every
+    entry it set.  ``fdepth`` and ``depth`` are the levels of the two
+    frontiers, each the last level its side completed; a backward step
+    that meets still completes its nearer level.
     """
     rows, to, cap = net.rows, net.to, net.cap
     back, first, source = net.back_arcs, net.back_first, net.source
     if dist[t] != -1:
         return None
-    mark = parent[s]
     # every labelled node is on a frontier, in a loose list, or the
     # partner of a node there: a vin node whose vout node it queued, or
     # a vout node whose vin node it queued backward
     floose, bloose = [], []
-    fseen, bseen = [[s], floose], [[t], bloose]
+    phase = _Phase(net, parent, dist, s, t, [[s], floose], [[t], bloose])
+    fseen, bseen = phase.fseen, phase.bseen
     try:
         parent[s] = -2
         dist[t] = 0
-        fwd, bwd, depth = [s], [t], 0
+        fwd, bwd, fdepth, depth = [s], [t], 0, 0
         if t == net.sink:
             bwd, depth = [], 1
             bseen.append(bwd)
@@ -710,7 +902,8 @@ def _two_ended(net, parent, dist, s: int, t: int) -> list[int] | None:
                         parent[h] = e
                         if dist[h] != -1:
                             floose.append(h)
-                            return _join(rows, to, cap, parent, dist, s, h, t)
+                            return phase.found(_join(rows, to, cap, parent, dist, s, h, t),
+                                               fwd, fdepth, depth)
                         row = rows[h]
                         if len(row) == 1:
                             if cap[h] > 0 and parent[h + 1] == -1:
@@ -725,7 +918,7 @@ def _two_ended(net, parent, dist, s: int, t: int) -> list[int] | None:
                             if parent[w] == -1 and cap[f] > 0:
                                 parent[w] = f
                                 push(w)
-                fwd = nxt
+                fwd, fdepth = nxt, fdepth + 2
             else:
                 # meets lie in the forward frontier, one step from this
                 # frontier; once one is found only that level is finished
@@ -762,16 +955,15 @@ def _two_ended(net, parent, dist, s: int, t: int) -> list[int] | None:
                                     dist[z] = far
                                     push(z)
                 if meets:
-                    return _join(rows, to, cap, parent, dist, s,
-                                 _fifo_first(rows, to, parent, meets), t)
+                    m = _fifo_first(rows, to, parent, meets)
+                    return phase.found(_join(rows, to, cap, parent, dist, s, m, t),
+                                       fwd, fdepth, near)
                 bwd, depth = nxt, far
-        return None
-    finally:
-        for seen, labels in ((fseen, parent), (bseen, dist)):
-            for nodes in seen:
-                for x in nodes:
-                    labels[x] = labels[x ^ 1] = -1
-        parent[s] = parent[s ^ 1] = mark
+    except BaseException:
+        phase.clear()
+        raise
+    phase.clear()
+    return None
 
 
 def _fifo_first(rows, to, parent, nodes) -> int:
@@ -797,7 +989,12 @@ def _join(rows, to, cap, parent, dist, s: int, m: int, t: int) -> list[int]:
     path, x = [], m
     while x != t:
         want = dist[x] - 1
-        e = next(e for e in rows[x] if cap[e] > 0 and dist[to[e]] == want)
+        for e in rows[x]:
+            if cap[e] > 0 and dist[to[e]] == want:
+                break
+        else:
+            raise RuntimeError(
+                f"labels out of step: no open arc out of node {x} reaches distance {want}")
         path.append(e)
         x = to[e]
     path.reverse()

@@ -9,6 +9,7 @@ recorded before ``vin`` rows stopped listing reverse arcs that carry no
 flow.
 """
 
+import copy
 import itertools
 import json
 import random
@@ -473,25 +474,70 @@ _START_MASKED = (
     None, [], [], False, 0, True, 1, 1)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(case=_flow_cases())
-@example(case=_CANCEL_FROM_T)
-@example(case=_START_MASKED)
-def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
-    """Every search of a query, augmentations and the witness cut's reach
-    alike, must find what a plain FIFO BFS over the same residual finds:
-    the same augmenting path, or, run to exhaustion, the same parents.
-    The two-ended search runs on the residual of every augmentation,
-    whichever search the view's size picks for it, and after every search
-    both of its label lists equal the template the query was made with."""
+# A pair flow on two copies of CW_6 (240 vertices): its first phase
+# carries four paths of 7 arcs, then a walk fails and a fresh search finds
+# one of 9 arcs, and the next walk fails before one of 11.
+_PHASE_OF_FOUR = (
+    copy_union(G6, {2, 5}),
+    {"entry_blocked": [1], "no_split": [98], "uncapped": [1], "order_seed": None},
+    None, [], [], False, 1, False, 98, 6)
+
+
+# A seeded fan into five targets on three copies of CW_6 (360 vertices):
+# phases of lengths 6, 10 and 12, the last carrying three paths, after
+# which a walk and a fresh search both fail, one target short of 6.
+_SEEDED_FAN = (
+    copy_union(G6, {1, 3, 4}),
+    {"entry_blocked": [5], "no_split": [719, 710, 640, 214, 450], "uncapped": [5],
+     "order_seed": 5},
+    None, [], [719, 710, 640, 214, 450], False, 5, True, 0, 6)
+
+
+# Seeded set-to-set paths on CW_7 minus a copy (4,320 vertices), from
+# the n = 7 sweep: a forward search meets the backward levels past its
+# front, and the next walk must find the front's nodes whose rows no
+# search has read yet.
+_SEEDED_SETS_N7 = (
+    delete_copies(G7, {6}),
+    {"entry_blocked": [2678, 2799, 3998, 4244], "no_split": [2043, 3842, 4205, 4563],
+     "uncapped": [], "order_seed": 3900189878855806861},
+    None, [2678, 2799, 3998, 4244], [2043, 3842, 4205, 4563], True, 0, True, 0, 4)
+
+
+# The fan of two bundles that solve_tripod starts from, on BS_6 (720
+# vertices): eight paths into two targets of capacity 4.  A walk there
+# enters a vout node through the reverse arc of an edge that carries flow.
+_TRIPOD_FAN = (
+    spanning_intra_view(G6),
+    {"entry_blocked": [283], "no_split": [498, 696], "uncapped": [283], "order_seed": None},
+    None, [], {498: 4, 696: 4}, False, 283, True, 0, 8)
+
+
+def _fifo_runs(case):
+    """Run the flow of `case` (its sinks each take one unit, or what a
+    mapping of them gives) and its witness cut, checking every search
+    against a plain FIFO BFS over the same residual: the same augmenting
+    path, or, run to exhaustion, the same parents.  The two-ended search
+    also runs on the residual of every augmentation of a small view.  On
+    a large view every augmentation, from a fresh two-ended search or
+    from a walk of its phase, is the plain BFS path; a walk that finds
+    none leaves no path of its phase's length.  A fresh search starts
+    from label lists equal to the template the query was made with, and
+    both lists equal it again once ``max_flow`` returns.  Returns the
+    searches in order: ("bfs", t), ("two-ended", length) or ("walk",
+    length), with length None for a search that found no path."""
     view, edits, dropped, sources, sinks, from_source, u, to_sink, v, limit = case
     net = _network(view)
-    kernel, two_ended = flows._bfs, flows._two_ended
-    runs = []
+    kernel, two_ended, walk = flows._bfs, flows._two_ended, flows._Phase.walk
+    runs, lists = [], []
 
     def plain_arcs(template, s, t):
+        # a seeded query shuffles a row when it is first read; the plain
+        # search reads a copy, so the rows the query itself has read stay
+        # the ones its searches and walks read
+        rows = copy.copy(net.rows) if type(net.rows) is flows._SeededRows else net.rows
         plain = template[:]
-        _plain_bfs(net.rows, net.to, net.cap, plain, s, t)
+        _plain_bfs(rows, net.to, net.cap, plain, s, t)
         return _path_arcs(plain, net.to, s, t)
 
     def checked(rows, to, cap, parent, s, t):
@@ -505,37 +551,172 @@ def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
             arcs = plain_arcs(template, s, t)
             assert _path_arcs(parent, to, s, t) == arcs
             labels = template[:], template[:]
-            assert two_ended(net, *labels, s, t) == arcs
+            phase = two_ended(net, *labels, s, t)
+            if phase is not None:
+                assert phase.path == arcs
+                phase.clear()
+            else:
+                assert arcs is None
             assert labels == (template, template)
         runs.append(("bfs", t))
 
     def checked_two_ended(net_, parent, dist, s, t):
         assert parent == dist == made
-        arcs = two_ended(net_, parent, dist, s, t)
+        lists[:] = parent, dist
+        phase = two_ended(net_, parent, dist, s, t)
+        arcs = phase and phase.path
         assert arcs == plain_arcs(made, s, t)
-        assert parent == dist == made
-        runs.append(("two-ended", t))
+        if phase is None:
+            assert parent == dist == made
+        runs.append(("two-ended", arcs and len(arcs)))
+        return phase
+
+    def checked_walk(phase):
+        arcs = walk(phase)
+        plain = plain_arcs(made, phase.s, phase.t)
+        if arcs is None:
+            assert plain is None or len(plain) > phase.length
+        else:
+            assert arcs == plain
+        runs.append(("walk", arcs and len(arcs)))
         return arcs
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flows, "_bfs", checked)
         mp.setattr(flows, "_two_ended", checked_two_ended)
+        mp.setattr(flows._Phase, "walk", checked_walk)
         with _FlowQuery(view, **edits) as q:
             made = q.template[:]
             for x in sources:
                 q.add_arc(q.source, q.vin(x), 1)
             for y in sinks:
-                q.add_arc(q.vin(y), q.sink, 1)
+                q.add_arc(q.vin(y), q.sink, sinks[y] if isinstance(sinks, dict) else 1)
             if dropped is not None:
                 q.drop_edge(*dropped)
             s = q.source if from_source else q.vout(u)
             t = q.sink if to_sink else q.vin(v)
             q.max_flow(s, t, limit)
-            q.witness_cut(s, set())
             assert q.template == made
+            assert all(labels == made for labels in lists)
+            q.witness_cut(s, set())
     large = view.vertex_count >= flows._TWO_ENDED_VERTICES
-    assert {kind for kind, _ in runs[:-1]} == {"two-ended" if large else "bfs"}
+    kinds = {kind for kind, _ in runs[:-1]}
+    assert kinds - {"walk"} == {"two-ended"} if large else kinds == {"bfs"}
     assert runs[-1] == ("bfs", -1)
+    return runs[:-1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=_flow_cases())
+@example(case=_CANCEL_FROM_T)
+@example(case=_START_MASKED)
+@example(case=_PHASE_OF_FOUR)
+@example(case=_SEEDED_FAN)
+@example(case=_SEEDED_SETS_N7)
+@example(case=_TRIPOD_FAN)
+def test_bfs_finds_the_plain_fifo_augmenting_paths(case):
+    """Every search of a query finds what a plain FIFO BFS finds on the
+    same residual, the same-length walks of a large view included, and
+    leaves the label lists as the query made them (``_fifo_runs``)."""
+    _fifo_runs(case)
+
+
+def test_phase_examples_walk_the_paths_they_name():
+    """The large-view examples of the FIFO test reach what their comments
+    name: a phase of four paths, failed walks each followed by a longer
+    fresh search, a flow that ends short after a failed walk, the
+    tripod fan's phase of five paths, and a seeded n = 7 phase of two."""
+    assert _fifo_runs(_PHASE_OF_FOUR) == [
+        ("two-ended", 7), ("walk", 7), ("walk", 7), ("walk", 7), ("walk", None),
+        ("two-ended", 9), ("walk", None), ("two-ended", 11)]
+    assert _fifo_runs(_SEEDED_FAN) == [
+        ("two-ended", 6), ("walk", None), ("two-ended", 10), ("walk", None),
+        ("two-ended", 12), ("walk", 12), ("walk", 12), ("walk", None), ("two-ended", None)]
+    assert _fifo_runs(_TRIPOD_FAN) == [
+        ("two-ended", 8), ("walk", 8), ("walk", 8), ("walk", 8), ("walk", 8), ("walk", None),
+        ("two-ended", 12), ("walk", 12), ("walk", 12)]
+    assert _fifo_runs(_SEEDED_SETS_N7) == [
+        ("two-ended", 10), ("walk", 10), ("walk", None), ("two-ended", 12), ("walk", None),
+        ("two-ended", 14)]
+
+
+def test_join_names_the_node_whose_labels_are_out_of_step():
+    """A meet whose distance label has no open arc one step closer to t
+    raises a RuntimeError that names the node and the distance it
+    wanted, not a StopIteration that a generator caller would turn into
+    a context-free RuntimeError."""
+    view = AdjacencyView({0: [1], 1: [2], 2: []})
+    with _FlowQuery(view) as q:
+        parent, dist = q.template[:], q.template[:]
+        parent[q.vout(0)] = -2
+        dist[q.vin(2)], dist[q.vout(1)] = 0, 3
+        with pytest.raises(RuntimeError, match=f"node {q.vout(1)} .* distance 2"):
+            flows._join(q.net.rows, q.net.to, q.net.cap, parent, dist, q.vout(0), q.vout(1),
+                        q.vin(2))
+
+
+class _StopAt(flows.StepCounter):
+    """A step counter that raises on step `stop`."""
+
+    def __init__(self, stop):
+        super().__init__()
+        self.stop = stop
+
+    def add(self, k=1):
+        super().add(k)
+        if self.used == self.stop:
+            raise RuntimeError(f"stopped at step {self.used}")
+
+
+def test_flow_that_raises_mid_phase_leaves_nothing_set():
+    """A flow stopped by an exception after a walk's augmentation, while
+    its phase still holds labels, leaves the network rows and
+    capacities static and the template as the query made it, and a fresh
+    query then gives what a query gives on a fresh graph."""
+    view, edits, _, _, _, _, u, _, v, limit = _PHASE_OF_FOUR
+    net = _network(view)
+    before = _net_bytes(net)
+
+    def outcome(counter=None):
+        with _FlowQuery(view, **edits) as q:
+            value = q.max_flow(q.vout(u), q.vin(v), limit, counter)
+            return value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), {u, v})
+
+    fresh = outcome()
+    walk, walks = flows._Phase.walk, []
+
+    def recorded(phase):
+        walks.append(walk(phase))
+        return walks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows._Phase, "walk", recorded)
+        with pytest.raises(RuntimeError, match="step 3"):
+            with _FlowQuery(view, **edits) as q:
+                made = q.template[:]
+                q.max_flow(q.vout(u), q.vin(v), limit, _StopAt(3))
+        assert len(walks) == 1 and walks[0] is not None
+        assert q.template == made
+    assert not net.busy and _net_bytes(net) == before
+    assert outcome() == fresh
+    assert _call(max_internally_disjoint_paths, view, u, v) == _call(
+        max_internally_disjoint_paths, copy_union(build(6, Family.WHEEL), {2, 5}), u, v)
+
+
+@pytest.mark.parametrize("limit", [3, 6])
+def test_large_view_steps_count_paths_and_one_final_search(limit):
+    """``StepCounter`` counts one step per augmenting path, whether a
+    fresh search or a walk found it, and one more for the last search
+    of a flow that ends short of its limit: there a failed walk and a
+    failed fresh search make one step."""
+    view, edits, _, _, sinks, _, x, _, _, _ = _SEEDED_FAN
+    counter = flows.StepCounter()
+    with _FlowQuery(view, **edits) as q:
+        for y in sinks:
+            q.add_arc(q.vin(y), q.sink, 1)
+        value = q.max_flow(q.vout(x), q.sink, limit, counter)
+    assert value == min(limit, 5)
+    assert counter.used == value + (value < limit)
 
 
 @pytest.mark.parametrize("order_seed", [None, 7])
