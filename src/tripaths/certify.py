@@ -196,6 +196,8 @@ def load_text(text: str) -> Certificate:
     if (len(omega_ranks) != 3 or not isinstance(omega_perms, list)
             or len(omega_perms) != 3):
         raise SchemaError("omega entries must list exactly three terminals")
+    if not all(type(text) is str for text in omega_perms):
+        raise SchemaError("omega_perms must be a list of permutation strings")
     bundles = _need(payload, "bundles")
     if not isinstance(bundles, dict) or set(bundles) != {"ab", "ac", "bc"}:
         raise SchemaError("bundles must carry exactly ab, ac, bc")

@@ -53,7 +53,10 @@ class InsufficientConnectivity(TripathsError):
     """A flow request could not be met.
 
     Carries the paths that were found and, when computed, a witness
-    vertex cut certifying the shortfall.
+    vertex cut certifying the shortfall, read off the residual of the
+    maximum flow: each arc with flow out of the part the start still
+    reaches names the vertex it enters, or, for the arc from a fan
+    target or a Y vertex into the flow's sink, the vertex it leaves.
     """
 
     def __init__(self, message, achieved=None, witness_cut=None):

@@ -15,10 +15,13 @@ only what it touches:
 
 * the view's vertex set becomes a mask in the BFS ``parent`` template,
   so nodes outside the view are never entered;
-* four capacity edits: blocked entries (the edge arcs into a vertex
+* three capacity edits: blocked entries (the edge arcs into a vertex
   close), unsplit vertices (the split arc alone closes: nothing then
-  reaches ``vout(v)``, so flow that reaches v ends there), uncapped
-  vertices (the split arc takes any flow) and a dropped direct edge;
+  reaches ``vout(v)``, so flow that reaches v ends there) and a dropped
+  direct edge.  The start of a flow takes none: it starts at
+  ``vout(u)``, which every search labels first and no backward step
+  expands, and ``vin(u)`` takes no flow and leaves only into
+  ``vout(u)``, so no augmenting path, label or cut reads an arc into it;
 * arcs to a super source or sink are appended for the query;
 * when it ends, also when it raises, the query puts every augmented
   static pair back by its sum (the reverse arc's flow returns to the
@@ -31,19 +34,22 @@ most one unit, and ``vin(y)`` of a fan target that takes more leaves
 only by its terminal arc, so the walk needs no bookkeeping.
 
 Augmentation is Edmonds-Karp: BFS shortest paths with every row scanned
-in a fixed order, so results are deterministic.  Every arc joins a
-``vin`` node to a ``vout`` node, the super source or the super sink, so
-the network is bipartite and scanning one side finds only nodes of the
-other.  So the BFS expands each ``vin`` node the moment it finds it and
-queues only the other side: both sides are still found in plain FIFO
-order, each node by the same arc, and every augmenting path is the one a
-plain BFS finds.  A row lists the reverse arc of a static pair only
-while the pair carries flow, since only then has it capacity: an
-augmentation inserts it in order when its capacity leaves 0 and removes
-it when the capacity returns to 0.  So ``vin(v)`` scans its split arc,
-the reverse arcs of flow-carrying edges in ascending rank and its
-terminal arcs; ``vout(v)`` its split reverse arc while v carries flow,
-its forward arcs in adjacency order and its terminal arcs.
+in a fixed order, so results are deterministic.  Every augmenting path
+carries one unit: each path of a public call crosses an edge arc, whose
+capacity is at most 1, and a unit push is a valid Ford-Fulkerson step at
+any integer capacity.  Every arc joins a ``vin`` node to a ``vout``
+node, the super source or the super sink, so the network is bipartite
+and scanning one side finds only nodes of the other.  So the BFS expands
+each ``vin`` node the moment it finds it and queues only the other side:
+both sides are still found in plain FIFO order, each node by the same
+arc, and every augmenting path is the one a plain BFS finds.  A row
+lists the reverse arc of a static pair only while the pair carries flow,
+since only then has it capacity: an augmentation inserts it in order
+when its capacity leaves 0 and removes it when the capacity returns to
+0.  So ``vin(v)`` scans its split arc, the reverse arcs of flow-carrying
+edges in ascending rank and its terminal arcs; ``vout(v)`` its split
+reverse arc while v carries flow, its forward arcs in adjacency order
+and its terminal arcs.
 
 An order seed reshuffles the forward arcs for randomized restarts: the
 in-view ``vout`` rows but those of unsplit vertices get, in ascending
@@ -164,7 +170,6 @@ from itertools import accumulate, chain, compress
 from .errors import InsufficientConnectivity, RankOutOfRange
 from .graphs import Path, PathFamily
 
-_INF = 1 << 30
 _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
 # views of at least this many vertices find augmenting paths from both ends
 _TWO_ENDED_VERTICES = 200
@@ -265,19 +270,21 @@ class _FlowQuery:
     """One flow request on the shared network of a view.
 
     Creating it applies the query's view mask and capacity edits:
-    ``entry_blocked`` vertices take no flow in over an edge, ``no_split``
-    vertices pass none on (only their split arc closes, so flow that
-    reaches one ends there and a search stops at it; none may be the
-    start of a flow), ``uncapped`` vertices pass any amount, and
-    ``drop_edge`` closes one edge arc.  Use it as a context manager,
-    whose exit undoes every augmentation (each static pair in ``flowed``
-    by its sum), edit and terminal arc, and puts back the static rows
-    where a seeded query on a large view read them through a
-    ``_SeededRows`` overlay.  The query sees only the view's vertices; to
-    leave more out, pass ``view.without(...)``.
+    ``entry_blocked`` vertices take no flow in over an edge (the X
+    terminals of set paths, so that no path passes through a second
+    one), ``no_split`` vertices pass none on (only their split arc
+    closes, so flow that reaches one ends there and a search stops at
+    it; none may be the start of a flow), and ``drop_edge`` closes one
+    edge arc.  The start of a flow takes no edit, since nothing reads
+    the arcs into it.  Use it as a context manager, whose exit undoes
+    every augmentation (each static pair in ``flowed`` by its sum), edit
+    and terminal arc, and puts back the static rows where a seeded query
+    on a large view read them through a ``_SeededRows`` overlay.  The
+    query sees only the view's vertices; to leave more out, pass
+    ``view.without(...)``.
     """
 
-    def __init__(self, view, order_seed=None, entry_blocked=(), no_split=(), uncapped=()):
+    def __init__(self, view, order_seed=None, entry_blocked=(), no_split=()):
         self.net = net = _network(view)
         if net.busy:
             raise RuntimeError("flow queries on one network cannot nest")
@@ -292,7 +299,7 @@ class _FlowQuery:
         self.two_ended = view.vertex_count >= _TWO_ENDED_VERTICES
         try:
             self.marks, self.template = self._template(view.allowed)
-            self._edit(entry_blocked, no_split, uncapped, order_seed)
+            self._edit(entry_blocked, no_split, order_seed)
         except BaseException:
             self._restore()
             raise
@@ -326,10 +333,8 @@ class _FlowQuery:
         tpl[0:2 * nv:2] = tpl[1:2 * nv:2] = marks
         return marks, tpl
 
-    def _edit(self, entry_blocked, no_split, uncapped, order_seed) -> None:
+    def _edit(self, entry_blocked, no_split, order_seed) -> None:
         net = self.net
-        for v in uncapped:
-            self._set_cap(2 * v, _INF)
         unsplit = set(no_split)
         for v in unsplit:
             self._set_cap(2 * v, 0)
@@ -443,27 +448,23 @@ class _FlowQuery:
                     if parent[t] < 0:
                         break
                     path = _chain(parent, to, s, t, [])
-                bottleneck = min(limit - value, min(cap[e] for e in path))
                 for e in path:
                     k = e & -2
-                    cap[e] -= bottleneck
-                    cap[e ^ 1] += bottleneck
+                    cap[e] -= 1
+                    cap[e ^ 1] += 1
                     if k < last_static:
                         flowed.add(k)
                         # reverse arc k + 1 of a static pair is in the row of the
                         # head of k (a split reverse arc sorts first) while open
-                        if e == k and cap[k + 1] == bottleneck:
+                        if e == k and cap[k + 1] == 1:
                             insort(self._own_row(to[k]), k + 1)
                         elif e != k and not cap[k + 1]:
                             self._own_row(to[k]).remove(k + 1)
-                value += bottleneck
+                value += 1
         finally:
             if phase:
                 phase.clear()
         return value
-
-    def _vertex(self, node: int) -> int | None:
-        return None if node >= self.net.source else node >> 1
 
     def extract_paths(self, source: int, sink: int) -> list[Path]:
         """The flow's paths from source to sink, one per arc out of source
@@ -489,12 +490,11 @@ class _FlowQuery:
             paths.append(Path(tuple(vp)))
         return paths
 
-    def witness_cut(self, source: int, terminal_vertices) -> tuple[int, ...]:
-        """Vertex separator read off the residual cut.
-
-        Crossing split arcs name their vertex; crossing edge arcs name
-        whichever endpoint is not an uncapped terminal.
-        """
+    def witness_cut(self, source: int, sink: int) -> tuple[int, ...]:
+        """Vertex separator read off the residual cut of a maximum flow from
+        `source` to `sink`: every arc the query left open from a node the
+        residual reaches to one it does not (so it carries flow) names the
+        vertex of its head, or of its tail when its head is `sink`."""
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
         parent = self.template[:]
         _bfs(rows, to, cap, parent, source, -1)
@@ -506,15 +506,7 @@ class _FlowQuery:
                 w = to[e]
                 if e & 1 or parent[w] != -1 or cap[e] + cap[e + 1] == 0:
                     continue
-                u, x = self._vertex(node), self._vertex(w)
-                if u is not None and x is not None and u == x:
-                    cut.add(u)  # split arc
-                elif x is not None and x not in terminal_vertices:
-                    cut.add(x)
-                elif u is not None and u not in terminal_vertices:
-                    cut.add(u)
-                elif x is not None:
-                    cut.add(x)
+                cut.add((node if w == sink else w) >> 1)
         return tuple(sorted(cut))
 
 
@@ -1044,8 +1036,7 @@ def max_internally_disjoint_paths(view, u: int, v: int, limit: int | None = None
         raise ValueError(f"{limit} disjoint paths: the limit must be non-negative")
     cap = min(view.degree(u), view.degree(v))
     goal = cap if limit is None else min(limit, cap)
-    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(u,), no_split=(v,),
-                    uncapped=(u,)) as q:
+    with _FlowQuery(view, order_seed=order_seed, no_split=(v,)) as q:
         q.max_flow(q.vout(u), q.vin(v), goal, counter)
         paths = q.extract_paths(q.vout(u), q.vin(v))
     return PathFamily(tuple(paths))
@@ -1073,8 +1064,7 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
         raise ValueError(f"fan of {k} paths needs target capacity {k}, got {total}")
     _require(view, [x, *caps])
     ys = sorted(caps)
-    with _FlowQuery(view, order_seed=order_seed, entry_blocked=(x,), no_split=ys,
-                    uncapped=(x,)) as q:
+    with _FlowQuery(view, order_seed=order_seed, no_split=ys) as q:
         for y in ys:
             if caps[y]:
                 q.add_arc(q.vin(y), q.sink, caps[y])
@@ -1083,7 +1073,7 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
         if value < k:
             raise InsufficientConnectivity(
                 f"fan from {x} reached only {value} of {k} targets",
-                achieved=fam, witness_cut=q.witness_cut(q.vout(x), {x}))
+                achieved=fam, witness_cut=q.witness_cut(q.vout(x), q.sink))
     return fam
 
 
@@ -1114,7 +1104,7 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
         value = q.max_flow(q.source, q.sink, need)
         fam = PathFamily(tuple(zero + q.extract_paths(q.source, q.sink)))
         if value < need:
-            cut = q.witness_cut(q.source, set())
+            cut = q.witness_cut(q.source, q.sink)
             raise InsufficientConnectivity(
                 f"only {len(zero) + value} of {k} disjoint set paths exist",
                 achieved=fam, witness_cut=tuple(sorted(set(cut) | set(shared))))
@@ -1127,11 +1117,11 @@ def _pair_flow(view, u: int, v: int, drop_direct: bool,
     # each unit leaves u and enters v on an edge of its own, so a flow of
     # the smaller degree is maximum: no search past it can augment
     cap = min(view.degree(u), view.degree(v))
-    with _FlowQuery(view, entry_blocked=(u,), no_split=(v,), uncapped=(u,)) as q:
+    with _FlowQuery(view, no_split=(v,)) as q:
         if drop_direct:
             q.drop_edge(u, v)
         value = q.max_flow(q.vout(u), q.vin(v), cap)
-        return value, (q.witness_cut(q.vout(u), {u, v}) if want_cut else None)
+        return value, (q.witness_cut(q.vout(u), q.vin(v)) if want_cut else None)
 
 
 def min_vertex_cut(view, u: int, v: int) -> CutResult:

@@ -322,8 +322,9 @@ def test_verify_wrong_schema(tmp_path, capsys):
     lambda doc: doc.__setitem__("n", 3),
     lambda doc: doc.__setitem__("family", "hexagon"),
     lambda doc: doc.__setitem__("solver", 5),
+    lambda doc: doc.__setitem__("omega_perms", [1, 2, 3]),
 ], ids=["string-vertex", "pi3-list", "checks-ints", "n-100", "n-3", "family-hexagon",
-        "solver-5"])
+        "solver-5", "omega-perms-ints"])
 def test_verify_ill_typed_certificate_is_a_usage_error(mutate, tmp_path, capsys):
     doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
     mutate(doc)

@@ -443,7 +443,7 @@ def _flow_cases(draw):
     verts = view.vertices()
     pick = st.sampled_from(verts)
     some = st.lists(pick, max_size=4, unique=True)
-    edits = {name: draw(some) for name in ("entry_blocked", "no_split", "uncapped")}
+    edits = {name: draw(some) for name in ("entry_blocked", "no_split")}
     removed = draw(some)
     edits["order_seed"] = draw(st.one_of(st.none(), st.integers(0, 2**32)))
     u, v, a = draw(pick), draw(pick), draw(pick)
@@ -461,7 +461,7 @@ def _flow_cases(draw):
 _CANCEL_FROM_T = (
     AdjacencyView({0: [1, 4, *range(20, 30)], 1: [2, 5], 2: [3], 3: [9], 4: [6], 6: [8],
                    8: [3], 5: [7], 7: [10], 10: [9]}),
-    {"entry_blocked": [0], "no_split": [9], "uncapped": [0], "order_seed": None},
+    {"entry_blocked": [0], "no_split": [9], "order_seed": None},
     None, [], [], False, 0, False, 9, 2)
 
 
@@ -470,7 +470,7 @@ _CANCEL_FROM_T = (
 # the query may enter.
 _START_MASKED = (
     AdjacencyView({0: [], 1: []}).without([0]),
-    {"entry_blocked": [], "no_split": [], "uncapped": [], "order_seed": None},
+    {"entry_blocked": [], "no_split": [], "order_seed": None},
     None, [], [], False, 0, True, 1, 1)
 
 
@@ -479,7 +479,7 @@ _START_MASKED = (
 # one of 9 arcs, and the next walk fails before one of 11.
 _PHASE_OF_FOUR = (
     copy_union(G6, {2, 5}),
-    {"entry_blocked": [1], "no_split": [98], "uncapped": [1], "order_seed": None},
+    {"entry_blocked": [1], "no_split": [98], "order_seed": None},
     None, [], [], False, 1, False, 98, 6)
 
 
@@ -488,8 +488,7 @@ _PHASE_OF_FOUR = (
 # which a walk and a fresh search both fail, one target short of 6.
 _SEEDED_FAN = (
     copy_union(G6, {1, 3, 4}),
-    {"entry_blocked": [5], "no_split": [719, 710, 640, 214, 450], "uncapped": [5],
-     "order_seed": 5},
+    {"entry_blocked": [5], "no_split": [719, 710, 640, 214, 450], "order_seed": 5},
     None, [], [719, 710, 640, 214, 450], False, 5, True, 0, 6)
 
 
@@ -500,7 +499,7 @@ _SEEDED_FAN = (
 _SEEDED_SETS_N7 = (
     delete_copies(G7, {6}),
     {"entry_blocked": [2678, 2799, 3998, 4244], "no_split": [2043, 3842, 4205, 4563],
-     "uncapped": [], "order_seed": 3900189878855806861},
+     "order_seed": 3900189878855806861},
     None, [2678, 2799, 3998, 4244], [2043, 3842, 4205, 4563], True, 0, True, 0, 4)
 
 
@@ -509,7 +508,7 @@ _SEEDED_SETS_N7 = (
 # enters a vout node through the reverse arc of an edge that carries flow.
 _TRIPOD_FAN = (
     spanning_intra_view(G6),
-    {"entry_blocked": [283], "no_split": [498, 696], "uncapped": [283], "order_seed": None},
+    {"entry_blocked": [283], "no_split": [498, 696], "order_seed": None},
     None, [], {498: 4, 696: 4}, False, 283, True, 0, 8)
 
 
@@ -598,7 +597,7 @@ def _fifo_runs(case):
             q.max_flow(s, t, limit)
             assert q.template == made
             assert all(labels == made for labels in lists)
-            q.witness_cut(s, set())
+            q.witness_cut(s, t)
     large = view.vertex_count >= flows._TWO_ENDED_VERTICES
     kinds = {kind for kind, _ in runs[:-1]}
     assert kinds - {"walk"} == {"two-ended"} if large else kinds == {"bfs"}
@@ -680,7 +679,7 @@ def test_flow_that_raises_mid_phase_leaves_nothing_set():
     def outcome(counter=None):
         with _FlowQuery(view, **edits) as q:
             value = q.max_flow(q.vout(u), q.vin(v), limit, counter)
-            return value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), {u, v})
+            return value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), q.vin(v))
 
     fresh = outcome()
     walk, walks = flows._Phase.walk, []
@@ -729,10 +728,10 @@ def test_large_view_query_gives_fresh_results_across_calls(order_seed):
     assert view.vertex_count >= _TWO_ENDED_VERTICES
     verts = view.vertices()
     u, v = verts[0], verts[len(verts) // 2]
-    edits = {"order_seed": order_seed, "entry_blocked": (u,), "no_split": (v,), "uncapped": (u,)}
+    edits = {"order_seed": order_seed, "entry_blocked": (u,), "no_split": (v,)}
 
     def outcome(q, value):
-        return (value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), {u, v}))
+        return (value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), q.vin(v)))
 
     def fresh(limit):
         with _FlowQuery(view, **edits) as q:
@@ -828,8 +827,7 @@ def test_extraction_walks_to_the_paths_of_the_dict_decomposition(case):
             max_internally_disjoint_paths(view, *args, order_seed=seed)
         elif kind == "drop":
             u, v = args
-            with _FlowQuery(view, order_seed=seed, entry_blocked=(u,), no_split=(v,),
-                            uncapped=(u,)) as q:
+            with _FlowQuery(view, order_seed=seed, entry_blocked=(u,), no_split=(v,)) as q:
                 q.drop_edge(u, v)
                 q.max_flow(q.vout(u), q.vin(v), view.degree(u))
                 assert all(p.vertices != (u, v) for p in q.extract_paths(q.vout(u), q.vin(v)))
@@ -840,6 +838,49 @@ def test_extraction_walks_to_the_paths_of_the_dict_decomposition(case):
             _call(disjoint_set_paths, view, *args, order_seed=seed)
     # set paths that the shared terminals alone make run no flow
     assert len(compared) == (kind != "sets" or args[2] > len(set(args[0]) & set(args[1])))
+
+
+@pytest.mark.parametrize("order_seed", [None, 7])
+@pytest.mark.parametrize("view", [full_view(G5), copy_union(G6, {2, 5})], ids=["small", "large"])
+def test_flow_sources_need_no_edit(view, order_seed):
+    """Nothing reads the arcs into the start of a flow: pair flows, pair
+    cuts and fans, shortfalls included, give the same paths, steps and
+    cuts as a query that also blocks the entries into the start."""
+    rng = random.Random(29)
+    verts = view.vertices()
+
+    def blocked(u, ends, fan, limit, drop=False):
+        counter = flows.StepCounter()
+        with _FlowQuery(view, order_seed=order_seed, entry_blocked=(u,), no_split=ends) as q:
+            t = q.sink if fan else q.vin(ends[0])
+            for y in ends if fan else ():
+                q.add_arc(q.vin(y), q.sink, 1)
+            if drop:
+                q.drop_edge(u, ends[0])
+            q.max_flow(q.vout(u), t, limit, counter)
+            return q.extract_paths(q.vout(u), t), counter.used, q.witness_cut(q.vout(u), t)
+
+    shortfalls = 0
+    for _ in range(12):
+        u, v = rng.sample(verts, 2)
+        counter = flows.StepCounter()
+        fam = max_internally_disjoint_paths(view, u, v, order_seed=order_seed, counter=counter)
+        goal = min(view.degree(u), view.degree(v))
+        assert (list(fam.paths), counter.used) == blocked(u, [v], False, goal)[:2]
+        if order_seed is None:
+            adjacent = view.adjacent(u, v)
+            assert min_vertex_cut(view, u, v).vertices == blocked(u, [v], False, goal, adjacent)[2]
+        x = rng.choice(verts)
+        ys = sorted(rng.sample([w for w in verts if w != x], rng.randint(3, view.degree(x) + 2)))
+        counter = flows.StepCounter()
+        try:
+            got = list(k_fan(view, x, ys, len(ys), order_seed, counter).paths), counter.used, None
+        except InsufficientConnectivity as exc:
+            got = list(exc.achieved.paths), counter.used, exc.witness_cut
+            shortfalls += 1
+        paths, used, cut = blocked(x, ys, True, len(ys))
+        assert got == (paths, used, cut if len(paths) < len(ys) else None)
+    assert shortfalls
 
 
 @pytest.mark.parametrize("view", [full_view(G5), copy_union(G6, {2, 5})], ids=["small", "large"])
@@ -856,7 +897,7 @@ def test_unsplit_vertices_close_their_split_arc_only(view, monkeypatch):
     b = view.neighbors(a)[0]
     into_x = {f ^ 1 for f in net.back_arcs[net.back_first[x]:net.back_first[x + 1]]}
     dropped = next(e for e in net.rows[2 * a + 1] if net.to[e] == 2 * b)
-    edited = {2 * x, dropped, *into_x, *(2 * y for y in targets)}
+    edited = {dropped, *into_x, *(2 * y for y in targets)}
     unsplit_out = [2 * y + 1 for y in targets]
     kernel, join = flows._bfs, flows._join
 
@@ -873,7 +914,7 @@ def test_unsplit_vertices_close_their_split_arc_only(view, monkeypatch):
 
     monkeypatch.setattr(flows, "_bfs", bfs)
     monkeypatch.setattr(flows, "_join", joined)
-    with _FlowQuery(view, entry_blocked=(x,), no_split=targets, uncapped=(x,)) as q:
+    with _FlowQuery(view, entry_blocked=(x,), no_split=targets) as q:
         q.drop_edge(a, b)
         assert set(q.saved) == edited
         for y in targets:
@@ -884,7 +925,7 @@ def test_unsplit_vertices_close_their_split_arc_only(view, monkeypatch):
             assert net.cap[node - 1] == 0
             assert all(net.cap[e] == (e not in edited) and net.cap[e + 1] == 0
                        for e in net.rows[node])
-        q.witness_cut(q.vout(x), {x})
+        q.witness_cut(q.vout(x), q.sink)
     assert not net.busy and net.cap == _network(view).cap
 
 

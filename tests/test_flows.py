@@ -176,23 +176,70 @@ def test_max_internally_disjoint_paths_hits_degree():
         max_internally_disjoint_paths(view, 0, 23, limit=-2)
 
 
+def _separated(view, u, v, direct=False) -> bool:
+    """No u-v path in `view` (reference BFS), or with `direct` none but
+    the edge uv: no path from another neighbour of u to v that avoids u."""
+    starts = [w for w in view.neighbors(u) if w != v] if direct else [u]
+    return all(_reference_shortest_path(view, w, v, avoid={u}) is None for w in starts)
+
+
 def test_menger_duality_seeded_pairs():
-    g = build(4, Family.WHEEL)
-    view = full_view(g)
+    """Each pair cut is as large as the flow it reads: on CW_4 and on two
+    copies of CW_6 (240 vertices, searched from both ends), removing it
+    leaves no u-v path, or for an adjacent pair only the direct edge."""
     rng = random.Random(11)
-    checked = 0
-    while checked < 60:
-        u = rng.randrange(24)
-        v = rng.randrange(24)
-        if u == v or view.adjacent(u, v):
-            continue
-        fam = max_internally_disjoint_paths(view, u, v)
-        cut = min_vertex_cut(view, u, v)
-        assert len(fam.paths) == len(cut.vertices)
-        assert not cut.adjacent
-        # removing the cut really separates
-        assert shortest_path(view.without(set(cut.vertices)), u, v) is None
-        checked += 1
+    for view in (full_view(build(4, Family.WHEEL)), copy_union(build(6, Family.WHEEL), {1, 2})):
+        verts = view.vertices()
+        checked = Counter()
+        while checked[False] < 60 or checked[True] < 20:
+            u, v = rng.choice(verts), rng.choice(verts)
+            adjacent = u != v and view.adjacent(u, v)
+            if u == v or checked[adjacent] >= (20 if adjacent else 60):
+                continue
+            fam = max_internally_disjoint_paths(view, u, v)
+            cut = min_vertex_cut(view, u, v)
+            assert cut.adjacent == adjacent
+            assert len(fam.paths) == len(cut.vertices) + adjacent
+            assert u not in cut.vertices and v not in cut.vertices
+            assert _separated(view.without(set(cut.vertices)), u, v, direct=adjacent)
+            checked[adjacent] += 1
+
+
+@pytest.mark.parametrize("view", [full_view(build(5, Family.WHEEL)),
+                                  copy_union(build(6, Family.WHEEL), {1, 2, 3})],
+                         ids=["cw5", "cw6-three-copies"])
+def test_disjoint_set_paths_shortfall_cut_separates(view):
+    """X is a vertex with its neighbours, and of the vertices next to X
+    only two with two or more neighbours in X stay: the shortfall's cut
+    is those two, one per path found, and removing it leaves no X-Y
+    path."""
+    a = view.vertices()[0]
+    xs = [a, *view.neighbors(a)]
+    ring = sorted({w for x in xs for w in view.neighbors(x)} - set(xs))
+    keep = [w for w in ring if len(set(view.neighbors(w)) & set(xs)) > 1][:2]
+    view = view.without(set(ring) - set(keep))
+    ys = [w for w in view.vertices() if w not in xs and w not in keep][-len(xs):]
+    with pytest.raises(InsufficientConnectivity) as info:
+        disjoint_set_paths(view, xs, ys, len(xs))
+    cut = info.value.witness_cut
+    assert cut == tuple(keep)
+    assert len(info.value.achieved.paths) == len(cut)
+    left = view.without(cut)
+    assert all(_reference_shortest_path(left, x, y) is None for x in xs for y in ys)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_k_fan_shortfall_cut_names_the_targets_it_reached(n):
+    """One target has no neighbour left and the others are all reached:
+    the cut names each reached target by its arc into the sink."""
+    view = full_view(build(n, Family.WHEEL))
+    last = view.vertices()[-1]
+    cut_off = view.without(view.neighbors(last))
+    reached = cut_off.vertices()[-4:-1]
+    with pytest.raises(InsufficientConnectivity) as info:
+        k_fan(cut_off, 0, [last, *reached], 4)
+    assert info.value.witness_cut == tuple(reached)
+    assert len(info.value.achieved.paths) == 3
 
 
 def test_local_connectivity_adjacent_pair():
