@@ -490,11 +490,15 @@ class _FlowQuery:
             paths.append(Path(tuple(vp)))
         return paths
 
-    def witness_cut(self, source: int, sink: int) -> tuple[int, ...]:
+    def witness_cut(self, source: int) -> tuple[int, ...]:
         """Vertex separator read off the residual cut of a maximum flow from
-        `source` to `sink`: every arc the query left open from a node the
-        residual reaches to one it does not (so it carries flow) names the
-        vertex of its head, or of its tail when its head is `sink`."""
+        `source`: every arc the query left open from a node the residual
+        reaches to one it does not (so it carries flow) names the vertex
+        of its head, or of its tail when its head is the super sink.  A
+        flow that ends at ``vin(v)`` with the start's direct edge dropped
+        needs no rule of its own: an arc into ``vin(v)`` that carries flow
+        carries its tail's one unit, so the residual never reaches that
+        tail and no such arc crosses the cut."""
         rows, to, cap = self.net.rows, self.net.to, self.net.cap
         parent = self.template[:]
         _bfs(rows, to, cap, parent, source, -1)
@@ -506,7 +510,7 @@ class _FlowQuery:
                 w = to[e]
                 if e & 1 or parent[w] != -1 or cap[e] + cap[e + 1] == 0:
                     continue
-                cut.add((node if w == sink else w) >> 1)
+                cut.add((node if w >= self.source else w) >> 1)
         return tuple(sorted(cut))
 
 
@@ -1073,7 +1077,7 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
         if value < k:
             raise InsufficientConnectivity(
                 f"fan from {x} reached only {value} of {k} targets",
-                achieved=fam, witness_cut=q.witness_cut(q.vout(x), q.sink))
+                achieved=fam, witness_cut=q.witness_cut(q.vout(x)))
     return fam
 
 
@@ -1104,7 +1108,7 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
         value = q.max_flow(q.source, q.sink, need)
         fam = PathFamily(tuple(zero + q.extract_paths(q.source, q.sink)))
         if value < need:
-            cut = q.witness_cut(q.source, q.sink)
+            cut = q.witness_cut(q.source)
             raise InsufficientConnectivity(
                 f"only {len(zero) + value} of {k} disjoint set paths exist",
                 achieved=fam, witness_cut=tuple(sorted(set(cut) | set(shared))))
@@ -1121,7 +1125,7 @@ def _pair_flow(view, u: int, v: int, drop_direct: bool,
         if drop_direct:
             q.drop_edge(u, v)
         value = q.max_flow(q.vout(u), q.vin(v), cap)
-        return value, (q.witness_cut(q.vout(u), q.vin(v)) if want_cut else None)
+        return value, (q.witness_cut(q.vout(u)) if want_cut else None)
 
 
 def min_vertex_cut(view, u: int, v: int) -> CutResult:

@@ -159,6 +159,22 @@ class View:
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
+    def is_walk(self, vs) -> bool:
+        """True when every member of the vertex sequence is a vertex of
+        the view and an edge of the view joins each consecutive pair."""
+        members = range(self.graph.vertex_count) if self.allowed is None else self.allowed
+        rows = self.graph.nbrs
+        x = None
+        for y in vs:
+            # only exact ints are vertices: a float or a bool equal to a
+            # rank would pass both membership tests
+            if type(y) is not int or y not in members:
+                return False
+            if x is not None and y not in rows[x]:
+                return False
+            x = y
+        return True
+
     def path_gaps(self, vs) -> tuple[list, list[tuple[int, int]]]:
         """For a vertex sequence: its members outside the view, and its
         consecutive pairs, neither end equal to one of those, that no

@@ -4,6 +4,10 @@ Everything here re-derives validity from a View's adjacency alone, so
 the certificate verifier and the solver share one set of eyes that
 never trusts solver bookkeeping.  Only ``graphs``, ``perms`` and
 ``errors`` are imported, so a verifier loads no solver module.
+
+A checker decides each path in one pass (``View.is_walk`` and one
+claim of its vertices and edges); only a rejected path is walked again,
+by ``path_violations`` and the owner loops, to name its faults.
 """
 
 from __future__ import annotations
@@ -120,13 +124,41 @@ def _family_violations(view, items, banned, shared) -> list[str]:
     ``(label, path, ends)`` items: each path is a path of the view that
     starts in ``ends[0]`` and stops in ``ends[1]`` (unless ``ends`` is
     None) with no ``banned`` vertex inside it; a vertex outside
-    ``shared`` lies on one path only, and no edge lies on two."""
+    ``shared`` lies on one path only, and no edge lies on two.
+
+    One pass decides a path: it is clean when it is non-empty, repeats
+    no vertex, has its ends, keeps ``banned`` out of its inside, is a
+    walk of the view, and claims each vertex outside ``shared`` and each
+    edge before any other path does.  A clean path yields no message.
+    Any other path is walked again below for its messages; what it
+    claimed was free, so every owner and message, order included, is
+    the one a walk of every path would give."""
     out = []
     vertex_owner: dict[int, str] = {}
     edge_owner: dict[tuple[int, int], str] = {}
     for label, path, ends in items:
-        out.extend(path_violations(view, path, label))
         vs = path.vertices
+        if (vs and len(set(vs)) == len(vs)
+                and (ends is None or vs[0] in ends[0] and vs[-1] in ends[1])
+                and (not banned or banned.isdisjoint(vs[1:-1]))
+                and view.is_walk(vs)):
+            # claim its vertices and edges; a clean path is done here
+            x = None
+            for y in vs:
+                if y not in shared:
+                    if y in vertex_owner:
+                        break
+                    vertex_owner[y] = label
+                if x is not None:
+                    e = (x, y) if x < y else (y, x)
+                    if e in edge_owner:
+                        break
+                    edge_owner[e] = label
+                x = y
+            else:
+                continue
+        # a rejected path: walk it again for its messages
+        out.extend(path_violations(view, path, label))
         if not vs:
             continue
         if ends is not None and (vs[0] not in ends[0] or vs[-1] not in ends[1]):

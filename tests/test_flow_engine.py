@@ -597,7 +597,7 @@ def _fifo_runs(case):
             q.max_flow(s, t, limit)
             assert q.template == made
             assert all(labels == made for labels in lists)
-            q.witness_cut(s, t)
+            q.witness_cut(s)
     large = view.vertex_count >= flows._TWO_ENDED_VERTICES
     kinds = {kind for kind, _ in runs[:-1]}
     assert kinds - {"walk"} == {"two-ended"} if large else kinds == {"bfs"}
@@ -679,7 +679,7 @@ def test_flow_that_raises_mid_phase_leaves_nothing_set():
     def outcome(counter=None):
         with _FlowQuery(view, **edits) as q:
             value = q.max_flow(q.vout(u), q.vin(v), limit, counter)
-            return value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), q.vin(v))
+            return value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u))
 
     fresh = outcome()
     walk, walks = flows._Phase.walk, []
@@ -731,7 +731,7 @@ def test_large_view_query_gives_fresh_results_across_calls(order_seed):
     edits = {"order_seed": order_seed, "entry_blocked": (u,), "no_split": (v,)}
 
     def outcome(q, value):
-        return (value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u), q.vin(v)))
+        return (value, q.extract_paths(q.vout(u), q.vin(v)), q.witness_cut(q.vout(u)))
 
     def fresh(limit):
         with _FlowQuery(view, **edits) as q:
@@ -858,7 +858,7 @@ def test_flow_sources_need_no_edit(view, order_seed):
             if drop:
                 q.drop_edge(u, ends[0])
             q.max_flow(q.vout(u), t, limit, counter)
-            return q.extract_paths(q.vout(u), t), counter.used, q.witness_cut(q.vout(u), t)
+            return q.extract_paths(q.vout(u), t), counter.used, q.witness_cut(q.vout(u))
 
     shortfalls = 0
     for _ in range(12):
@@ -925,7 +925,7 @@ def test_unsplit_vertices_close_their_split_arc_only(view, monkeypatch):
             assert net.cap[node - 1] == 0
             assert all(net.cap[e] == (e not in edited) and net.cap[e + 1] == 0
                        for e in net.rows[node])
-        q.witness_cut(q.vout(x), q.sink)
+        q.witness_cut(q.vout(x))
     assert not net.busy and net.cap == _network(view).cap
 
 

@@ -354,6 +354,37 @@ def test_views_take_int_vertices_only(view_of):
     assert not one.contains(True) and not one.adjacent(g.nbrs[1][-1], True)
 
 
+@pytest.mark.parametrize("view_of", [
+    full_view, spanning_intra_view, lambda g: full_view(g).without(range(0, 120, 7)),
+    lambda g: AdjacencyView({v: list(g.nbrs[v]) for v in g.copy_members[1]}),
+], ids=["full", "spanning", "without", "adjacency"])
+def test_is_walk_takes_view_vertices_and_view_edges(view_of):
+    """A walk is a sequence of exact-int vertices of the view, each step
+    an edge of the view; it may repeat a vertex.  It is a walk exactly
+    when ``path_gaps`` finds no outside member and no gap."""
+    g = build(5, Family.WHEEL)
+    view = view_of(g)
+    u = view.vertices()[1]
+    w = view.neighbors(u)[0]
+    x = next(x for x in view.vertices() if x != u and not view.adjacent(u, x))
+    off = next(v for v in range(-1, g.vertex_count + 1) if not view.contains(v))
+    assert view.is_walk((u,)) and view.is_walk((u, w)) and view.is_walk((u, w, u))
+    assert not view.is_walk((u, float(w))) and not view.is_walk((float(u), w))
+    assert not view.is_walk((u, x)) and not view.is_walk((off,))
+    for b in (True, False):
+        assert not view.is_walk((b,))
+        assert view.is_walk((int(b),)) == view.contains(int(b))
+    rng = random.Random(3)
+    for _ in range(300):
+        vs = [rng.choice(view.vertices())]
+        for _ in range(rng.randint(0, 6)):
+            # steps of the whole graph, some of which the view lacks
+            vs.append(rng.choice(g.nbrs[vs[-1]]))
+        if rng.random() < 0.3:
+            vs[rng.randrange(len(vs))] = rng.choice([off, float(u), True, rng.randrange(120)])
+        assert view.is_walk(vs) == (view.path_gaps(vs) == ([], [])), vs
+
+
 G5 = build(5, Family.WHEEL)
 RANK_TAKERS = {
     "check_rank": lambda v: G5.check_rank(v),

@@ -93,6 +93,17 @@ MUTATIONS = {
                         r"^vertex \d+ shared by ab\[0\] and ab\[1\]$"),
     "shared-edge": (lambda: _tripod(_with_ab(_direct(), _direct())),
                     r"^edge \(32, 56\) shared by ab\[0\] and ab\[1\]$"),
+    # a..c..b: a walk with the right ends through the third terminal
+    "through-terminal": (
+        lambda: _tripod(_with_ab(Path(STRUCTURE.bundle_ac[0].vertices
+                                      + STRUCTURE.bundle_bc[0].reverse().vertices[1:]),
+                                 _direct())),
+        r"^ab\[0\]: 14 appears internally$"),
+    # a..b..a..c: every terminal on it, a twice, no edge twice
+    "omega-repeated-terminal": (
+        lambda: _omega((Path(_detour().vertices + _direct().reverse().vertices[1:]
+                             + STRUCTURE.bundle_ac[0].vertices[1:]),)),
+        r"^T\[0\]: vertex 32 repeats$"),
     "omega-missing-terminal": (
         lambda: _omega((_to_second_terminal(OMEGA_PATHS[0]),) + OMEGA_PATHS[1:]),
         r"^T\[0\]: misses terminals \[\d+\]$"),
@@ -124,6 +135,27 @@ def test_unmutated_structure_passes():
     assert _fan(FAN).violations == ()
     assert _sets(SET_PATHS).violations == ()
     assert _uv(UV_PATHS).violations == ()
+
+
+def test_clean_families_never_reach_the_explanation(monkeypatch):
+    """A family that passes is decided in one pass: no path of it is
+    walked again for messages.  Built structures on the n = 5 full view,
+    the n = 6 spanning view (an ExplicitGraph) and the n = 7 full view
+    pass ``pair_structure`` and the fan, set and u–v families pass their
+    checks with the message code made to raise."""
+    g6, g7 = build(6, Family.WHEEL), build(7, Family.WHEEL)
+    even, case = build_structure(g6, (125, 546, 658))
+    odd, _ = build_structure(g7, (85, 3539, 4799))
+    assert case.case_id == "Even"
+    built = [(VIEW, STRUCTURE), (spanning_intra_view(g6), even), (full_view(g7), odd)]
+
+    def explain(*args):
+        raise AssertionError("a clean path was walked for its messages")
+
+    monkeypatch.setattr(verification, "path_violations", explain)
+    for view, structure in built:
+        pair_structure(view, structure)
+    assert _fan(FAN).ok and _sets(SET_PATHS).ok and _uv(UV_PATHS).ok
 
 
 def test_check_tripod_checks_counts_exactly_only():
@@ -225,7 +257,7 @@ def _mutate(draw, paths, kind, view):
     elif kind == "shared-edge" and len(other) > 1:
         vs[:1] = other[:2]
     elif kind == "banned":
-        vs.insert(max(at, 1), draw(st.sampled_from(STRUCTURE.omega)))
+        vs.insert(max(at, 1), draw(st.sampled_from(STRUCTURE.omega + FAN_TARGETS + XS + YS)))
     elif kind == "ends":
         vs.reverse() if draw(st.booleans()) else vs.pop()
 
@@ -233,24 +265,27 @@ def _mutate(draw, paths, kind, view):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(data=st.data())
 def test_checkers_match_the_reference_checkers(data):
-    """Mutated bundles and Ω-paths get the same violation lists, messages
-    and order included, from the checkers as from the reference copies
-    above, on full, spanning and restricted views."""
+    """Mutated bundles, Ω-paths, fans, set-to-set paths and u–v paths get
+    the same violation lists, messages and order included, from the
+    checkers as from the reference copies above, on full, spanning and
+    restricted views."""
     view = data.draw(st.sampled_from(CHECK_VIEWS))
-    paths = [list(p.vertices) for bundle in BUNDLES for p in bundle]
-    paths += [list(p.vertices) for p in OMEGA_PATHS]
+    groups = (*BUNDLES, OMEGA_PATHS, FAN, SET_PATHS, UV_PATHS)
+    paths = [list(p.vertices) for group in groups for p in group]
     for kind in data.draw(st.lists(st.sampled_from(KINDS), max_size=3)):
         _mutate(data.draw, paths, kind, view)
     cut = iter(map(Path, map(tuple, paths)))
-    bundles = [tuple(next(cut) for _ in bundle) for bundle in BUNDLES]
-    structure = replace(STRUCTURE, bundle_ab=bundles[0], bundle_ac=bundles[1],
-                        bundle_bc=bundles[2])
-    omega_paths = tuple(cut)
+    ab, ac, bc, omega_paths, fan, sets, uv = (tuple(next(cut) for _ in group)
+                                              for group in groups)
+    structure = replace(STRUCTURE, bundle_ab=ab, bundle_ac=ac, bundle_bc=bc)
 
     def reports():
         return (check_tripod(view, structure, TARGET).violations,
                 check_omega_path_set(view, STRUCTURE.omega, omega_paths).violations,
-                [verification.path_violations(view, p, "p") for p in omega_paths])
+                [verification.path_violations(view, p, "p") for p in omega_paths],
+                check_fan(view, 0, FAN_TARGETS, PathFamily(fan), len(FAN)).violations,
+                check_disjoint_set_paths(view, XS, YS, PathFamily(sets), 3).violations,
+                check_internally_disjoint(view, 0, 119, PathFamily(uv)).violations)
 
     got = reports()
     with pytest.MonkeyPatch.context() as mp:
