@@ -101,7 +101,7 @@ def build_structure(g: CayleyGraph, omega, seed: int = 0):
         if distinct == 1:
             got = _same_copy(g, tri, seed)
         elif distinct == 2:
-            got = _two_copies(g, tri, seed)
+            got = _two_copies(g, tri)
         else:
             got = _three_copies(g, tri)
     if got is None or got[0].counts() != target.as_tuple():
@@ -166,8 +166,6 @@ def _same_copy(g, tri, seed):
         aseed = mix_seed(seed, 11, attempt)
         base = solve_tripod(cview, tri, base_target, aseed)
         if not isinstance(base, TripodStructure):
-            if base.certified_infeasible:
-                break
             continue
         hit = _scan_unused_neighbor(cview, tri, base)
         if hit is not None:
@@ -207,6 +205,17 @@ def _route_1_1(g, K, tri, base, t, w, order_seed):
     return structure, CASE_1_1, (a, b, c), {"unused_neighbor": w}
 
 
+def _spare_neighbors(cview, x, own, opposite):
+    """Copy neighbours of x on no path of x's own bundles, each with the
+    first path of the opposite bundle it lies on."""
+    used = {v for p in own for v in p.vertices}
+    for v in cview.neighbors(x):
+        if v not in used:
+            hit = next((p for p in opposite if v in p.vertices), None)
+            if hit is not None:
+                yield v, hit
+
+
 def _route_1_2_1(g, K, cview, tri, base, order_seed):
     """Every copy neighbor of every terminal sits on some base path:
     cannibalize three paths to free a detour vertex g0 next to C."""
@@ -214,37 +223,13 @@ def _route_1_2_1(g, K, cview, tri, base, order_seed):
         ab = _bundle_between(base, A, B)
         ac = _bundle_between(base, A, C)
         bc = _bundle_between(base, B, C)
-        used_ab_ac = set(v for p in ab + ac for v in p.vertices)
-        used_ac_bc = set(v for p in ac + bc for v in p.vertices)
-        used_ab_bc = set(v for p in ab + bc for v in p.vertices)
-        for a_pr in cview.neighbors(A):
-            if a_pr in used_ab_ac:
-                continue
-            R1 = next((p for p in bc if a_pr in p.vertices), None)
-            if R1 is None:
-                continue
+        c_pr, P1 = next(_spare_neighbors(cview, C, ac + bc, ab), (None, None))
+        b_pr, Q1 = next(_spare_neighbors(cview, B, ab + bc, ac), (None, None))
+        if P1 is None or Q1 is None:
+            continue
+        for a_pr, R1 in _spare_neighbors(cview, A, ab + ac, bc):
             idx = R1.vertices.index(a_pr)
             if len(R1.vertices) - 1 - idx < 2:
-                continue
-            c_pr = P1 = None
-            for v in cview.neighbors(C):
-                if v in used_ac_bc:
-                    continue
-                hit = next((p for p in ab if v in p.vertices), None)
-                if hit is not None:
-                    c_pr, P1 = v, hit
-                    break
-            if P1 is None:
-                continue
-            b_pr = Q1 = None
-            for v in cview.neighbors(B):
-                if v in used_ab_bc:
-                    continue
-                hit = next((p for p in ac if v in p.vertices), None)
-                if hit is not None:
-                    b_pr, Q1 = v, hit
-                    break
-            if Q1 is None:
                 continue
             got = _finish_1_2_1(g, K, (A, B, C), ab, ac, bc,
                                 (P1, Q1, R1), (a_pr, b_pr, c_pr), idx,
@@ -424,7 +409,17 @@ def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed):
 
 # ------------------------------------------------------------- two copies
 
-def _two_copies(g, tri, seed):
+def _two_copies(g, tri):
+    """a and c share copy K; b lies in another.  One pass, as every step
+    succeeds by the lemmas ``tripaths lemmas`` checks: K is
+    (2n-5)-connected, so the a-c flow returns 2n - 5 paths (fewer is
+    final); a direct edge rules out common neighbours and two vertices
+    share at most 3, so at most 3 paths are shorter than 3 edges and n - 4
+    long ones exist; their 2n - 4 fan targets are distinct and never b (the
+    star map is a bijection into other copies, and c's other outside
+    neighbours differ from every star image of K); CW_n minus K is
+    (2n-4)-connected, so the fan lemma gives the fan.  A failed lemma
+    would surface as a fallback, which the zero-fallback gates count."""
     d = g.n // 2
     by_copy: dict[int, list[int]] = {}
     for v in tri:
@@ -432,69 +427,55 @@ def _two_copies(g, tri, seed):
     K = next(cc for cc, vs in by_copy.items() if len(vs) == 2)
     a, c = sorted(by_copy[K])
     b = next(v for cc, vs in by_copy.items() if len(vs) == 1 for v in vs)
-    cview = copy_union(g, {K})
-    outside = delete_copies(g, {K})
-    need = 2 * d - 3
     star = g.star_image
 
-    for attempt in range(3):
-        oseed = None if attempt == 0 else mix_seed(seed, 2, attempt)
-        fam = max_internally_disjoint_paths(cview, a, c, order_seed=oseed)
-        paths = list(fam.paths)
-        if len(paths) < 4 * d - 3:
-            # a max-flow value: another path order cannot raise it
-            return None
-        chosen, keep = [], []
-        for p in paths:
-            if p.length >= 3 and len(chosen) < need:
-                chosen.append(p)
-            else:
-                keep.append(p)
-        if len(chosen) < need:
-            continue
+    paths = list(max_internally_disjoint_paths(copy_union(g, {K}), a, c).paths)
+    if len(paths) < 4 * d - 3:
+        return None
+    chosen = [p for p in paths if p.length >= 3][:2 * d - 3]
+    keep = [p for p in paths if p not in chosen]
 
-        directs: list[tuple[str, Path]] = []
-        legs: list[tuple[str, int, int]] = []  # tag, copy vertex, fan target
-        for p in chosen:
-            u_i, v_i = p.vertices[1], p.vertices[-2]
-            if star[u_i] == b:
-                directs.append(("ab", Path((a, u_i, b))))
-            else:
-                legs.append(("ab", u_i, star[u_i]))
-            if star[v_i] == b:
-                directs.append(("bc", Path((b, v_i, c))))
-            else:
-                legs.append(("bc", v_i, star[v_i]))
-        if star[a] == b:
-            directs.append(("ab", Path((a, b))))
+    directs: list[tuple[str, Path]] = []
+    legs: list[tuple[str, int, int]] = []  # tag, copy vertex, fan target
+    for p in chosen:
+        u_i, v_i = p.vertices[1], p.vertices[-2]
+        if star[u_i] == b:
+            directs.append(("ab", Path((a, u_i, b))))
         else:
-            legs.append(("ab", a, star[a]))
-        for w in outside_neighbors(g, c):
-            if w == b:
-                directs.append(("bc", Path((b, c))))
-            else:
-                legs.append(("bc", c, w))
+            legs.append(("ab", u_i, star[u_i]))
+        if star[v_i] == b:
+            directs.append(("bc", Path((b, v_i, c))))
+        else:
+            legs.append(("bc", v_i, star[v_i]))
+    if star[a] == b:
+        directs.append(("ab", Path((a, b))))
+    else:
+        legs.append(("ab", a, star[a]))
+    for w in outside_neighbors(g, c):
+        if w == b:
+            directs.append(("bc", Path((b, c))))
+        else:
+            legs.append(("bc", c, w))
 
-        targets = [t for _tag, _v, t in legs]
-        try:
-            # k_fan raises ValueError on a repeated target
-            fanfam = k_fan(outside, b, targets, len(targets), order_seed=oseed)
-        except (InsufficientConnectivity, ValueError):
-            continue
-        by_end = {p.vertices[-1]: p for p in fanfam.paths}
-        tagged = [("ac", p) for p in keep] + list(directs)
-        for tag, inner_v, tgt in legs:
-            fp = by_end[tgt]
-            if tag == "ab":
-                run = (a,) if inner_v == a else (a, inner_v)
-                tagged.append((tag, _cat(run, fp.reverse())))
-            else:
-                run = (c,) if inner_v == c else (inner_v, c)
-                tagged.append((tag, _cat(fp, run)))
-        structure = TripodStructure.from_tagged((a, b, c), tagged)
-        return structure, CASE_2, (a, b, c), {
-            "harvested": [p.vertices[1] for p in chosen]}
-    return None
+    targets = [t for _tag, _v, t in legs]
+    try:
+        # k_fan raises ValueError on a repeated target
+        fanfam = k_fan(delete_copies(g, {K}), b, targets, len(targets))
+    except (InsufficientConnectivity, ValueError):
+        return None
+    by_end = {p.vertices[-1]: p for p in fanfam.paths}
+    tagged = [("ac", p) for p in keep] + list(directs)
+    for tag, inner_v, tgt in legs:
+        fp = by_end[tgt]
+        if tag == "ab":
+            run = (a,) if inner_v == a else (a, inner_v)
+            tagged.append((tag, _cat(run, fp.reverse())))
+        else:
+            run = (c,) if inner_v == c else (inner_v, c)
+            tagged.append((tag, _cat(fp, run)))
+    structure = TripodStructure.from_tagged((a, b, c), tagged)
+    return structure, CASE_2, (a, b, c), {
+        "harvested": [p.vertices[1] for p in chosen]}
 
 
 # ----------------------------------------------------------- three copies

@@ -674,8 +674,6 @@ def _bfs(rows, to, cap, parent, s: int, t: int) -> None:
             if len(row) == 1:
                 if cap[h] > 0 and parent[h + 1] == -1:
                     parent[h + 1] = h
-                    if h + 1 == t:
-                        return
                     push(h + 1)
                 continue
             for f in row:

@@ -102,21 +102,14 @@ def solve_tripod(view, omega, target: StructureTarget, seed: int = 0):
     """
     check_terminals(view, omega)
     counter = StepCounter()
-    certified = False
-    restarts = 0
     for r in range(_MAX_RESTARTS + 1):
-        restarts = r
         order_seed = None if r == 0 else mix_seed(seed, r)
         for pivot in ("a", "b", "c"):
-            if counter.used >= _MAX_STEPS:
-                break
             res = _two_phase(view, omega, target, pivot, order_seed, counter)
             if res == _INFEASIBLE:
-                certified = True
-                break
+                return TripodFailure("target certified infeasible", counter.used, r, True)
             if res is not None:
                 return res
-        if certified or counter.used >= _MAX_STEPS:
-            break
-    reason = "target certified infeasible" if certified else "search budget exhausted"
-    return TripodFailure(reason, counter.used, restarts, certified)
+            if counter.used >= _MAX_STEPS:
+                return TripodFailure("search budget exhausted", counter.used, r)
+    return TripodFailure("search budget exhausted", counter.used, _MAX_RESTARTS)

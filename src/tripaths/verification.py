@@ -119,9 +119,9 @@ def path_violations(view, path: Path, label: str) -> list[str]:
     return out
 
 
-def _family_violations(view, items, banned, shared) -> list[str]:
+def _family_violations(view, groups, banned, shared) -> list[str]:
     """The paper's rule for internally disjoint paths, applied to
-    ``(label, path, ends)`` items: each path is a path of the view that
+    ``(name, paths, ends)`` groups: each path is a path of the view that
     starts in ``ends[0]`` and stops in ``ends[1]`` (unless ``ends`` is
     None) with no ``banned`` vertex inside it; a vertex outside
     ``shared`` lies on one path only, and no edge lies on two.
@@ -129,55 +129,59 @@ def _family_violations(view, items, banned, shared) -> list[str]:
     One pass decides a path: it is clean when it is non-empty, repeats
     no vertex, has its ends, keeps ``banned`` out of its inside, is a
     walk of the view, and claims each vertex outside ``shared`` and each
-    edge before any other path does.  A clean path yields no message.
+    edge for its key ``(name, i)`` before any other path does.  A clean
+    path yields no message, and no label ``name[i]`` is formatted for it.
     Any other path is walked again below for its messages; what it
     claimed was free, so every owner and message, order included, is
     the one a walk of every path would give."""
     out = []
-    vertex_owner: dict[int, str] = {}
-    edge_owner: dict[tuple[int, int], str] = {}
-    for label, path, ends in items:
-        vs = path.vertices
-        if (vs and len(set(vs)) == len(vs)
-                and (ends is None or vs[0] in ends[0] and vs[-1] in ends[1])
-                and (not banned or banned.isdisjoint(vs[1:-1]))
-                and view.is_walk(vs)):
-            # claim its vertices and edges; a clean path is done here
-            x = None
-            for y in vs:
-                if y not in shared:
-                    if y in vertex_owner:
-                        break
-                    vertex_owner[y] = label
-                if x is not None:
-                    e = (x, y) if x < y else (y, x)
-                    if e in edge_owner:
-                        break
-                    edge_owner[e] = label
-                x = y
-            else:
+    vertex_owner: dict[int, tuple[str, int]] = {}
+    edge_owner: dict[tuple[int, int], tuple[str, int]] = {}
+    for name, paths, ends in groups:
+        for i, path in enumerate(paths):
+            key = (name, i)
+            vs = path.vertices
+            if (vs and len(set(vs)) == len(vs)
+                    and (ends is None or vs[0] in ends[0] and vs[-1] in ends[1])
+                    and (not banned or banned.isdisjoint(vs[1:-1]))
+                    and view.is_walk(vs)):
+                # claim its vertices and edges; a clean path is done here
+                x = None
+                for y in vs:
+                    if y not in shared:
+                        if y in vertex_owner:
+                            break
+                        vertex_owner[y] = key
+                    if x is not None:
+                        e = (x, y) if x < y else (y, x)
+                        if e in edge_owner:
+                            break
+                        edge_owner[e] = key
+                    x = y
+                else:
+                    continue
+            # a rejected path: walk it again for its messages
+            label = f"{name}[{i}]"
+            out.extend(path_violations(view, path, label))
+            if not vs:
                 continue
-        # a rejected path: walk it again for its messages
-        out.extend(path_violations(view, path, label))
-        if not vs:
-            continue
-        if ends is not None and (vs[0] not in ends[0] or vs[-1] not in ends[1]):
-            want = ",".join("|".join(map(str, sorted(e))) for e in ends)
-            out.append(f"{label}: endpoints {vs[0]},{vs[-1]} want {want}")
-        if banned:
-            for w in vs[1:-1]:
-                if w in banned:
-                    out.append(f"{label}: {w} appears internally")
-        for w in vs:
-            if w not in shared:
-                owner = vertex_owner.setdefault(w, label)
-                if owner != label:
-                    out.append(f"vertex {w} shared by {owner} and {label}")
-        for x, y in zip(vs, vs[1:]):
-            e = (x, y) if x < y else (y, x)
-            owner = edge_owner.setdefault(e, label)
-            if owner != label:
-                out.append(f"edge {e} shared by {owner} and {label}")
+            if ends is not None and (vs[0] not in ends[0] or vs[-1] not in ends[1]):
+                want = ",".join("|".join(map(str, sorted(e))) for e in ends)
+                out.append(f"{label}: endpoints {vs[0]},{vs[-1]} want {want}")
+            if banned:
+                for w in vs[1:-1]:
+                    if w in banned:
+                        out.append(f"{label}: {w} appears internally")
+            for w in vs:
+                if w not in shared:
+                    owner = vertex_owner.setdefault(w, key)
+                    if owner != key:
+                        out.append(f"vertex {w} shared by {owner[0]}[{owner[1]}] and {label}")
+            for x, y in zip(vs, vs[1:]):
+                e = (x, y) if x < y else (y, x)
+                owner = edge_owner.setdefault(e, key)
+                if owner != key:
+                    out.append(f"edge {e} shared by {owner[0]}[{owner[1]}] and {label}")
     return out
 
 
@@ -192,15 +196,12 @@ def check_tripod(view, structure, target, *, exact: bool = True) -> VerdictRepor
     omega = {a, b, c}
     if len(omega) != 3:
         return VerdictReport.from_list([f"terminals {structure.omega} are not distinct"])
-    out = []
-    items = []
-    for name, paths, ends, want in (("ab", structure.bundle_ab, ({a}, {b}), target.ab),
-                                    ("ac", structure.bundle_ac, ({a}, {c}), target.ac),
-                                    ("bc", structure.bundle_bc, ({b}, {c}), target.bc)):
-        if len(paths) != want:
-            out.append(f"bundle {name}: {len(paths)} paths, target {want}")
-        items.extend((f"{name}[{i}]", p, ends) for i, p in enumerate(paths))
-    out.extend(_family_violations(view, items, omega, omega))
+    groups = (("ab", structure.bundle_ab, ({a}, {b})), ("ac", structure.bundle_ac, ({a}, {c})),
+              ("bc", structure.bundle_bc, ({b}, {c})))
+    out = [f"bundle {name}: {len(paths)} paths, target {want}"
+           for (name, paths, _), want in zip(groups, (target.ab, target.ac, target.bc))
+           if len(paths) != want]
+    out.extend(_family_violations(view, groups, omega, omega))
     return VerdictReport.from_list(out)
 
 
@@ -210,10 +211,9 @@ def check_omega_path_set(view, omega, paths) -> VerdictReport:
     oset = set(omega)
     if len(oset) != 3:
         return VerdictReport.from_list([f"omega {omega} is not three distinct vertices"])
-    items = [(f"T[{i}]", p, None) for i, p in enumerate(paths)]
-    out = [f"{label}: misses terminals {sorted(oset.difference(p.vertices))}"
-           for label, p, _ in items if not oset.issubset(p.vertices)]
-    out.extend(_family_violations(view, items, (), oset))
+    out = [f"T[{i}]: misses terminals {sorted(oset.difference(p.vertices))}"
+           for i, p in enumerate(paths) if not oset.issubset(p.vertices)]
+    out.extend(_family_violations(view, [("T", paths, None)], (), oset))
     return VerdictReport.from_list(out)
 
 
@@ -224,9 +224,7 @@ def check_fan(view, x: int, targets, family: PathFamily, k: int) -> VerdictRepor
     # the root is shared, so only this catches two one-vertex paths [x]
     if x in tset and sum(p.vertices == (x,) for p in paths) > 1:
         out.append("fan targets repeat")
-    ends = ({x}, tset)
-    items = [(f"fan[{i}]", p, ends) for i, p in enumerate(paths)]
-    out.extend(_family_violations(view, items, tset | {x}, {x}))
+    out.extend(_family_violations(view, [("fan", paths, ({x}, tset))], tset | {x}, {x}))
     return VerdictReport.from_list(out)
 
 
@@ -234,15 +232,13 @@ def check_disjoint_set_paths(view, xs, ys, family: PathFamily, k: int) -> Verdic
     ends = (set(xs), set(ys))
     paths = family.paths
     out = [] if len(paths) == k else [f"{len(paths)} paths, want {k}"]
-    items = [(f"p[{i}]", p, ends) for i, p in enumerate(paths)]
-    out.extend(_family_violations(view, items, ends[0] | ends[1], ()))
+    out.extend(_family_violations(view, [("p", paths, ends)], ends[0] | ends[1], ()))
     return VerdictReport.from_list(out)
 
 
 def check_internally_disjoint(view, u: int, v: int, family: PathFamily) -> VerdictReport:
-    ends = ({u}, {v})
-    items = [(f"p[{i}]", p, ends) for i, p in enumerate(family.paths)]
-    return VerdictReport.from_list(_family_violations(view, items, {u, v}, {u, v}))
+    groups = [("p", family.paths, ({u}, {v}))]
+    return VerdictReport.from_list(_family_violations(view, groups, {u, v}, {u, v}))
 
 
 # ------------------------------------------------------------------ bounds

@@ -160,7 +160,7 @@ def test_omega_order_does_not_matter():
 
 def test_route_miss_falls_back_with_its_trace(monkeypatch):
     # a route that returns None hands the triple to the generic solver
-    monkeypatch.setattr(tripaths.construct, "_two_copies", lambda g, tri, seed: None)
+    monkeypatch.setattr(tripaths.construct, "_two_copies", lambda g, tri: None)
     omega = (97, 40, 89)
     structure, trace = _check(G5, omega, seed=4)
     assert trace.case_id == CASE_FALLBACK and trace.fallback
@@ -435,7 +435,7 @@ FORCED_MISSES = [
     ("shortest_path", lambda *args, **kwargs: None, G7, BRIDGED_N7, "plus path"),
     ("max_internally_disjoint_paths", lambda *args, **kwargs: PathFamily(()),
      G5, (40, 89, 97), "OddCase2 harvest"),
-    ("k_fan", _falls_short, G5, (40, 89, 97), "OddCase2 fan, every attempt"),
+    ("k_fan", _falls_short, G5, (40, 89, 97), "OddCase2 fan"),
     ("_slice_pool", lambda *args: [], G5, (26, 65, 92), "OddCase3_1 pools"),
     ("k_fan", _falls_short, G5, (26, 65, 92), "OddCase3_1 fans"),
     ("disjoint_set_paths", _falls_short, G5, (26, 65, 92), "OddCase3_1 chat"),

@@ -1,5 +1,7 @@
 """The structural invariant suite as a library call."""
 
+from collections import Counter
+
 import pytest
 
 from tripaths.graphs import build, outside_neighbors
@@ -72,3 +74,14 @@ def test_cyclic_rotation_outside_neighbors(n):
             assert cp[aS] == cp[bS] == cp[cS], (A, j)
             assert len({cp[aP], cp[bP], cp[cP]}) == 3, (A, j)
     assert seen == g.vertex_count * (n - 3)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_common_neighbors_from_vertex_zero(n):
+    # construct._two_copies leans on these above the n <= 5 suite: two
+    # vertices share at most 3 neighbours, and adjacent ones none.  Left
+    # multiplication is an automorphism, so vertex 0 stands for every vertex
+    g = build(n, Family.WHEEL)
+    shared = Counter(w for v in g.nbrs[0] for w in g.nbrs[v] if w != 0)
+    assert max(shared.values()) <= 3
+    assert [v for v in g.nbrs[0] if shared[v]] == []

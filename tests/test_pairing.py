@@ -135,6 +135,10 @@ def test_upper_bound_values():
     assert rep.connectivity == 8
     assert rep.r == 3
     assert rep.witness is not None
+    # the bubble-sort-star family has degree 2n - 3
+    for n, value, connectivity in ((4, 3, 5), (5, 4, 7)):
+        rep = pi3_upper(build(n, Family.BUBBLE_SORT_STAR))
+        assert (rep.value, rep.connectivity, rep.r) == (value, connectivity, 3)
 
 
 def test_max_triple_common_neighbors_witness():

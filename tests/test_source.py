@@ -107,6 +107,30 @@ def test_only_the_graph_layer_reads_generator_rows():
     assert found == [], found
 
 
+# (function, parameter) pairs a caller's signature imposes: the CLI
+# handler table calls every handler with (args, argv), and the context
+# protocol passes __exit__ the exception triple
+_UNREAD_BY_SIGNATURE = frozenset({("_cmd_gen", "argv"), ("__exit__", "exc")})
+
+
+def test_every_parameter_is_read():
+    # a parameter nothing reads is dead API that every caller still has to pass
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if arg is not None]
+            read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {node.name}({param})" for param in params
+                      if param not in read and param not in ("self", "cls")
+                      and (node.name, param) not in _UNREAD_BY_SIGNATURE]
+    assert found == [], found
+
+
 def test_the_checkers_read_adjacency_through_views_only():
     # the checkers re-derive validity from a View alone, so they read no
     # graph, adjacency row, generator row or vertex set of their own

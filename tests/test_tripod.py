@@ -106,6 +106,14 @@ def test_target_beyond_connectivity_is_infeasible():
     assert res.certified_infeasible
 
 
+def test_exhausted_restarts_end_uncertified():
+    # K5 minus the edge 0-2: no pivot's first phase falls short, so no
+    # round certifies the target infeasible, and every restart runs
+    view = AdjacencyView({0: [1, 3, 4], 1: [2, 3, 4], 2: [3, 4], 3: [4], 4: []})
+    res = solve_tripod(view, (0, 1, 2), StructureTarget(2, 1, 2))
+    assert res == TripodFailure("search budget exhausted", 924, 32, False)
+
+
 def test_exact_pi_triangle():
     k3 = AdjacencyView({0: [1, 2], 1: [2]})
     assert exact_pi(k3, (0, 1, 2)) == 1

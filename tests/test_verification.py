@@ -222,6 +222,14 @@ def _reference_family_violations(view, items, banned, shared):
     return out
 
 
+def _reference_groups(view, groups, banned, shared):
+    """``_reference_family_violations`` on ``(name, paths, ends)`` groups,
+    each path labelled ``name[i]``."""
+    items = [(f"{name}[{i}]", p, ends) for name, paths, ends in groups
+             for i, p in enumerate(paths)]
+    return _reference_family_violations(view, items, banned, shared)
+
+
 # the full view, the spanning view that lacks the (2 5) edges, and a
 # restricted view that lacks some structure vertices
 CHECK_VIEWS = (VIEW, spanning_intra_view(G5),
@@ -290,5 +298,5 @@ def test_checkers_match_the_reference_checkers(data):
     got = reports()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "path_violations", _reference_path_violations)
-        mp.setattr(verification, "_family_violations", _reference_family_violations)
+        mp.setattr(verification, "_family_violations", _reference_groups)
         assert got == reports()
