@@ -170,9 +170,7 @@ def _same_copy(g, tri, seed):
         hit = _scan_unused_neighbor(cview, tri, base)
         if hit is not None:
             t, w = hit
-            got = _route_1_1(g, K, tri, base, t, w, aseed)
-            if got is not None:
-                return got
+            return _route_1_1(g, K, tri, base, t, w, aseed)
         got = _route_1_2_1(g, K, cview, tri, base, aseed)
         if got is not None:
             return got
@@ -229,13 +227,10 @@ def _route_1_2_1(g, K, cview, tri, base, order_seed):
             continue
         for a_pr, R1 in _spare_neighbors(cview, A, ab + ac, bc):
             idx = R1.vertices.index(a_pr)
-            if len(R1.vertices) - 1 - idx < 2:
-                continue
-            got = _finish_1_2_1(g, K, (A, B, C), ab, ac, bc,
-                                (P1, Q1, R1), (a_pr, b_pr, c_pr), idx,
-                                order_seed)
-            if got is not None:
-                return got
+            if len(R1.vertices) - 1 - idx >= 2:
+                return _finish_1_2_1(g, K, (A, B, C), ab, ac, bc,
+                                     (P1, Q1, R1), (a_pr, b_pr, c_pr), idx,
+                                     order_seed)
     return None
 
 
@@ -265,9 +260,10 @@ def _finish_1_2_1(g, K, roles, ab, ac, bc, picked, primes, idx, order_seed):
 def _outside_detours(g, K, roles, detour, order_seed):
     """Four tagged paths outside copy K from C (its three outside neighbors,
     plus one through its copy neighbor ``detour``) to the first two outside
-    neighbors of A and B; None when no linkage exists.  The eight ends
-    differ: the detour is a fourth member of copy K, and copy-mates have
-    pairwise distinct outside neighbors (``tests/test_construct.py``)."""
+    neighbors of A and B, or None.  The eight ends differ (the detour is a
+    fourth member of copy K, and copy-mates have pairwise distinct outside
+    neighbors, ``tests/test_construct.py``) and CW_n minus K is
+    (2n-4)-connected, so the linkage exists: callers try no other candidate."""
     A, B, C = roles
     a_out = outside_neighbors(g, A)
     b_out = outside_neighbors(g, B)
@@ -342,69 +338,53 @@ def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed):
     a cross edge between their two copies stitches them together.
 
     The minus images share one copy, the star images another, and the
-    plus images lie in three distinct copies (``tests/test_lemmas.py``)."""
+    plus images lie in three distinct copies (``tests/test_lemmas.py``).
+    Only the first cross edge clear of both image sets is tried: its two
+    flows join 2 + 2 ends in a (2n-5)-connected copy, a re-anchored w-c*
+    path runs in a copy minus two vertices, which stays connected, the
+    a*-b* path and the tally {ab 1, ac 2, bc 1} hold for every bridged
+    n = 7 triple (a slow gate in ``tests/test_construct.py``), and with
+    that tally any edge makes the same ``solve_tripod`` call."""
     A, B, C, j = rot
     roles = (A, B, C)
     aP, aM, aS = outs[A]
     bP, bM, bS = outs[B]
     cP, cM, cS = outs[C]
-    copy_minus = g.copy_id[aM]
-    copy_star = g.copy_id[aS]
-    minus_set = {aM, bM, cM}
-    star_set = {aS, bS, cS}
-    vm = copy_union(g, {copy_minus})
+    copy_minus, copy_star = g.copy_id[aM], g.copy_id[aS]
     vs = copy_union(g, {copy_star})
-    plus_copies = {g.copy_id[aP], g.copy_id[bP], g.copy_id[cP]}
-    plus_path = shortest_path(copy_union(g, plus_copies), aP, cP)
+    plus_path = shortest_path(copy_union(g, {g.copy_id[v] for v in (aP, bP, cP)}), aP, cP)
     if plus_path is None:
         return None
-    tried = 0
-    for u, w in cross_edges(g, copy_minus, copy_star):
-        if u in minus_set or w in star_set:
-            continue
-        tried += 1
-        if tried > 24:
-            break
-        try:
-            fam1 = disjoint_set_paths(vm, [aM, bM], [cM, u], 2)
-        except InsufficientConnectivity:
-            continue
-        to_u = next(p for p in fam1.paths if p.vertices[-1] == u)
-        to_cm = next(p for p in fam1.paths if p.vertices[-1] == cM)
-        bridge_owner = owner_of[to_u.vertices[0]]
-        try:
-            fam2 = disjoint_set_paths(vs, [aS, w], [bS, cS], 2)
-        except InsufficientConnectivity:
-            continue
-        from_w = next(p for p in fam2.paths if p.vertices[0] == w)
-        from_as = next(p for p in fam2.paths if p.vertices[0] == aS)
-        if bridge_owner == B and from_w.vertices[-1] == bS:
-            # a b-to-b bridge collapses; re-anchor the star copy
-            p1 = shortest_path(vs, w, cS, avoid={aS, bS})
-            if p1 is None:
-                continue
-            p2 = shortest_path(vs.without(set(p1.vertices)), aS, bS)
-            if p2 is None:
-                continue
-            from_w, from_as = p1, p2
-        end_owner = owner_of[from_w.vertices[-1]]
-        cm_owner = owner_of[to_cm.vertices[0]]
-        as_owner = owner_of[from_as.vertices[-1]]
-        tagged_cross = [
-            (_tag(roles, bridge_owner, end_owner),
-             _cat((bridge_owner,), to_u, from_w, (end_owner,))),
-            (_tag(roles, cm_owner, C), _cat((cm_owner,), to_cm, (C,))),
-            (_tag(roles, A, as_owner), _cat((A,), from_as, (as_owner,))),
-        ]
-        tagged_cross.append(("ac", _cat((A,), plus_path, (C,))))
-        tally = Counter(tag for tag, _p in tagged_cross)
-        if tally != {"ab": 1, "ac": 2, "bc": 1}:
-            continue
-        got = _finish_cyclic(g, K, roles, j, tally, tagged_cross, seed,
-                             regime=f"bridged-j{j}")
-        if got is not None:
-            return got
-    return None
+    u, w = next((u, w) for u, w in cross_edges(g, copy_minus, copy_star)
+                if u not in (aM, bM, cM) and w not in (aS, bS, cS))
+    try:
+        fam1 = disjoint_set_paths(copy_union(g, {copy_minus}), [aM, bM], [cM, u], 2)
+        fam2 = disjoint_set_paths(vs, [aS, w], [bS, cS], 2)
+    except InsufficientConnectivity:
+        return None
+    ends = {p.vertices[-1]: p for p in fam1.paths}
+    starts = {p.vertices[0]: p for p in fam2.paths}
+    to_u, to_cm, from_w, from_as = ends[u], ends[cM], starts[w], starts[aS]
+    bridge_owner = owner_of[to_u.vertices[0]]
+    if bridge_owner == B and from_w.vertices[-1] == bS:
+        # a b-to-b bridge collapses; re-anchor the star copy
+        from_w = shortest_path(vs.without({aS, bS}), w, cS)
+        from_as = shortest_path(vs, aS, bS, avoid=from_w.vertices)
+        if from_as is None:
+            return None
+    end_owner = owner_of[from_w.vertices[-1]]
+    cm_owner = owner_of[to_cm.vertices[0]]
+    as_owner = owner_of[from_as.vertices[-1]]
+    tagged_cross = [
+        (_tag(roles, bridge_owner, end_owner),
+         _cat((bridge_owner,), to_u, from_w, (end_owner,))),
+        (_tag(roles, cm_owner, C), _cat((cm_owner,), to_cm, (C,))),
+        (_tag(roles, A, as_owner), _cat((A,), from_as, (as_owner,))),
+        ("ac", _cat((A,), plus_path, (C,))),
+    ]
+    tally = Counter(tag for tag, _p in tagged_cross)
+    return _finish_cyclic(g, K, roles, j, tally, tagged_cross, seed,
+                          regime=f"bridged-j{j}")
 
 
 # ------------------------------------------------------------- two copies

@@ -1113,33 +1113,23 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
     return fam
 
 
-def _pair_flow(view, u: int, v: int, drop_direct: bool,
-               want_cut: bool) -> tuple[int, tuple[int, ...] | None]:
-    """Flow value from u to v and, if asked, the residual vertex cut."""
-    # each unit leaves u and enters v on an edge of its own, so a flow of
-    # the smaller degree is maximum: no search past it can augment
-    cap = min(view.degree(u), view.degree(v))
-    with _FlowQuery(view, no_split=(v,)) as q:
-        if drop_direct:
-            q.drop_edge(u, v)
-        value = q.max_flow(q.vout(u), q.vin(v), cap)
-        return value, (q.witness_cut(q.vout(u)) if want_cut else None)
-
-
 def min_vertex_cut(view, u: int, v: int) -> CutResult:
     """Minimum u,v-separator; adjacent pairs are cut in the graph minus
     the direct edge and flagged."""
     _check_pair(view, u, v)
     adjacent = view.adjacent(u, v)
-    _, cut = _pair_flow(view, u, v, adjacent, want_cut=True)
-    return CutResult(cut, adjacent)
+    # each unit leaves u and enters v on an edge of its own, so a flow of
+    # the smaller degree is maximum: no search past it can augment
+    with _FlowQuery(view, no_split=(v,)) as q:
+        if adjacent:
+            q.drop_edge(u, v)
+        q.max_flow(q.vout(u), q.vin(v), min(view.degree(u), view.degree(v)))
+        return CutResult(q.witness_cut(q.vout(u)), adjacent)
 
 
 def local_connectivity(view, u: int, v: int) -> int:
     """Maximum number of internally disjoint u-v paths (direct edge counts)."""
-    _check_pair(view, u, v)
-    value, _ = _pair_flow(view, u, v, False, want_cut=False)
-    return value
+    return len(max_internally_disjoint_paths(view, u, v).paths)
 
 
 def vertex_connectivity(view) -> int:

@@ -27,7 +27,7 @@ from tripaths.construct import build_structure
 from tripaths.errors import DuplicateVertices, InsufficientConnectivity, WrongFamily
 from tripaths.graphs import CayleyGraph, PathFamily, build, full_view, outside_neighbors
 from tripaths.pairing import LowerBoundReport, pair_structure, pi3_lower, sample_triples
-from tripaths.perms import Family, parse_permutation, rank
+from tripaths.perms import Family, Permutation, compose, parse_permutation, rank
 from tripaths.tripod import TripodFailure
 from tripaths.verification import check_tripod, formula_value, standard_target
 
@@ -170,18 +170,71 @@ def test_route_miss_falls_back_with_its_trace(monkeypatch):
     assert len(pair_structure(full_view(G5), structure)) == formula_value(5)
 
 
-def test_bridged_rotation_regime_n7():
-    # rotation steps strictly between 2 and n-2 only exist from n=7 up
+def test_bridged_rotation_regime_n7(monkeypatch):
+    # rotation steps strictly between 2 and n-2 only exist from n=7 up; the
+    # first triple keeps its star-copy flow, the second re-anchors it, which
+    # is the one route step that calls shortest_path with vertices to avoid
     a = rank(parse_permutation("[1,2,3,4,5,6,7]"))
     b = rank(parse_permutation("[3,2,4,1,5,6,7]"))
     c = rank(parse_permutation("[4,2,1,3,5,6,7]"))
-    structure, trace = build_structure(G7, (a, b, c), seed=0)
-    verdict = check_tripod(full_view(G7), structure, standard_target(7))
-    assert verdict.ok, verdict.violations
-    assert trace.case_id == CASE_1_2_2
-    assert trace.auxiliary["regime"] == "bridged-j3"
-    omega_set = pair_structure(full_view(G7), structure)
-    assert len(omega_set) == 8
+    avoided = []
+
+    def recording(view, u, v, avoid=frozenset()):
+        avoided.append(bool(avoid))
+        return REAL_SHORTEST_PATH(view, u, v, avoid)
+
+    monkeypatch.setattr(tripaths.construct, "shortest_path", recording)
+    for omega, reanchored in (((a, b, c), False), (REANCHORED_N7, True)):
+        avoided.clear()
+        structure, trace = build_structure(G7, omega, seed=0)
+        verdict = check_tripod(full_view(G7), structure, standard_target(7))
+        assert verdict.ok, verdict.violations
+        assert trace.case_id == CASE_1_2_2
+        assert trace.auxiliary["regime"] == "bridged-j3"
+        assert any(avoided) == reanchored, omega
+        omega_set = pair_structure(full_view(G7), structure)
+        assert len(omega_set) == 8
+
+
+def _rotation_triples(g):
+    """Every triple {A, A t, A t t}, ascending, where the 3-cycle t sends
+    1 -> j -> j + 1 -> 1 and 2 <= j <= n - 2."""
+    triples = set()
+    for j in range(2, g.n - 1):
+        images = list(range(1, g.n + 1))
+        images[0], images[j - 1], images[j] = j, j + 1, 1
+        t = Permutation(tuple(images))
+        for A in range(g.vertex_count):
+            pb = compose(g.perm(A), t)
+            triples.add(tuple(sorted((A, rank(pb), rank(compose(pb, t))))))
+    return sorted(triples)
+
+
+@pytest.mark.slow
+def test_every_n7_rotation_reaches_its_finish_once(monkeypatch):
+    """``_route_cyclic`` tries one candidate: on every n = 7 rotation
+    triple it reaches ``_finish_cyclic`` exactly once, at a bridged step
+    with the tally {ab 1, ac 2, bc 1}, so the first cross edge of every
+    bridged triple has both flows, its a*-b* path and that tally."""
+    calls = []
+
+    def finish(g, K, roles, j, tally, tagged_cross, seed, regime):
+        calls.append((regime, tally))
+        return "finished"
+
+    monkeypatch.setattr(tripaths.construct, "_finish_cyclic", finish)
+    regimes = Counter()
+    for tri in _rotation_triples(G7):
+        calls.clear()
+        rot = tripaths.construct._detect_cyclic_triple(G7, tri)
+        got = tripaths.construct._route_cyclic(G7, G7.copy_id[tri[0]], rot, 0)
+        assert got == "finished" and len(calls) == 1, (tri, calls)
+        regime, tally = calls[0]
+        if regime.startswith("bridged"):
+            assert tally == {"ab": 1, "ac": 2, "bc": 1}, (tri, tally)
+        regimes[regime] += 1
+    assert regimes == {"paired-j2": 1680, "bridged-j3": 1680,
+                       "bridged-j4": 1680, "paired-j5": 1680}, regimes
 
 
 def test_n7_sample_needs_no_fallback():
@@ -419,10 +472,16 @@ def _no_star_images_in_chat_copies(g, copy):
     return [(w, ws) for w, ws in REAL_STAR_PAIRS(g, copy) if g.copy_id[ws] in held]
 
 
+def _no_path_around_avoided(view, u, v, avoid=frozenset()):
+    return None if avoid else REAL_SHORTEST_PATH(view, u, v)
+
+
 REAL_SOLVE = tripaths.construct.solve_tripod
 REAL_STAR_PAIRS = tripaths.construct._star_pairs
+REAL_SHORTEST_PATH = tripaths.construct.shortest_path
 BRIDGED_N5 = (15, 33, 46)  # OddCase3_1 whose plan leaves through a bridge
 BRIDGED_N7 = (0, 1584, 2280)  # test_bridged_rotation_regime_n7's triple
+REANCHORED_N7 = (51, 1569, 3027)  # its triple that re-anchors the star copy
 
 # (name in tripaths.construct, stand-in, graph, triple, what gives up):
 # each stand-in makes the triple's route give up, so it must fall back
@@ -431,8 +490,9 @@ FORCED_MISSES = [
     ("solve_tripod", _solves_only_the_whole_graph, G5, (57, 83, 105), "rotation, bases"),
     ("disjoint_set_paths", _falls_short, G5, (25, 44, 110), "OddCase1_1 detours"),
     ("disjoint_set_paths", _falls_short, G5, (13, 22, 92), "OddCase1_2_1 detours"),
-    ("disjoint_set_paths", _falls_short, G7, BRIDGED_N7, "every cross edge"),
+    ("disjoint_set_paths", _falls_short, G7, BRIDGED_N7, "first cross edge"),
     ("shortest_path", lambda *args, **kwargs: None, G7, BRIDGED_N7, "plus path"),
+    ("shortest_path", _no_path_around_avoided, G7, REANCHORED_N7, "re-anchored a*-b* path"),
     ("max_internally_disjoint_paths", lambda *args, **kwargs: PathFamily(()),
      G5, (40, 89, 97), "OddCase2 harvest"),
     ("k_fan", _falls_short, G5, (40, 89, 97), "OddCase2 fan"),

@@ -31,6 +31,12 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
         for stmt in handler.body for node in ast.walk(stmt))
 
 
+def _caught(handler: ast.ExceptHandler) -> set[str]:
+    """Names of the exception classes the handler catches."""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {k.id for k in kinds if isinstance(k, ast.Name)}
+
+
 def test_no_bare_except_and_base_exception_handlers_reraise():
     # a bare except or except BaseException also catches KeyboardInterrupt
     # and SystemExit, so it must hand them on
@@ -39,11 +45,21 @@ def test_no_bare_except_and_base_exception_handlers_reraise():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
-            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            catches_base = any(isinstance(k, ast.Name) and k.id == "BaseException"
-                               for k in kinds)
+            catches_base = "BaseException" in _caught(node)
             if node.type is None or (catches_base and not _reraises(node)):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found
+
+
+def test_construct_gives_up_on_a_flow_miss():
+    # a route's flows run where the lemmas promise them, so a miss is
+    # final: every handler returns None, and no loop retries a candidate
+    tree = ast.parse((SRC / "construct.py").read_text())
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                and "InsufficientConnectivity" in _caught(node)]
+    assert handlers
+    found = [f"construct.py:{h.lineno}" for h in handlers
+             if ast.dump(ast.Module(h.body, [])) != ast.dump(ast.parse("return None"))]
     assert found == [], found
 
 
