@@ -551,12 +551,14 @@ def _plan_3_1(g, a, b, c, t_c, doors, d):
         "aux": {"t_c": t_c, "shared_door": w},
     }
     _extra_or_direct(a, t_c, c, "ac", plan)
+    # alpha_c != beta_c: two vertices share at most one outside neighbour,
+    # as a^-1 b = st for outside generators s != t and the six ordered
+    # pairs of (1 n), (n-1 n), (2 n) give six distinct 3-cycles st.  The
+    # door w is that one, so alpha_c == beta_c, in c's copy, cannot occur
     alpha_c = next(v for v in outside_neighbors(g, a)
                    if v == c or g.copy_id[v] == g.copy_id[c])
     beta_c = next(v for v in outside_neighbors(g, b)
                   if v == c or g.copy_id[v] == g.copy_id[c])
-    if alpha_c == beta_c and alpha_c != c:
-        return plan
     _extra_or_direct(c, alpha_c, a, "ac", plan)
     _extra_or_direct(c, beta_c, b, "bc", plan)
     return plan

@@ -2,9 +2,10 @@
 triple, every path internally disjoint from every other across bundles.
 
 The solver is a two-phase flow heuristic with exchange repair and
-seeded restarts.  A phase-A shortfall is an exact max-flow statement,
-so it certifies the target infeasible.  The exact packing oracle lives
-in ``tripaths.oracle``.
+seeded restarts.  One loop tries the third bundle beside all of phase A
+first, then with each phase-A path freed in turn.  A phase-A shortfall
+is an exact max-flow statement, so it certifies the target infeasible.
+The exact packing oracle lives in ``tripaths.oracle``.
 """
 
 from __future__ import annotations
@@ -51,46 +52,34 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
         return _INFEASIBLE
     phase_a_paths = ([(n1, p) for p in fan.paths if p.vertices[-1] == s1]
                      + [(n2, p) for p in fan.paths if p.vertices[-1] == s2])
-
-    def finish(kept, third_paths):
-        named = list(kept) + [(n3, p) for p in third_paths]
-        return TripodStructure.from_tagged(omega, named)
-
-    blocked = {w for _, p in phase_a_paths for w in p.interior()}
-    sub = view.without(blocked | {pivot_v})
-    fam = max_internally_disjoint_paths(sub, bs, bt, limit=k3,
-                                        order_seed=order_seed, counter=counter)
-    if len(fam.paths) >= k3:
-        return finish(phase_a_paths, list(fam.paths[:k3]))
-
-    # exchange repair: free one first-phase path, redo the third bundle,
-    # then re-route the freed path through what remains
-    for drop in range(len(phase_a_paths)):
-        name_d, path_d = phase_a_paths[drop]
-        kept = [phase_a_paths[i] for i in range(len(phase_a_paths)) if i != drop]
-        blocked_k = {w for _, p in kept for w in p.interior()}
-        sub_b = view.without(blocked_k | {pivot_v})
-        fam_b = max_internally_disjoint_paths(sub_b, bs, bt, limit=k3,
-                                              order_seed=order_seed, counter=counter)
-        if len(fam_b.paths) < k3:
+    # drop None is the plain attempt; exchange repair frees path `drop`,
+    # redoes the third bundle, then re-routes the freed path around both
+    for drop in (None, *range(len(phase_a_paths))):
+        kept = [t for i, t in enumerate(phase_a_paths) if i != drop]
+        blocked = {w for _, p in kept for w in p.interior()}
+        fam = max_internally_disjoint_paths(view.without(blocked | {pivot_v}), bs, bt, limit=k3,
+                                            order_seed=order_seed, counter=counter)
+        if len(fam.paths) < k3:
             continue
-        third = list(fam_b.paths[:k3])
-        used_b = {w for p in third for w in p.interior()}
-        sink_d = path_d.vertices[-1]
-        other = s2 if sink_d == s1 else s1
-        sub_r = view.without(blocked_k | used_b | {other})
-        # a kept path may BE the direct pivot-sink edge; the rerouted path
-        # has no interior blocks against it, so it must skip that edge
-        has_direct = any(len(p.vertices) == 2 and p.vertices[-1] == sink_d
-                         for _, p in kept)
-        fam_r = max_internally_disjoint_paths(
-            sub_r, pivot_v, sink_d, limit=2 if has_direct else 1,
-            order_seed=order_seed, counter=counter)
-        cands = [p for p in fam_r.paths
-                 if not (has_direct and len(p.vertices) == 2)]
-        if cands:
+        third = [(n3, p) for p in fam.paths]
+        if drop is not None:
+            name_d, path_d = phase_a_paths[drop]
+            used = {w for _, p in third for w in p.interior()}
+            sink_d = path_d.vertices[-1]
+            other = s2 if sink_d == s1 else s1
+            # a kept path may BE the direct pivot-sink edge; the rerouted path
+            # has no interior blocks against it, so it must skip that edge
+            has_direct = any(len(p.vertices) == 2 and p.vertices[-1] == sink_d
+                             for _, p in kept)
+            fam_r = max_internally_disjoint_paths(
+                view.without(blocked | used | {other}), pivot_v, sink_d,
+                limit=2 if has_direct else 1, order_seed=order_seed, counter=counter)
+            cands = [p for p in fam_r.paths
+                     if not (has_direct and len(p.vertices) == 2)]
+            if not cands:
+                continue
             kept.append((name_d, cands[0]))
-            return finish(kept, third)
+        return TripodStructure.from_tagged(omega, kept + third)
     return None
 
 

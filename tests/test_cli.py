@@ -209,14 +209,31 @@ def test_verify_golden(capsys):
     assert "status     : ok" in capsys.readouterr().out
 
 
-def test_verify_corrupted(tmp_path, capsys):
-    doc = json.loads((GOLDEN / "certificate-n4.json").read_text())
-    doc["bundles"]["ab"][1][1], doc["bundles"]["ab"][1][2] = (
-        doc["bundles"]["ab"][1][2], doc["bundles"]["ab"][1][1])
+def _swap_two_path_vertices(doc):
+    path = doc["bundles"]["ab"][1]
+    path[1], path[2] = path[2], path[1]
+
+
+@pytest.mark.parametrize("golden, mutate, failed", [
+    ("certificate-n4.json", _swap_two_path_vertices, "structure-valid"),
+    ("certificate-n5.json",
+     lambda doc: doc.update(omega_perms=["[2,3,1,4,5]", "[1,2,3,4,5]", "[3,1,2,4,5]"]),
+     "omega-ranks-match-perms"),
+    ("certificate-n5.json",
+     lambda doc: doc.update(omega_perms=["[1,1,2,3,4]", "[2,3,1,4,5]", "[3,1,2,4,5]"]),
+     "omega-ranks-match-perms"),
+    ("certificate-n5.json",
+     lambda doc: doc.update(omega_perms=["[1,2,3,4]", "[2,3,1,4,5]", "[3,1,2,4,5]"]),
+     "omega-ranks-match-perms"),
+], ids=["path-vertices-swapped", "perms-swapped", "perm-repeats-a-value", "perm-of-degree-4"])
+def test_verify_corrupted(golden, mutate, failed, tmp_path, capsys):
+    doc = json.loads((GOLDEN / golden).read_text())
+    mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", str(bad)]) == EXIT_VERIFICATION
-    capsys.readouterr()
+    assert {line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if " FAIL" in line} == {failed}
 
 
 def test_verify_claim_mismatch(tmp_path, capsys):

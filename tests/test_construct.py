@@ -168,6 +168,10 @@ def test_route_miss_falls_back_with_its_trace(monkeypatch):
     assert trace.copies == {r: G5.copy_id[v] for r, v in trace.roles.items()}
     assert trace.auxiliary == {} and trace.seed == 4
     assert len(pair_structure(full_view(G5), structure)) == formula_value(5)
+    # and the lower bound counts the triple as a fallback
+    report = pi3_lower(G5, [(40, 89, 97)], seed=1)
+    assert report.fallback_count == 1 and not report.failures
+    assert report.case_counts == {CASE_FALLBACK: 1} and report.value == 5
 
 
 def test_bridged_rotation_regime_n7(monkeypatch):
@@ -406,6 +410,12 @@ def test_chat_flows_get_distinct_ends_one_per_door(monkeypatch):
                 build_structure(g, tri, seed=1)
     build_structure(G5, BRIDGED_N5, seed=1)
     build_structure(G7, (957, 1108, 3678), seed=1)  # OddCase3_3: three chat ends
+    # OddCase3_3 at h = 3 for every terminal: all nine outside neighbours
+    # lie in non-terminal copies, so the roles stay in ascending order
+    structure, trace = build_structure(G7, (11, 760, 776), seed=1)
+    assert trace.case_id == CASE_3_3 and not trace.fallback
+    assert trace.roles == {"a": 11, "b": 760, "c": 776}
+    assert len(pair_structure(full_view(G7), structure)) == 8
     assert seen == {(5, 1), (5, 2), (7, 2), (7, 3)}, seen
     assert len(fans) == 3 * len(runs) > 0  # one fan per terminal
 

@@ -76,12 +76,17 @@ def test_cyclic_rotation_outside_neighbors(n):
     assert seen == g.vertex_count * (n - 3)
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_common_neighbors_from_vertex_zero(n):
     # construct._two_copies leans on these above the n <= 5 suite: two
-    # vertices share at most 3 neighbours, and adjacent ones none.  Left
-    # multiplication is an automorphism, so vertex 0 stands for every vertex
+    # vertices share at most 3 neighbours, and adjacent ones none; and
+    # construct._plan_3_1 on this: two vertices share at most one outside
+    # neighbour.  Left multiplication is an automorphism that keeps
+    # generator labels, so vertex 0 stands for every vertex
     g = build(n, Family.WHEEL)
     shared = Counter(w for v in g.nbrs[0] for w in g.nbrs[v] if w != 0)
     assert max(shared.values()) <= 3
     assert [v for v in g.nbrs[0] if shared[v]] == []
+    shared_out = Counter(x for w in outside_neighbors(g, 0)
+                         for x in outside_neighbors(g, w) if x != 0)
+    assert max(shared_out.values()) == 1

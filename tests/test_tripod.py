@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tripaths import oracle
+from tripaths import oracle, tripod
 from tripaths.errors import (
     DuplicateVertices,
     OracleScaleExceeded,
@@ -106,12 +106,18 @@ def test_target_beyond_connectivity_is_infeasible():
     assert res.certified_infeasible
 
 
-def test_exhausted_restarts_end_uncertified():
+@pytest.mark.parametrize("max_steps, expected", [
+    (tripod._MAX_STEPS, TripodFailure("search budget exhausted", 924, 32, False)),
+    (100, TripodFailure("search budget exhausted", 102, 3, False)),
+], ids=["restarts", "steps"])
+def test_exhausted_restarts_end_uncertified(max_steps, expected, monkeypatch):
     # K5 minus the edge 0-2: no pivot's first phase falls short, so no
-    # round certifies the target infeasible, and every restart runs
+    # round certifies the target infeasible; every restart runs, unless
+    # the step budget runs out first
+    monkeypatch.setattr(tripod, "_MAX_STEPS", max_steps)
     view = AdjacencyView({0: [1, 3, 4], 1: [2, 3, 4], 2: [3, 4], 3: [4], 4: []})
     res = solve_tripod(view, (0, 1, 2), StructureTarget(2, 1, 2))
-    assert res == TripodFailure("search budget exhausted", 924, 32, False)
+    assert res == expected
 
 
 def test_exact_pi_triangle():
