@@ -240,15 +240,20 @@ class _SplitNetwork:
             rows.append(array("i", [2 * i]))
             rows.append(array("i", range(first, first + 2 * len(ws), 2)))
             for w in ws:
+                # rows ascend, so the arcs into w come in the order of w's
+                # row: each must find its tail in the next slot of that row.
+                # Then every arc has its reverse and every slot fills.  The
+                # check runs before the writes, which index by w
+                s = slot[w] if 0 <= w < nv else -1
+                if s < 0 or s == starts[w + 1] or nbrs[w][s - starts[w]] != i:
+                    raise ValueError("adjacency rows must be symmetric")
                 to.append(2 * w)
                 to.append(2 * i + 1)
-                back[slot[w]] = len(to) - 1
-                slot[w] += 1
+                back[s] = len(to) - 1
+                slot[w] = s + 1
         self.to = to
         self.cap = array("i", [1, 0]) * (len(to) // 2)
         self.arc_count = len(to)
-        if slot[:-1] != starts[1:]:
-            raise ValueError("adjacency rows must be symmetric")
         self.back_arcs, self.back_first = back, starts
         rows += [array("i"), array("i")]
         self.rows = rows
@@ -1050,18 +1055,20 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
     avoiding the whole target set.  `targets` is a sequence of distinct
     vertices, each the end of at most one path, or a mapping
     {target: capacity}: a target of capacity c ends at most c paths, and
-    one of capacity 0 ends none but is still avoided."""
+    one of capacity 0 ends none but is still avoided.  Capacities are
+    ints; one above k is read as k, since no target ends more paths."""
     if isinstance(targets, Mapping):
         caps = dict(targets)
     else:
         caps = dict.fromkeys(_distinct(targets, "fan targets"), 1)
     if x in caps:
         raise ValueError(f"fan root {x} cannot be a target")
-    if any(c < 0 for c in caps.values()):
-        raise ValueError(f"fan target capacities must be non-negative, got {caps}")
-    total = sum(caps.values())
+    if any(type(c) is not int or c < 0 for c in caps.values()):
+        raise ValueError(f"fan target capacities must be non-negative ints, got {caps}")
     if k < 0:
         raise ValueError(f"a fan of {k} paths: k must be non-negative")
+    caps = {y: min(c, k) for y, c in caps.items()}
+    total = sum(caps.values())
     if k > total:
         raise ValueError(f"fan of {k} paths needs target capacity {k}, got {total}")
     _require(view, [x, *caps])

@@ -105,6 +105,28 @@ def test_structure_and_pi3_take_no_family(command, capsys):
     assert "unrecognized arguments: --family bss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["structure", "--n", "9", "--random"], "degree 9 exceeds the configured cap 8"),
+    (["pi3", "--n", "9"], "degree 9 exceeds the configured cap 8"),
+    (["structure", "--n", "5", "--omega", "[1,2,3,4,5];[2,3,1,4,5]"],
+     "--omega needs three permutations separated by ';'"),
+    (["pi3", "--n", "5", "--samples", "0"], "--samples must be positive"),
+], ids=["structure-n9", "pi3-n9", "omega-two-perms", "pi3-samples-0"])
+def test_out_of_range_arguments_are_usage_errors(args, message, capsys):
+    assert main(args) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_strict_structure_exits_3_on_a_fallback(monkeypatch, capsys):
+    # ranks (40, 89, 97) split two/one, so a miss of the Case 2 route falls back
+    monkeypatch.setattr(tripaths.construct, "_two_copies", lambda g, tri: None)
+    assert main(["structure", "--n", "5", "--strict", "--omega",
+                 "[2,4,5,1,3];[4,3,5,2,1];[5,1,2,4,3]"]) == EXIT_CONSTRUCTION
+    captured = capsys.readouterr()
+    assert captured.err == "strict mode: construction fell back to the generic solver\n"
+    assert captured.out == ""
+
+
 def test_structure_missing_omega(capsys):
     assert main(["structure", "--n", "4"]) == EXIT_USAGE
     capsys.readouterr()

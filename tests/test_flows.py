@@ -7,6 +7,7 @@ import pytest
 
 from tripaths.errors import InsufficientConnectivity, RankOutOfRange
 from tripaths.flows import (
+    StepCounter,
     _network,
     disjoint_set_paths,
     k_fan,
@@ -18,7 +19,9 @@ from tripaths.flows import (
 )
 from tripaths.graphs import (
     AdjacencyView,
+    ExplicitGraph,
     Path,
+    View,
     build,
     copy_union,
     delete_copies,
@@ -305,6 +308,11 @@ def test_k_fan_capacities_end_exactly_their_paths():
         k_fan(full_view(build(5, Family.WHEEL)), 0, [1, 2], -3)
     with pytest.raises(ValueError, match="non-negative"):
         k_fan(FAN_VIEW, 0, {10: 3, 11: -1}, 2)
+    for cap in (1.5, True, "2", None):
+        with pytest.raises(ValueError, match="capacities must be non-negative ints"):
+            k_fan(FAN_VIEW, 0, {10: cap}, 1)
+    # no target ends more than k paths, so a larger capacity reads as k
+    assert k_fan(FAN_VIEW, 0, {10: 10**12, 11: 1}, 3) == k_fan(FAN_VIEW, 0, {10: 3, 11: 1}, 3)
 
 
 def test_k_fan_capacity_shortfall_names_its_cut():
@@ -391,3 +399,47 @@ def test_copy_view_connectivity():
     g = build(5, Family.WHEEL)
     # one copy of the n=5 wheel looks like the degree-4 star-plus-adjacent graph
     assert vertex_connectivity(copy_union(g, {3})) == 5
+
+
+@pytest.mark.parametrize("rows", [
+    ((1,), ()),
+    ((5,), (0,)),
+    ((-1,), (0,)),
+    ((1,), (2,), (0,)),
+    ((1, 2), (0,), ()),
+    ((2,), (), (0, 1)),
+], ids=["row-left-empty", "label-past-the-rows", "negative-label", "directed-cycle",
+        "arc-without-reverse", "row-names-a-stranger"])
+def test_asymmetric_rows_are_rejected_before_the_network_is_written(rows):
+    with pytest.raises(ValueError, match="^adjacency rows must be symmetric$"):
+        _network(View(ExplicitGraph(rows)))
+
+
+V4 = full_view(build(4, Family.WHEEL))
+
+
+class _NestedFlow(StepCounter):
+    """Counts an augmentation by starting a second flow on the same network."""
+
+    def add(self, k: int = 1) -> None:
+        shortest_path(V4, 0, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: max_internally_disjoint_paths(V4, 0, 23, counter=_NestedFlow()),
+     RuntimeError, "flow queries on one network cannot nest"),
+    (lambda: disjoint_set_paths(V4, [1, 1], [2, 3], 1), ValueError, "duplicate terminals: [1, 1]"),
+    (lambda: max_internally_disjoint_paths(V4, 4, 4), ValueError, "flow between 4 and itself"),
+    (lambda: k_fan(V4, 0, [1, 0], 1), ValueError, "fan root 0 cannot be a target"),
+    (lambda: disjoint_set_paths(V4, [1, 2], [3, 4], 3),
+     ValueError, "3 disjoint paths need 3 terminals on each side"),
+    (lambda: vertex_connectivity(AdjacencyView({0: []})),
+     ValueError, "connectivity needs at least two vertices"),
+], ids=["nested-query", "duplicate-set-terminals", "pair-of-one-vertex", "fan-root-target",
+        "k-above-terminals", "one-vertex-view"])
+def test_flow_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+    # a rejected query leaves the shared network free for the next one
+    assert len(max_internally_disjoint_paths(V4, 0, 23).paths) == 6

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from tripaths.construct import build_structure
-from tripaths.errors import RankOutOfRange, SameCopy, WrongFamily
+from tripaths.errors import DuplicateVertices, RankOutOfRange, SameCopy, WrongFamily
 from tripaths.flows import max_internally_disjoint_paths
 from tripaths.graphs import (
     AdjacencyView,
@@ -404,3 +404,22 @@ def test_ranks_are_exact_ints_only(taker, v):
     them would answer for those vertices or fail indexing with them."""
     with pytest.raises(RankOutOfRange):
         RANK_TAKERS[taker](v)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: copy_union(g, ()), ValueError, "empty copy set"),
+    (lambda g: copy_union(g, {0, 1}), RankOutOfRange, "copy id 0 outside [1, 4]"),
+    (lambda g: delete_copies(g, {5}), RankOutOfRange, "copy id 5 outside [1, 4]"),
+    (lambda g: delete_copies(g, {1, 2, 3, 4}), ValueError, "deleting every copy leaves nothing"),
+    (lambda g: cross_edges(build(4, Family.BUBBLE_SORT_STAR), 1, 2),
+     WrongFamily, "cross-edge enumeration is defined for the wheel family"),
+    (lambda g: common_neighbors(g, [0]), ValueError, "common neighbors take 2 or 3 vertices, got 1"),
+    (lambda g: common_neighbors(g, [0, 1, 2, 3]),
+     ValueError, "common neighbors take 2 or 3 vertices, got 4"),
+    (lambda g: common_neighbors(g, [0, 5, 0]), DuplicateVertices, "vertex 0 appears twice"),
+], ids=["empty-copy-set", "copy-id-0", "copy-id-past-n", "every-copy-deleted",
+        "cross-edges-on-bss", "one-common-vertex", "four-common-vertices", "repeated-vertex"])
+def test_graph_input_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call(build(4, Family.WHEEL))
+    assert str(info.value) == message

@@ -63,6 +63,25 @@ def test_construct_gives_up_on_a_flow_miss():
     assert found == [], found
 
 
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _solve_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "solve_tripod"]
+
+
+def test_only_the_solver_retries():
+    # solve_tripod's seeded restarts are the one retry layer: a route
+    # solves each structure once, so no solve sits inside a loop
+    tree = ast.parse((SRC / "construct.py").read_text())
+    assert _solve_calls(tree)
+    found = sorted({f"construct.py:{call.lineno}" for loop in ast.walk(tree)
+                    if isinstance(loop, _LOOPS) for call in _solve_calls(loop)})
+    assert found == [], found
+
+
 _HEAVY = frozenset({"concurrent", "multiprocessing", "numpy", "scipy"})
 
 
