@@ -56,7 +56,6 @@ _HOMES = {
         "AdjacencyView",
         "CayleyGraph",
         "Path",
-        "PathFamily",
         "View",
         "build",
         "common_neighbors",
@@ -80,7 +79,6 @@ _HOMES = {
     ),
     "perms": (
         "Family",
-        "GeneratorSet",
         "Permutation",
         "Transposition",
         "apply_generator",

@@ -43,10 +43,7 @@ def _fail_usage(message: str) -> int:
 
 
 def _build_graph(n: int, family_text: str):
-    family = parse_family(family_text)
-    if family.name == "WHEEL" and n < 4:
-        raise ValueError("wheel requires n ≥ 4")
-    return build(n, family)
+    return build(n, parse_family(family_text))
 
 
 def _report_header(title: str, argv: list[str]) -> list[str]:

@@ -279,7 +279,7 @@ def _outside_detours(g, K, roles, detour, order_seed):
     except InsufficientConnectivity:
         return None
     tagged = []
-    for p in fam.paths:
+    for p in fam:
         prefix = (C, detour) if p.vertices[0] == d_plus else (C,)
         owner = A if p.vertices[-1] in (a_out[0], a_out[1]) else B
         tagged.append(("ac" if owner == A else "bc", _cat(prefix, p, (owner,))))
@@ -364,8 +364,8 @@ def _route_cyclic_bridge(g, K, rot, outs, owner_of, seed):
         fam2 = disjoint_set_paths(vs, [aS, w], [bS, cS], 2)
     except InsufficientConnectivity:
         return None
-    ends = {p.vertices[-1]: p for p in fam1.paths}
-    starts = {p.vertices[0]: p for p in fam2.paths}
+    ends = {p.vertices[-1]: p for p in fam1}
+    starts = {p.vertices[0]: p for p in fam2}
     to_u, to_cm, from_w, from_as = ends[u], ends[cM], starts[w], starts[aS]
     bridge_owner = owner_of[to_u.vertices[0]]
     if bridge_owner == B and from_w.vertices[-1] == bS:
@@ -411,7 +411,7 @@ def _two_copies(g, tri):
     b = next(v for cc, vs in by_copy.items() if len(vs) == 1 for v in vs)
     star = g.star_image
 
-    paths = list(max_internally_disjoint_paths(copy_union(g, {K}), a, c).paths)
+    paths = max_internally_disjoint_paths(copy_union(g, {K}), a, c)
     if len(paths) < 4 * d - 3:
         return None
     chosen = [p for p in paths if p.length >= 3][:2 * d - 3]
@@ -440,12 +440,12 @@ def _two_copies(g, tri):
             legs.append(("bc", c, w))
 
     targets = [t for _tag, _v, t in legs]
+    # no ValueError to catch: the fan targets are distinct and never b
     try:
-        # k_fan raises ValueError on a repeated target
         fanfam = k_fan(delete_copies(g, {K}), b, targets, len(targets))
-    except (InsufficientConnectivity, ValueError):
+    except InsufficientConnectivity:
         return None
-    by_end = {p.vertices[-1]: p for p in fanfam.paths}
+    by_end = {p.vertices[-1]: p for p in fanfam}
     tagged = [("ac", p) for p in keep] + list(directs)
     for tag, inner_v, tgt in legs:
         fp = by_end[tgt]
@@ -659,7 +659,7 @@ def _execute_three(g, roles, chat_copies, plan):
             fam = k_fan(copy_union(g, {g.copy_id[term]}), term, tgts, len(tgts))
         except InsufficientConnectivity:
             return None
-        fans[term] = {p.vertices[-1]: p for p in fam.paths}
+        fans[term] = {p.vertices[-1]: p for p in fam}
 
     # no ValueError to catch: chat_x is c's doors (one per copy) or
     # [gamma0], chat_y the distinct y_owner keys plus a bridge end kept out
@@ -670,7 +670,7 @@ def _execute_three(g, roles, chat_copies, plan):
     except InsufficientConnectivity:
         return None
     # len(chat_x) == len(chat_y), so every chat end closes exactly one path
-    chat = {p.vertices[-1]: p for p in fam.paths}
+    chat = {p.vertices[-1]: p for p in fam}
 
     tagged: list[tuple[str, Path]] = list(plan["directs"])
     for w, ws, tag in matches:

@@ -168,7 +168,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
 from .errors import InsufficientConnectivity, RankOutOfRange
-from .graphs import Path, PathFamily
+from .graphs import Path
 
 _OFF_VIEW = -3  # parent-template mark of a node the query may not enter
 # views of at least this many vertices find augmenting paths from both ends
@@ -328,12 +328,9 @@ class _FlowQuery:
         """The vertex marks and the BFS ``parent`` start: -1 for vertices
         and nodes the query may enter."""
         nv = self.net.vertex_count
-        if allowed is None:
-            marks = [-1] * nv
-        else:
-            marks = [_OFF_VIEW] * nv
-            for v in allowed:
-                marks[v] = -1
+        marks = [_OFF_VIEW] * nv
+        for v in allowed:
+            marks[v] = -1
         tpl = [-1] * (2 * nv + 2)
         tpl[0:2 * nv:2] = tpl[1:2 * nv:2] = marks
         return marks, tpl
@@ -1023,7 +1020,7 @@ def shortest_path(view, u: int, v: int, avoid=frozenset()) -> Path | None:
     _require(view, (u, v))
     if u == v:
         return Path((u,))
-    paths = max_internally_disjoint_paths(view.without(avoid) if avoid else view, u, v, 1).paths
+    paths = max_internally_disjoint_paths(view.without(avoid) if avoid else view, u, v, 1)
     return paths[0] if paths else None
 
 
@@ -1035,7 +1032,7 @@ def _check_pair(view, u: int, v: int) -> None:
 
 def max_internally_disjoint_paths(view, u: int, v: int, limit: int | None = None,
                                   order_seed: int | None = None,
-                                  counter: StepCounter | None = None) -> PathFamily:
+                                  counter: StepCounter | None = None) -> tuple[Path, ...]:
     """All (or `limit`) internally disjoint u-v paths; adjacency contributes
     the direct edge as a one-edge path."""
     _check_pair(view, u, v)
@@ -1045,18 +1042,19 @@ def max_internally_disjoint_paths(view, u: int, v: int, limit: int | None = None
     goal = cap if limit is None else min(limit, cap)
     with _FlowQuery(view, order_seed=order_seed, no_split=(v,)) as q:
         q.max_flow(q.vout(u), q.vin(v), goal, counter)
-        paths = q.extract_paths(q.vout(u), q.vin(v))
-    return PathFamily(tuple(paths))
+        return tuple(q.extract_paths(q.vout(u), q.vin(v)))
 
 
 def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
-          counter: StepCounter | None = None) -> PathFamily:
+          counter: StepCounter | None = None) -> tuple[Path, ...]:
     """k paths from x into `targets`, internally disjoint and internally
     avoiding the whole target set.  `targets` is a sequence of distinct
     vertices, each the end of at most one path, or a mapping
     {target: capacity}: a target of capacity c ends at most c paths, and
     one of capacity 0 ends none but is still avoided.  Capacities are
-    ints; one above k is read as k, since no target ends more paths."""
+    ints; one above k is read as k, since no target ends more paths, and
+    a target's arc to the sink holds at most the degree of x, since no
+    more paths leave x."""
     if isinstance(targets, Mapping):
         caps = dict(targets)
     else:
@@ -1073,20 +1071,22 @@ def k_fan(view, x: int, targets, k: int, order_seed: int | None = None,
         raise ValueError(f"fan of {k} paths needs target capacity {k}, got {total}")
     _require(view, [x, *caps])
     ys = sorted(caps)
+    out = view.degree(x)
     with _FlowQuery(view, order_seed=order_seed, no_split=ys) as q:
         for y in ys:
             if caps[y]:
-                q.add_arc(q.vin(y), q.sink, caps[y])
+                q.add_arc(q.vin(y), q.sink, min(caps[y], out))
         value = q.max_flow(q.vout(x), q.sink, k, counter)
-        fam = PathFamily(tuple(q.extract_paths(q.vout(x), q.sink)))
+        paths = tuple(q.extract_paths(q.vout(x), q.sink))
         if value < k:
             raise InsufficientConnectivity(
                 f"fan from {x} reached only {value} of {k} targets",
-                achieved=fam, witness_cut=q.witness_cut(q.vout(x)))
-    return fam
+                achieved=paths, witness_cut=q.witness_cut(q.vout(x)))
+    return paths
 
 
-def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> PathFamily:
+def disjoint_set_paths(view, xs, ys, k: int,
+                       order_seed: int | None = None) -> tuple[Path, ...]:
     """k pairwise fully disjoint paths from X to Y, internally avoiding
     X and Y; members of X∩Y count as zero-length paths."""
     xs, ys = _distinct(xs, "terminals"), _distinct(ys, "terminals")
@@ -1100,7 +1100,7 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
     zero = [Path((w,)) for w in shared[:k]]
     need = k - len(zero)
     if need <= 0:
-        return PathFamily(tuple(zero))
+        return tuple(zero)
     xonly = [v for v in xset if v not in shared]
     yonly = [v for v in yset if v not in shared]
     if shared:
@@ -1111,13 +1111,13 @@ def disjoint_set_paths(view, xs, ys, k: int, order_seed: int | None = None) -> P
         for y in yonly:
             q.add_arc(q.vin(y), q.sink, 1)
         value = q.max_flow(q.source, q.sink, need)
-        fam = PathFamily(tuple(zero + q.extract_paths(q.source, q.sink)))
+        paths = tuple(zero + q.extract_paths(q.source, q.sink))
         if value < need:
             cut = q.witness_cut(q.source)
             raise InsufficientConnectivity(
                 f"only {len(zero) + value} of {k} disjoint set paths exist",
-                achieved=fam, witness_cut=tuple(sorted(set(cut) | set(shared))))
-    return fam
+                achieved=paths, witness_cut=tuple(sorted(set(cut) | set(shared))))
+    return paths
 
 
 def min_vertex_cut(view, u: int, v: int) -> CutResult:
@@ -1136,7 +1136,7 @@ def min_vertex_cut(view, u: int, v: int) -> CutResult:
 
 def local_connectivity(view, u: int, v: int) -> int:
     """Maximum number of internally disjoint u-v paths (direct edge counts)."""
-    return len(max_internally_disjoint_paths(view, u, v).paths)
+    return len(max_internally_disjoint_paths(view, u, v))
 
 
 def vertex_connectivity(view) -> int:

@@ -40,19 +40,13 @@ class Path:
         return self.vertices[1:-1]
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    paths: tuple[Path, ...]
-
-
 class CayleyGraph:
     """Immutable by convention; build once, share everywhere."""
 
     def __init__(self, n: int, family: Family):
-        gens = generator_set(family, n)
         self.n = n
         self.family = family
-        self.gens = gens.members
+        self.gens = generator_set(family, n)
         self.vertex_count = factorial(n)
         self.degree = len(self.gens)
         # permutations() yields one-line forms in lexicographic order, so
@@ -111,40 +105,33 @@ def build(n: int, family: Family) -> CayleyGraph:
 class View:
     """A vertex subset of one graph.
 
-    The graph is a CayleyGraph or an ExplicitGraph.  None means every
-    vertex.  Views compose; flows and solvers only ever see the graph
-    through a View.
+    The graph is a CayleyGraph or an ExplicitGraph.  ``allowed`` holds
+    the view's vertices: a frozenset, or ``range(vertex_count)`` for the
+    whole graph.  Views compose; flows and solvers only ever see the
+    graph through a View.
     """
 
     graph: CayleyGraph | ExplicitGraph
-    allowed: frozenset[int] | None = None
+    allowed: frozenset[int] | range
 
     def contains(self, v: int) -> bool:
         # a float or a bool equal to a rank would pass the set test and
         # then index a row as that rank, so only exact ints are vertices
-        if type(v) is not int:
-            return False
-        if self.allowed is None:
-            return 0 <= v < self.graph.vertex_count
-        return v in self.allowed
+        return type(v) is int and v in self.allowed
 
     def vertices(self) -> list[int]:
-        if self.allowed is None:
-            return list(range(self.graph.vertex_count))
         return sorted(self.allowed)
 
     @property
     def vertex_count(self) -> int:
-        if self.allowed is None:
-            return self.graph.vertex_count
         return len(self.allowed)
 
     def neighbors(self, v: int) -> list[int]:
         """The neighbour ranks of v in the view, ascending."""
         if not self.contains(v):
             raise RankOutOfRange(f"vertex {v!r} is not in the view")
-        allowed, row = self.allowed, self.graph.nbrs[v]
-        return list(row) if allowed is None else [w for w in row if w in allowed]
+        allowed = self.allowed
+        return [w for w in self.graph.nbrs[v] if w in allowed]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -153,7 +140,7 @@ class View:
         if not self.contains(u):
             raise RankOutOfRange(f"vertex {u!r} is not in the view")
         # only exact ints are vertices, and only they compare with a row's ranks
-        if type(v) is not int or (self.allowed is not None and v not in self.allowed):
+        if not self.contains(v):
             return False
         row = self.graph.nbrs[u]
         i = bisect_left(row, v)
@@ -162,8 +149,7 @@ class View:
     def is_walk(self, vs) -> bool:
         """True when every member of the vertex sequence is a vertex of
         the view and an edge of the view joins each consecutive pair."""
-        members = range(self.graph.vertex_count) if self.allowed is None else self.allowed
-        rows = self.graph.nbrs
+        members, rows = self.allowed, self.graph.nbrs
         x = None
         for y in vs:
             # only exact ints are vertices: a float or a bool equal to a
@@ -192,19 +178,14 @@ class View:
         return outside, gaps
 
     def without(self, removed) -> "View":
-        removed = frozenset(removed)
-        base = frozenset(self.vertices()) if self.allowed is None else self.allowed
-        return View(self.graph, base - removed)
+        return View(self.graph, frozenset(self.allowed).difference(removed))
 
     def restricted_to(self, kept) -> "View":
-        kept = frozenset(kept)
-        if self.allowed is not None:
-            kept = kept & self.allowed
-        return View(self.graph, kept)
+        return View(self.graph, frozenset(kept).intersection(self.allowed))
 
 
 def full_view(g: CayleyGraph) -> View:
-    return View(g)
+    return View(g, range(g.vertex_count))
 
 
 class ExplicitGraph:
@@ -250,11 +231,11 @@ def spanning_intra_view(g: CayleyGraph) -> View:
     family has no (2 n), so there the view is the whole graph.
     """
     if not g.star_image:
-        return View(g)
+        return full_view(g)
     if g.intra_graph is None:
         g.intra_graph = ExplicitGraph(tuple(
             tuple([w for w in ws if w != star]) for ws, star in zip(g.nbrs, g.star_image)))
-    return View(g.intra_graph)
+    return View(g.intra_graph, range(g.vertex_count))
 
 
 def copy_of(g: CayleyGraph, v: int) -> int:

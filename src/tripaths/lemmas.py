@@ -40,8 +40,8 @@ def run_lemma_suite(n: int, inject_fault: bool = False) -> list[LemmaRow]:
     s2 = generator_set(Family.WHEEL, n)
     rows.append(LemmaRow(
         "generator-set-sizes",
-        len(s1.members) == 2 * n - 3 and len(s2.members) == 2 * n - 2,
-        f"|S1|={len(s1.members)} |S2|={len(s2.members)}"))
+        len(s1) == 2 * n - 3 and len(s2) == 2 * n - 2,
+        f"|S1|={len(s1)} |S2|={len(s2)}"))
 
     expected_cross = 3 * factorial(n - 2)
     bad = []

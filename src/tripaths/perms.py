@@ -157,14 +157,7 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     return Permutation(tuple(values))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    family: Family
-    n: int
-    members: tuple[Transposition, ...]
-
-
-def generator_set(family: Family, n: int) -> GeneratorSet:
+def generator_set(family: Family, n: int) -> tuple[Transposition, ...]:
     """Star transpositions (1 j), adjacent swaps (j j+1), plus (2 n) for wheel.
 
     Wheel needs n >= 4: at n = 3 the extra (2 n) collides with the
@@ -178,4 +171,4 @@ def generator_set(family: Family, n: int) -> GeneratorSet:
     members += [Transposition(j, j + 1) for j in range(2, n)]
     if family is Family.WHEEL:
         members.append(Transposition(2, n))
-    return GeneratorSet(family, n, tuple(members))
+    return tuple(members)

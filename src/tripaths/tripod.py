@@ -50,8 +50,8 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
     except InsufficientConnectivity:
         # the flow value is exact, so a shortfall rules the target out entirely
         return _INFEASIBLE
-    phase_a_paths = ([(n1, p) for p in fan.paths if p.vertices[-1] == s1]
-                     + [(n2, p) for p in fan.paths if p.vertices[-1] == s2])
+    phase_a_paths = ([(n1, p) for p in fan if p.vertices[-1] == s1]
+                     + [(n2, p) for p in fan if p.vertices[-1] == s2])
     # drop None is the plain attempt; exchange repair frees path `drop`,
     # redoes the third bundle, then re-routes the freed path around both
     for drop in (None, *range(len(phase_a_paths))):
@@ -59,9 +59,9 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
         blocked = {w for _, p in kept for w in p.interior()}
         fam = max_internally_disjoint_paths(view.without(blocked | {pivot_v}), bs, bt, limit=k3,
                                             order_seed=order_seed, counter=counter)
-        if len(fam.paths) < k3:
+        if len(fam) < k3:
             continue
-        third = [(n3, p) for p in fam.paths]
+        third = [(n3, p) for p in fam]
         if drop is not None:
             name_d, path_d = phase_a_paths[drop]
             used = {w for _, p in third for w in p.interior()}
@@ -74,7 +74,7 @@ def _two_phase(view, omega, target, pivot, order_seed, counter):
             fam_r = max_internally_disjoint_paths(
                 view.without(blocked | used | {other}), pivot_v, sink_d,
                 limit=2 if has_direct else 1, order_seed=order_seed, counter=counter)
-            cands = [p for p in fam_r.paths
+            cands = [p for p in fam_r
                      if not (has_direct and len(p.vertices) == 2)]
             if not cands:
                 continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import DuplicateVertices, RankOutOfRange
-from .graphs import CayleyGraph, Path, PathFamily, full_view
+from .graphs import CayleyGraph, Path, full_view
 from .perms import Family
 
 
@@ -217,9 +217,8 @@ def check_omega_path_set(view, omega, paths) -> VerdictReport:
     return VerdictReport.from_list(out)
 
 
-def check_fan(view, x: int, targets, family: PathFamily, k: int) -> VerdictReport:
+def check_fan(view, x: int, targets, paths, k: int) -> VerdictReport:
     tset = set(targets)
-    paths = family.paths
     out = [] if len(paths) == k else [f"fan has {len(paths)} paths, want {k}"]
     # the root is shared, so only this catches two one-vertex paths [x]
     if x in tset and sum(p.vertices == (x,) for p in paths) > 1:
@@ -228,16 +227,15 @@ def check_fan(view, x: int, targets, family: PathFamily, k: int) -> VerdictRepor
     return VerdictReport.from_list(out)
 
 
-def check_disjoint_set_paths(view, xs, ys, family: PathFamily, k: int) -> VerdictReport:
+def check_disjoint_set_paths(view, xs, ys, paths, k: int) -> VerdictReport:
     ends = (set(xs), set(ys))
-    paths = family.paths
     out = [] if len(paths) == k else [f"{len(paths)} paths, want {k}"]
     out.extend(_family_violations(view, [("p", paths, ends)], ends[0] | ends[1], ()))
     return VerdictReport.from_list(out)
 
 
-def check_internally_disjoint(view, u: int, v: int, family: PathFamily) -> VerdictReport:
-    groups = [("p", family.paths, ({u}, {v}))]
+def check_internally_disjoint(view, u: int, v: int, paths) -> VerdictReport:
+    groups = [("p", paths, ({u}, {v}))]
     return VerdictReport.from_list(_family_violations(view, groups, {u, v}, {u, v}))
 
 

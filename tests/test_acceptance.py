@@ -186,7 +186,7 @@ def test_criterion_6_menger_duality(sweep4, sweep5):
                 continue
             fam = max_internally_disjoint_paths(view, u, v)
             cut = min_vertex_cut(view, u, v)
-            assert len(fam.paths) == len(cut.vertices), (g.n, u, v)
+            assert len(fam) == len(cut.vertices), (g.n, u, v)
             assert check_internally_disjoint(view, u, v, fam).ok
             assert shortest_path(view.without(set(cut.vertices)), u, v) is None
             checked += 1

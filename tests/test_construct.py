@@ -25,7 +25,7 @@ from tripaths.certify import (
 )
 from tripaths.construct import build_structure
 from tripaths.errors import DuplicateVertices, InsufficientConnectivity, WrongFamily
-from tripaths.graphs import CayleyGraph, PathFamily, build, full_view, outside_neighbors
+from tripaths.graphs import CayleyGraph, build, full_view, outside_neighbors
 from tripaths.pairing import LowerBoundReport, pair_structure, pi3_lower, sample_triples
 from tripaths.perms import Family, Permutation, compose, parse_permutation, rank
 from tripaths.tripod import TripodFailure
@@ -370,15 +370,18 @@ def test_three_copy_plans_name_an_owner_for_every_chat_end(monkeypatch):
 
 
 def test_chat_flows_get_distinct_ends_one_per_door(monkeypatch):
-    """``_execute_three`` lets only InsufficientConnectivity out of its
-    fan and chat flows end in a miss: ``k_fan`` raises ValueError on a
-    repeated target or a root among its targets, ``disjoint_set_paths``
-    on a repeated terminal or on more paths than terminals.  Every fan
-    gets distinct targets other than its root, and every chat flow gets
-    distinct doors and distinct ends, one end per door."""
+    """``_execute_three`` and ``_two_copies`` let only
+    InsufficientConnectivity out of their fan and chat flows end in a
+    miss: ``k_fan`` raises ValueError on a repeated target or a root among
+    its targets, ``disjoint_set_paths`` on a repeated terminal or on more
+    paths than terminals.  Every fan gets distinct targets other than its
+    root, and every chat flow gets distinct doors and distinct ends, one
+    end per door."""
     module = tripaths.construct
     execute, flow, fan = module._execute_three, module.disjoint_set_paths, module.k_fan
+    two_copies = module._two_copies
     inside, seen, runs, fans = [], set(), [], []
+    in_two, two_runs, two_fans = [], [], []
 
     def executed(g, *args):
         runs.append(g.n)
@@ -388,6 +391,14 @@ def test_chat_flows_get_distinct_ends_one_per_door(monkeypatch):
         finally:
             inside.pop()
 
+    def two_copied(g, tri):
+        two_runs.append(g.n)
+        in_two.append(g.n)
+        try:
+            return two_copies(g, tri)
+        finally:
+            in_two.pop()
+
     def checked(view, xs, ys, k, order_seed=None):
         if inside:
             assert len(set(xs)) == len(xs) == k == len(ys) == len(set(ys)), (xs, ys, k)
@@ -395,19 +406,25 @@ def test_chat_flows_get_distinct_ends_one_per_door(monkeypatch):
         return flow(view, xs, ys, k, order_seed=order_seed)
 
     def fanned(view, x, targets, k, order_seed=None):
-        if inside:
+        if inside or in_two:
             assert len(set(targets)) == len(targets) == k, (x, targets)
             assert x not in targets, (x, targets)
-            fans.append(x)
+            if inside:
+                fans.append(x)
+            else:
+                two_fans.append(in_two[-1])
         return fan(view, x, targets, k, order_seed=order_seed)
 
     monkeypatch.setattr(module, "_execute_three", executed)
+    monkeypatch.setattr(module, "_two_copies", two_copied)
     monkeypatch.setattr(module, "disjoint_set_paths", checked)
     monkeypatch.setattr(module, "k_fan", fanned)
     for g, count in ((G5, 600), (G7, 60)):
         for tri in sample_triples(g, count, 1):
-            if len({g.copy_id[v] for v in tri}) == 3:
+            if len({g.copy_id[v] for v in tri}) > 1:
                 build_structure(g, tri, seed=1)
+    # one fan from b per two-copy triple, at both sizes
+    assert two_fans == two_runs and set(two_runs) == {5, 7}, Counter(two_runs)
     build_structure(G5, BRIDGED_N5, seed=1)
     build_structure(G7, (957, 1108, 3678), seed=1)  # OddCase3_3: three chat ends
     # OddCase3_3 at h = 3 for every terminal: all nine outside neighbours
@@ -472,7 +489,7 @@ def _falls_short(*args, **kwargs):
 
 
 def _solves_only_the_whole_graph(view, *args):
-    if view.allowed is None and isinstance(view.graph, CayleyGraph):
+    if isinstance(view.allowed, range) and isinstance(view.graph, CayleyGraph):
         return REAL_SOLVE(view, *args)
     return TripodFailure("forced failure", 0, 0)
 
@@ -503,7 +520,7 @@ FORCED_MISSES = [
     ("disjoint_set_paths", _falls_short, G7, BRIDGED_N7, "first cross edge"),
     ("shortest_path", lambda *args, **kwargs: None, G7, BRIDGED_N7, "plus path"),
     ("shortest_path", _no_path_around_avoided, G7, REANCHORED_N7, "re-anchored a*-b* path"),
-    ("max_internally_disjoint_paths", lambda *args, **kwargs: PathFamily(()),
+    ("max_internally_disjoint_paths", lambda *args, **kwargs: (),
      G5, (40, 89, 97), "OddCase2 harvest"),
     ("k_fan", _falls_short, G5, (40, 89, 97), "OddCase2 fan"),
     ("_slice_pool", lambda *args: [], G5, (26, 65, 92), "OddCase3_1 pools"),

@@ -54,8 +54,8 @@ PINNED_N7 = FilePath(__file__).parent / "pinned" / "flows_n7.json"
 SEEDS = (None, 5, 1001)
 
 
-def _paths(fam):
-    return [list(p.vertices) for p in fam.paths]
+def _paths(paths):
+    return [list(p.vertices) for p in paths]
 
 
 def _call(fn, *args, **kwargs):
@@ -66,7 +66,7 @@ def _call(fn, *args, **kwargs):
     except InsufficientConnectivity as exc:
         return {"error": str(exc), "achieved": _paths(exc.achieved),
                 "witness_cut": list(exc.witness_cut)}
-    if hasattr(res, "paths"):
+    if isinstance(res, tuple):
         return _paths(res)
     if hasattr(res, "adjacent"):
         return {"cut": list(res.vertices), "adjacent": res.adjacent}
@@ -327,11 +327,26 @@ def test_queries_restore_the_shared_arrays():
     large = full_view(G6)
     net = _network(large)
     rows, before = net.rows, _net_bytes(net)
+    fresh = _query_a(large)
     for query in (_query_a, lambda v: _raising_query(v, order_seed=3), _misused_after_a_push,
-                  _fan_query, _dropped_edge_query):
+                  _set_up_raises, _fan_query, _dropped_edge_query):
         query(large)
         assert net.rows is rows and not net.busy
         assert _net_bytes(net) == before
+    assert _query_a(large) == fresh
+
+
+def _raise(*args):
+    raise RuntimeError("raised by a stand-in")
+
+
+def _set_up_raises(view):
+    """A seeded query whose row overlay raises while the query sets up,
+    after its capacity edits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_SeededRows", _raise)
+        with pytest.raises(RuntimeError, match="stand-in"):
+            _FlowQuery(view, order_seed=3, entry_blocked=(0,), no_split=(7,))
 
 
 def _misused_after_a_push(view):
@@ -669,9 +684,10 @@ class _StopAt(flows.StepCounter):
 
 def test_flow_that_raises_mid_phase_leaves_nothing_set():
     """A flow stopped by an exception after a walk's augmentation, while
-    its phase still holds labels, leaves the network rows and
-    capacities static and the template as the query made it, and a fresh
-    query then gives what a query gives on a fresh graph."""
+    its phase still holds labels, or inside a search once its frontiers
+    meet, leaves the network rows and capacities static and the template
+    as the query made it, and a fresh query then gives what a query gives
+    on a fresh graph."""
     view, edits, _, _, _, _, u, _, v, limit = _PHASE_OF_FOUR
     net = _network(view)
     before = _net_bytes(net)
@@ -695,6 +711,15 @@ def test_flow_that_raises_mid_phase_leaves_nothing_set():
                 made = q.template[:]
                 q.max_flow(q.vout(u), q.vin(v), limit, _StopAt(3))
         assert len(walks) == 1 and walks[0] is not None
+        assert q.template == made
+    assert not net.busy and _net_bytes(net) == before
+    assert outcome() == fresh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_join", _raise)
+        with pytest.raises(RuntimeError, match="stand-in"):
+            with _FlowQuery(view, **edits) as q:
+                made = q.template[:]
+                q.max_flow(q.vout(u), q.vin(v), limit)
         assert q.template == made
     assert not net.busy and _net_bytes(net) == before
     assert outcome() == fresh
@@ -866,7 +891,7 @@ def test_flow_sources_need_no_edit(view, order_seed):
         counter = flows.StepCounter()
         fam = max_internally_disjoint_paths(view, u, v, order_seed=order_seed, counter=counter)
         goal = min(view.degree(u), view.degree(v))
-        assert (list(fam.paths), counter.used) == blocked(u, [v], False, goal)[:2]
+        assert (list(fam), counter.used) == blocked(u, [v], False, goal)[:2]
         if order_seed is None:
             adjacent = view.adjacent(u, v)
             assert min_vertex_cut(view, u, v).vertices == blocked(u, [v], False, goal, adjacent)[2]
@@ -874,9 +899,9 @@ def test_flow_sources_need_no_edit(view, order_seed):
         ys = sorted(rng.sample([w for w in verts if w != x], rng.randint(3, view.degree(x) + 2)))
         counter = flows.StepCounter()
         try:
-            got = list(k_fan(view, x, ys, len(ys), order_seed, counter).paths), counter.used, None
+            got = list(k_fan(view, x, ys, len(ys), order_seed, counter)), counter.used, None
         except InsufficientConnectivity as exc:
-            got = list(exc.achieved.paths), counter.used, exc.witness_cut
+            got = list(exc.achieved), counter.used, exc.witness_cut
             shortfalls += 1
         paths, used, cut = blocked(x, ys, True, len(ys))
         assert got == (paths, used, cut if len(paths) < len(ys) else None)
@@ -1236,7 +1261,7 @@ def test_graph_build_matches_rank_construction(family, n):
     ascending order and the generator of each; the (2 n) images are the
     neighbours by that generator, where the family has it."""
     g = build(n, family)
-    gens = generator_set(family, n).members
+    gens = generator_set(family, n)
     star = next((gi for gi, t in enumerate(gens) if (t.i, t.j) == (2, n)), None)
     assert star == g.outside_gens[2]
     assert not hasattr(g, "adj")

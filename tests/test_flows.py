@@ -138,7 +138,7 @@ def test_adjacency_view_without_shares_its_network():
     theta = AdjacencyView({0: [1, 4, 6], 1: [2, 6], 2: [3], 4: [5], 5: [3], 6: [3]})
     cut = theta.without({4})
     fam = max_internally_disjoint_paths(cut, 0, 3)
-    assert sorted(p.vertices for p in fam.paths) == [(0, 1, 2, 3), (0, 6, 3)]
+    assert sorted(p.vertices for p in fam) == [(0, 1, 2, 3), (0, 6, 3)]
     assert _network(cut) is _network(theta)
     target = StructureTarget(1, 1, 1)
     res = solve_tripod(cut, (0, 3, 6), target)
@@ -171,10 +171,10 @@ def test_max_internally_disjoint_paths_hits_degree():
     g = build(4, Family.WHEEL)
     view = full_view(g)
     fam = max_internally_disjoint_paths(view, 0, 23)
-    assert len(fam.paths) == 6
+    assert len(fam) == 6
     verdict = check_internally_disjoint(view, 0, 23, fam)
     assert verdict.ok, verdict.violations
-    assert max_internally_disjoint_paths(view, 0, 23, limit=0).paths == ()
+    assert max_internally_disjoint_paths(view, 0, 23, limit=0) == ()
     with pytest.raises(ValueError):
         max_internally_disjoint_paths(view, 0, 23, limit=-2)
 
@@ -202,7 +202,7 @@ def test_menger_duality_seeded_pairs():
             fam = max_internally_disjoint_paths(view, u, v)
             cut = min_vertex_cut(view, u, v)
             assert cut.adjacent == adjacent
-            assert len(fam.paths) == len(cut.vertices) + adjacent
+            assert len(fam) == len(cut.vertices) + adjacent
             assert u not in cut.vertices and v not in cut.vertices
             assert _separated(view.without(set(cut.vertices)), u, v, direct=adjacent)
             checked[adjacent] += 1
@@ -226,7 +226,7 @@ def test_disjoint_set_paths_shortfall_cut_separates(view):
         disjoint_set_paths(view, xs, ys, len(xs))
     cut = info.value.witness_cut
     assert cut == tuple(keep)
-    assert len(info.value.achieved.paths) == len(cut)
+    assert len(info.value.achieved) == len(cut)
     left = view.without(cut)
     assert all(_reference_shortest_path(left, x, y) is None for x in xs for y in ys)
 
@@ -242,7 +242,7 @@ def test_k_fan_shortfall_cut_names_the_targets_it_reached(n):
     with pytest.raises(InsufficientConnectivity) as info:
         k_fan(cut_off, 0, [last, *reached], 4)
     assert info.value.witness_cut == tuple(reached)
-    assert len(info.value.achieved.paths) == 3
+    assert len(info.value.achieved) == 3
 
 
 def test_local_connectivity_adjacent_pair():
@@ -260,7 +260,7 @@ def test_k_fan():
     fam = k_fan(view, 0, targets, 4)
     verdict = check_fan(view, 0, targets, fam, 4)
     assert verdict.ok, verdict.violations
-    ends = sorted(p.vertices[-1] for p in fam.paths)
+    ends = sorted(p.vertices[-1] for p in fam)
     assert ends == sorted(targets)
 
 
@@ -278,7 +278,7 @@ def _capacitated_fan_ends(view, x, caps, fam):
     against the fan rule: view paths from x to a target, no target or x
     inside a path, no interior vertex or edge on two paths."""
     interiors, edges = [], []
-    for p in fam.paths:
+    for p in fam:
         assert path_violations(view, p, "p") == []
         assert p.vertices[0] == x and p.vertices[-1] in caps
         assert not set(p.interior()) & (set(caps) | {x})
@@ -286,7 +286,7 @@ def _capacitated_fan_ends(view, x, caps, fam):
         vs = p.vertices
         edges += [(u, w) if u < w else (w, u) for u, w in zip(vs, vs[1:])]
     assert len(interiors) == len(set(interiors)) and len(edges) == len(set(edges))
-    return Counter(p.vertices[-1] for p in fam.paths)
+    return Counter(p.vertices[-1] for p in fam)
 
 
 # 0 reaches 10 through 1, 2 and 4, and 11 through 4-5 or 3-12; with 12 a
@@ -299,7 +299,7 @@ def test_k_fan_capacities_end_exactly_their_paths():
     caps = {10: 2, 11: 1, 12: 0}
     fam = k_fan(FAN_VIEW, 0, caps, 3)
     assert _capacitated_fan_ends(FAN_VIEW, 0, caps, fam) == {10: 2, 11: 1}
-    assert [4, 5, 11] in [list(p.vertices[1:]) for p in fam.paths]
+    assert [4, 5, 11] in [list(p.vertices[1:]) for p in fam]
     # a sequence gives every target capacity 1
     assert k_fan(FAN_VIEW, 0, [10, 11, 12], 3) == k_fan(FAN_VIEW, 0, {10: 1, 11: 1, 12: 1}, 3)
     with pytest.raises(ValueError, match="capacity"):
@@ -321,10 +321,18 @@ def test_k_fan_capacity_shortfall_names_its_cut():
     with pytest.raises(InsufficientConnectivity) as info:
         k_fan(FAN_VIEW, 0, {10: 3, 11: 1, 12: 0}, 4)
     assert info.value.witness_cut == (1, 2, 4)
-    assert len(info.value.achieved.paths) == 3
+    assert len(info.value.achieved) == 3
     # without 12 among the targets, 3-12-11 opens and all four fit
     fam = k_fan(FAN_VIEW, 0, {10: 3, 11: 1}, 4)
     assert _capacitated_fan_ends(FAN_VIEW, 0, {10: 3, 11: 1}, fam) == {10: 3, 11: 1}
+    # no more paths leave 0 than its two edges, so its arcs to the sink
+    # hold at most 2, and a k past a C int still ends in a shortfall
+    triangle = AdjacencyView({0: [1, 2], 1: [2]})
+    for k in (2**31, 10**12):
+        with pytest.raises(InsufficientConnectivity,
+                           match=f"^fan from 0 reached only 2 of {k} ") as info:
+            k_fan(triangle, 0, {1: k}, k)
+        assert len(info.value.achieved) == 2 and info.value.witness_cut == (1, 2)
 
 
 def test_k_fan_capacities_on_a_cw5_copy_union():
@@ -354,7 +362,7 @@ def test_disjoint_set_paths():
     fam = disjoint_set_paths(view, xs, ys, 4)
     verdict = check_disjoint_set_paths(view, xs, ys, fam, 4)
     assert verdict.ok, verdict.violations
-    assert sorted(p.vertices[-1] for p in fam.paths) == ys
+    assert sorted(p.vertices[-1] for p in fam) == ys
 
 
 def test_disjoint_set_paths_overlap_zero_length():
@@ -365,7 +373,7 @@ def test_disjoint_set_paths_overlap_zero_length():
     fam = disjoint_set_paths(view, xs, ys, 3)
     verdict = check_disjoint_set_paths(view, xs, ys, fam, 3)
     assert verdict.ok, verdict.violations
-    lengths = sorted(p.length for p in fam.paths)
+    lengths = sorted(p.length for p in fam)
     assert lengths[0] == 0 and lengths[1] == 0
     with pytest.raises(ValueError, match="k must be non-negative"):
         disjoint_set_paths(full_view(build(5, Family.WHEEL)), [0, 1, 2], [0, 1, 2], -1)
@@ -378,11 +386,11 @@ def test_order_seed_changes_routes_not_counts():
     saw_different = False
     for seed in range(6):
         fam = max_internally_disjoint_paths(view, 0, 23, order_seed=seed)
-        assert len(fam.paths) == len(base.paths)
+        assert len(fam) == len(base)
         verdict = check_internally_disjoint(view, 0, 23, fam)
         assert verdict.ok, verdict.violations
-        if sorted(p.vertices for p in fam.paths) != sorted(
-                p.vertices for p in base.paths):
+        if sorted(p.vertices for p in fam) != sorted(
+                p.vertices for p in base):
             saw_different = True
     assert saw_different
 
@@ -392,7 +400,7 @@ def test_deterministic_given_seed():
     view = full_view(g)
     one = max_internally_disjoint_paths(view, 0, 23, order_seed=4)
     two = max_internally_disjoint_paths(view, 0, 23, order_seed=4)
-    assert [p.vertices for p in one.paths] == [p.vertices for p in two.paths]
+    assert [p.vertices for p in one] == [p.vertices for p in two]
 
 
 def test_copy_view_connectivity():
@@ -412,7 +420,7 @@ def test_copy_view_connectivity():
         "arc-without-reverse", "row-names-a-stranger"])
 def test_asymmetric_rows_are_rejected_before_the_network_is_written(rows):
     with pytest.raises(ValueError, match="^adjacency rows must be symmetric$"):
-        _network(View(ExplicitGraph(rows)))
+        _network(View(ExplicitGraph(rows), range(len(rows))))
 
 
 V4 = full_view(build(4, Family.WHEEL))
@@ -442,4 +450,4 @@ def test_flow_input_checks(call, error, message):
         call()
     assert str(info.value) == message
     # a rejected query leaves the shared network free for the next one
-    assert len(max_internally_disjoint_paths(V4, 0, 23).paths) == 6
+    assert len(max_internally_disjoint_paths(V4, 0, 23)) == 6

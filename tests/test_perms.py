@@ -81,7 +81,7 @@ def test_transposition_needs_ordered_positions(i, j):
 
 
 def test_involution():
-    for t in generator_set(Family.WHEEL, 5).members:
+    for t in generator_set(Family.WHEEL, 5):
         sigma = unrank(77, 5)
         assert apply_generator(apply_generator(sigma, t), t) == sigma
 
@@ -124,18 +124,18 @@ def test_inverse():
 
 def test_generator_set_members_n4():
     s1 = generator_set(Family.BUBBLE_SORT_STAR, 4)
-    assert set(s1.members) == {
+    assert set(s1) == {
         Transposition(1, 2), Transposition(1, 3), Transposition(1, 4),
         Transposition(2, 3), Transposition(3, 4)}
     s2 = generator_set(Family.WHEEL, 4)
-    assert set(s2.members) == set(s1.members) | {Transposition(2, 4)}
+    assert set(s2) == set(s1) | {Transposition(2, 4)}
 
 
 def test_generator_set_sizes():
     for n in range(3, 9):
-        assert len(generator_set(Family.BUBBLE_SORT_STAR, n).members) == 2 * n - 3
+        assert len(generator_set(Family.BUBBLE_SORT_STAR, n)) == 2 * n - 3
     for n in range(4, 9):
-        assert len(generator_set(Family.WHEEL, n).members) == 2 * n - 2
+        assert len(generator_set(Family.WHEEL, n)) == 2 * n - 2
 
 
 def test_parse_permutation_forms():

@@ -176,6 +176,24 @@ def test_the_checkers_read_adjacency_through_views_only():
     assert found == [], found
 
 
+def test_views_name_their_vertex_set():
+    # a view always holds its vertex set (a frozenset, or a range for the
+    # whole graph), so nothing tests it for None and every View is built
+    # with its graph and that set
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(isinstance(x, ast.Attribute) and x.attr == "allowed" for x in sides)
+                        and any(isinstance(x, ast.Constant) and x.value is None for x in sides)):
+                    found.append(f"{path.name}:{node.lineno} .allowed against None")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "View" and len(node.args) + len(node.keywords) != 2):
+                found.append(f"{path.name}:{node.lineno} View() without two arguments")
+    assert found == [], found
+
+
 def _package_imports(tree) -> set:
     """The package modules a module imports, at module level or inside
     a function.  ``from .x import ...`` and ``import tripaths.x`` name x,

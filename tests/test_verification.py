@@ -14,7 +14,6 @@ from tripaths.construct import build_structure
 from tripaths.flows import disjoint_set_paths, k_fan, max_internally_disjoint_paths
 from tripaths.graphs import (
     Path,
-    PathFamily,
     build,
     copy_union,
     full_view,
@@ -38,10 +37,10 @@ TARGET = standard_target(5)
 STRUCTURE, _ = build_structure(G5, (14, 32, 56))
 OMEGA_PATHS = pair_structure(VIEW, STRUCTURE).paths
 FAN_TARGETS = (60, 61, 62, 63)
-FAN = k_fan(VIEW, 0, FAN_TARGETS, 4).paths
+FAN = k_fan(VIEW, 0, FAN_TARGETS, 4)
 XS, YS = (0, 1, 2), (100, 101, 102)
-SET_PATHS = disjoint_set_paths(VIEW, XS, YS, 3).paths
-UV_PATHS = max_internally_disjoint_paths(VIEW, 0, 119).paths
+SET_PATHS = disjoint_set_paths(VIEW, XS, YS, 3)
+UV_PATHS = max_internally_disjoint_paths(VIEW, 0, 119)
 
 
 def _with_ab(*paths):
@@ -71,15 +70,15 @@ def _omega(paths):
 
 
 def _fan(paths, targets=FAN_TARGETS):
-    return check_fan(VIEW, 0, targets, PathFamily(paths), len(paths))
+    return check_fan(VIEW, 0, targets, paths, len(paths))
 
 
 def _sets(paths):
-    return check_disjoint_set_paths(VIEW, XS, YS, PathFamily(paths), 3)
+    return check_disjoint_set_paths(VIEW, XS, YS, paths, 3)
 
 
 def _uv(paths):
-    return check_internally_disjoint(VIEW, 0, 119, PathFamily(paths))
+    return check_internally_disjoint(VIEW, 0, 119, paths)
 
 
 MUTATIONS = {
@@ -112,7 +111,7 @@ MUTATIONS = {
     "fan-empty-path": (lambda: _fan((Path(()),) + FAN[1:]), r"^fan\[0\]: empty path$"),
     # two internally disjoint 0–61 paths: they share their end and nothing else
     "fan-repeated-target": (
-        lambda: _fan(max_internally_disjoint_paths(VIEW, 0, 61).paths[:2], (61, 62)),
+        lambda: _fan(max_internally_disjoint_paths(VIEW, 0, 61)[:2], (61, 62)),
         r"^vertex 61 shared by fan\[0\] and fan\[1\]$"),
     "fan-root-is-target": (lambda: _fan((Path((0,)), Path((0,))), (0, 61)),
                            r"^fan targets repeat$"),
@@ -291,9 +290,9 @@ def test_checkers_match_the_reference_checkers(data):
         return (check_tripod(view, structure, TARGET).violations,
                 check_omega_path_set(view, STRUCTURE.omega, omega_paths).violations,
                 [verification.path_violations(view, p, "p") for p in omega_paths],
-                check_fan(view, 0, FAN_TARGETS, PathFamily(fan), len(FAN)).violations,
-                check_disjoint_set_paths(view, XS, YS, PathFamily(sets), 3).violations,
-                check_internally_disjoint(view, 0, 119, PathFamily(uv)).violations)
+                check_fan(view, 0, FAN_TARGETS, fan, len(FAN)).violations,
+                check_disjoint_set_paths(view, XS, YS, sets, 3).violations,
+                check_internally_disjoint(view, 0, 119, uv).violations)
 
     got = reports()
     with pytest.MonkeyPatch.context() as mp:
